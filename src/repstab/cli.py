@@ -28,6 +28,7 @@ from .partitions import format_partition, parse_partition
 from .specht import monotonicity_witness, specht_module, verify_claims
 from .stability import (
     InducedSpechtSequence,
+    InsufficientWindow,
     RangeParams,
     check_monotone,
     check_uniform_stability,
@@ -44,7 +45,7 @@ def _budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"REPSTAB_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _emit(rows: list[list[str]], fmt: str) -> str:
@@ -102,6 +103,8 @@ def cmd_monotone(args) -> tuple[int, str]:
     lam = parse_partition(getattr(args, "lambda"))
     seq = InducedSpechtSequence(lam)
     start = max(sum(lam), 1)
+    if args.n_max < start + 1:
+        raise InsufficientWindow(f"window [{start}, {args.n_max}] has no map to check")
     report = check_monotone(seq, start, args.n_max)
     rows = [[str(n), "ok" if flag else "FAIL"] for n, flag in sorted(report.monotone.items())]
     out = _emit(rows, args.format)
@@ -175,7 +178,7 @@ def cmd_e2(args) -> tuple[int, str]:
     out = [["p", "q", "dim"]] + rows
     if args.explicit:
         page = e2_page(desc, n, budget=_budget())
-        explicit = {(p, qd1): dim for (p, qd1), dim in page.cell_dims().items()}
+        explicit = page.cell_dims()
         for row in rows:
             p, qd1 = int(row[0]), int(row[1])
             if explicit.get((p, qd1), 0) != int(row[2]):
@@ -279,7 +282,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return (0, "") if exc.code == 0 else (2, "usage error")
     try:
         return args.func(args)
-    except (DescriptorError, NotComputable, ValueError) as exc:
+    except (DescriptorError, NotComputable, InsufficientWindow, ValueError) as exc:
         return 2, f"error: {exc}"
     except BudgetExceeded as exc:
         return 2, f"error: {exc} (raise REPSTAB_BUDGET to override)"

@@ -21,6 +21,7 @@ from math import comb
 
 from .characters import decompose, young_invariants_dim
 from .e2 import (
+    BudgetExceeded,
     E2Page,
     InvariantComplex,
     NotComputable,
@@ -31,7 +32,7 @@ from .e2 import (
 from .linalg import Echelon, add_into
 from .manifolds import ManifoldDescriptor, load_manifold
 from .partitions import Partition, make_partition, partitions_of
-from .perms import all_perms, centralizer_order
+from .perms import centralizer_order
 
 __all__ = [
     "load_manifold",
@@ -55,10 +56,14 @@ _PAGES: dict = {}
 
 
 def e2_page(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> E2Page:
+    """The cached explicit page; a cached page still has to fit the budget."""
     key = (desc.name, id(desc), n)
     if key not in _PAGES:
         _PAGES[key] = E2Page(desc, n, budget=budget)
-    return _PAGES[key]
+    page = _PAGES[key]
+    if page.total_dim > budget:
+        raise BudgetExceeded(f"E2 page for n={n} exceeds the {budget}-element budget")
+    return page
 
 
 @dataclass(frozen=True)
@@ -176,9 +181,10 @@ _INVARIANT: dict = {}
 
 
 def _invariant_complex(desc: ManifoldDescriptor, n: int, budget: int) -> InvariantComplex:
+    page = e2_page(desc, n, budget)  # checks the budget on cache hits too
     key = (desc.name, id(desc), n)
     if key not in _INVARIANT:
-        _INVARIANT[key] = InvariantComplex(e2_page(desc, n, budget))
+        _INVARIANT[key] = InvariantComplex(page)
     return _INVARIANT[key]
 
 
@@ -271,10 +277,9 @@ def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int, budget: i
             check.insert(page_m.diff_vec(v))
     ok = True
     for v in reps:
-        pushed = iota_vec(v)
         averaged: dict = {}
-        for sigma in all_perms(n + 1):
-            add_into(averaged, page_m.act_vec(sigma, pushed))
+        for key, c in iota_vec(v).items():
+            add_into(averaged, page_m.orbit_average(key), c)
         if not check.insert(averaged):
             ok = False
     return ok

@@ -24,7 +24,7 @@ from .characters import ClassFunction, induced_character
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
-from .perms import Perm, all_perms, class_representative, compose, identity
+from .perms import Perm, class_representative, compose, generators, identity
 
 Monomial = tuple[tuple[int, int], ...]
 Key = tuple[Monomial, tuple[int, ...]]
@@ -96,6 +96,8 @@ class E2Page:
                         f"E2 page for n={n} exceeds the {budget}-element budget"
                     )
         self.total_dim = total
+        self._ranks: dict[tuple[int, int], int] = {}
+        self._cohomology: dict[tuple[int, int], int] | None = None
 
     # -- grading helpers ---------------------------------------------------
 
@@ -131,6 +133,34 @@ class E2Page:
             for key2, coeff in self.act_key(sigma, key).items():
                 add_into(out, {key2: coeff * c})
         return out
+
+    def orbit_average(self, key: Key) -> dict[Key, Fraction]:
+        """(1/n!) * sum of sigma.key over S_n, for a key that every sigma sends to +-key.
+
+        Walks the signed orbit breadth-first under the generators of S_n.  A
+        key reached with both signs is fixed by some sigma acting by -1, so
+        the average vanishes; otherwise every orbit point is reached n!/|orbit|
+        times with one sign, and the average is the signed orbit sum over
+        |orbit|.  Disjoint-pair keys are always acted on this way.
+        """
+        gens = generators(self.n)
+        signs = {key: 1}
+        queue = [key]
+        for current in queue:
+            for g in gens:
+                image = self.act_key(g, current)
+                if len(image) != 1:
+                    raise AssertionError(f"S_{self.n} does not act monomially on {current}")
+                [(target, s)] = image.items()
+                s *= signs[current]
+                seen = signs.get(target)
+                if seen is None:
+                    signs[target] = s
+                    queue.append(target)
+                elif seen != s:
+                    return {}
+        weight = Fraction(1, len(signs))
+        return {k: s * weight for k, s in signs.items()}
 
     # -- the differential ----------------------------------------------------
 
@@ -191,7 +221,10 @@ class E2Page:
     # -- ranks and cohomology ------------------------------------------------
 
     def differential_rank(self, p: int, q: int) -> int:
-        return span_dim([self.diff_key(key) for key in self.cell(p, q)])
+        """Rank of d out of cell (p, q); computed once per cell."""
+        if (p, q) not in self._ranks:
+            self._ranks[(p, q)] = span_dim([self.diff_key(key) for key in self.cell(p, q)])
+        return self._ranks[(p, q)]
 
     def check_d_squared(self) -> bool:
         for keys in self.cells.values():
@@ -201,20 +234,22 @@ class E2Page:
         return True
 
     def cohomology_dims(self) -> dict[tuple[int, int], int]:
-        """E3 = Einfty cell dimensions, keyed by (p, q(d-1))."""
-        d = self.desc.d
-        out = {}
-        for (p, q) in self.cells:
-            dim = len(self.cell(p, q))
-            rank_out = self.differential_rank(p, q)
-            rank_in = self.differential_rank(p - d, q + 1)
-            out[(p, q * (d - 1))] = dim - rank_out - rank_in
-        return out
+        """E3 = Einfty cell dimensions, keyed by (p, q(d-1)); computed once per page."""
+        if self._cohomology is None:
+            d = self.desc.d
+            self._cohomology = {
+                (p, q * (d - 1)): len(keys)
+                - self.differential_rank(p, q)
+                - self.differential_rank(p - d, q + 1)
+                for (p, q), keys in self.cells.items()
+            }
+        return dict(self._cohomology)
 
     def betti_ordered(self, i: int) -> int:
         """dim H^i(C_n(M);Q) from the degenerate page."""
-        dims = self.cohomology_dims()
-        return sum(v for (p, qd1), v in dims.items() if p + qd1 == i)
+        if self._cohomology is None:
+            self.cohomology_dims()
+        return sum(v for (p, qd1), v in self._cohomology.items() if p + qd1 == i)
 
     def euler_characteristic(self) -> int:
         d = self.desc.d
@@ -309,34 +344,46 @@ def invariant_cell_dim(desc: ManifoldDescriptor, n: int, p: int, q: int) -> int:
 
 
 class InvariantComplex:
-    """The S_n-invariant subcomplex, built by orbit-averaging seed keys."""
+    """The S_n-invariant subcomplex, spanned by orbit averages of seed keys.
+
+    S_n moves the disjoint-pair keys that carry every invariant to +-keys, so
+    each average is a signed orbit sum (E2Page.orbit_average), never a sum
+    over all of S_n.
+    """
 
     def __init__(self, page: E2Page):
         self.page = page
         self._bases: dict[tuple[int, int], Echelon] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
+
+    def seeds(self, p: int, q: int) -> list[Key]:
+        """Disjoint-pair keys whose orbit averages span the invariants of cell (p, q).
+
+        The edges are (1 2), (3 4), ...; the pairs carry a Lambda x Sym word
+        and the singletons a Sym x Lambda word, each as a sorted multiset.
+        """
+        desc, n = self.page.desc, self.page.n
+        if not 0 <= q <= n // 2 or (q > 0 and desc.d % 2 == 1):
+            return []
+        mono = tuple((2 * i + 1, 2 * i + 2) for i in range(q))
+        blocks = blocks_of(mono, n)
+        out = []
+        for pair_multi in epsilon_word_multisets(desc, q):
+            pair_deg = sum(desc.degrees[c] for c in pair_multi)
+            for single_multi in sym_word_multisets(desc, n - 2 * q):
+                if pair_deg + sum(desc.degrees[c] for c in single_multi) != p:
+                    continue
+                word = tuple(pair_multi) + tuple(single_multi)
+                assert len(word) == len(blocks)
+                out.append((mono, word))
+        return out
 
     def basis(self, p: int, q: int) -> Echelon:
         key = (p, q)
         if key in self._bases:
             return self._bases[key]
         desc, n = self.page.desc, self.page.n
-        ech = Echelon()
-        if 0 <= q <= n // 2 and not (q > 0 and desc.d % 2 == 1):
-            mono = tuple((2 * i + 1, 2 * i + 2) for i in range(q))
-            blocks = blocks_of(mono, n)
-            for pair_multi in epsilon_word_multisets(desc, q):
-                pair_deg = sum(desc.degrees[c] for c in pair_multi)
-                for single_multi in sym_word_multisets(desc, n - 2 * q):
-                    if pair_deg + sum(desc.degrees[c] for c in single_multi) != p:
-                        continue
-                    word = tuple(pair_multi) + tuple(single_multi)
-                    assert len(word) == len(blocks)
-                    seed = {(mono, word): 1}
-                    avg: dict = {}
-                    for sigma in all_perms(n):
-                        add_into(avg, self.page.act_vec(sigma, seed))
-                    if avg:
-                        ech.insert(avg)
+        ech = Echelon(self.page.orbit_average(seed) for seed in self.seeds(p, q))
         expected = invariant_cell_dim(desc, n, p, q)
         if ech.dim != expected:
             raise AssertionError(
@@ -346,12 +393,14 @@ class InvariantComplex:
         return ech
 
     def differential_rank(self, p: int, q: int) -> int:
-        if q < 1:
-            return 0
-        source = self.basis(p, q)
-        if source.dim == 0:
-            return 0
-        return span_dim([self.page.diff_vec(v) for v in source.basis()])
+        """Rank of d out of invariant cell (p, q); computed once per cell."""
+        if (p, q) not in self._ranks:
+            rank = 0
+            if q >= 1:
+                source = self.basis(p, q).basis()
+                rank = span_dim([self.page.diff_vec(v) for v in source])
+            self._ranks[(p, q)] = rank
+        return self._ranks[(p, q)]
 
     def cohomology_dim(self, p: int, q: int) -> int:
         dim = self.basis(p, q).dim

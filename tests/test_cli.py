@@ -37,6 +37,13 @@ def test_betti_env_budget(monkeypatch):
     assert "budget" in text
 
 
+def test_betti_bad_env_budget(monkeypatch):
+    monkeypatch.setenv("REPSTAB_BUDGET", "abc")
+    code, text = run("betti", "--manifold", "torus", "--n", "4", "--i", "4")
+    assert code == 2
+    assert text.startswith("error: ") and "REPSTAB_BUDGET" in text
+
+
 def test_color_betti():
     code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "3", "--i", "1")
     assert code == 0
@@ -97,6 +104,18 @@ def test_stable_command():
     code, text = run("stable", "--lambda", "1", "--n-max", "5")
     assert code == 0
     assert text.splitlines()[-1].startswith("stable_from\t2")
+
+
+def test_stable_short_window_exits_2():
+    code, text = run("stable", "--lambda", "2", "--n-max", "2")
+    assert code == 2
+    assert text == "error: window [2, 2] has no map to check"
+
+
+def test_monotone_empty_window_exits_2():
+    code, text = run("monotone", "--lambda", "1", "--n-max", "1")
+    assert code == 2
+    assert text == "error: window [1, 1] has no map to check"
 
 
 def test_unknown_subcommand_exits_2():

@@ -13,6 +13,7 @@ from repstab.configspaces import (
     stable_range_report,
     tensor_power_invariants_dim,
 )
+from repstab.e2 import BudgetExceeded
 from repstab.manifolds import load_manifold, parse_descriptor
 
 TORUS = load_manifold("torus")
@@ -164,6 +165,16 @@ def test_homological_stability_corollary_on_sphere():
     for i in range(0, 4):
         values = [betti_unordered(S2, n, i) for n in range(max(i + 1, 1), 6)]
         assert len(set(values)) == 1
+
+
+def test_cached_pages_honour_budget():
+    # a page cached under the default budget is refused under a smaller one
+    assert betti_unordered(TORUS, 4, 2) == 3
+    with pytest.raises(BudgetExceeded):
+        betti_unordered(TORUS, 4, 2, budget=10)
+    assert ordered_betti(TORUS, 4, 2) == 30
+    with pytest.raises(BudgetExceeded):
+        ordered_betti(TORUS, 4, 2, budget=10)
 
 
 def test_correspondence_injectivity_torus():

@@ -1,3 +1,7 @@
+from fractions import Fraction
+from math import factorial
+
+import repstab.e2 as e2_module
 from repstab.characters import ClassFunction
 from repstab.e2 import (
     E2Page,
@@ -10,6 +14,7 @@ from repstab.e2 import (
     invariant_cell_dim,
     set_partitions_of_shape,
 )
+from repstab.linalg import Echelon, add_into, span_dim
 from repstab.manifolds import load_manifold
 from repstab.partitions import partitions_of
 from repstab.perms import all_perms, class_representative
@@ -18,6 +23,15 @@ from repstab.stability import stable_multiplicities
 TORUS = load_manifold("torus")
 S2 = load_manifold("s2")
 S3 = load_manifold("s3")
+CP1 = load_manifold("cp1")
+
+
+def brute_average(page, key):
+    """(1/n!) * sum of sigma.key over all of S_n: the oracle for orbit_average."""
+    total: dict = {}
+    for sigma in all_perms(page.n):
+        add_into(total, page.act_key(sigma, key))
+    return {k: Fraction(c, factorial(page.n)) for k, c in total.items()}
 
 
 def test_blocks_of():
@@ -125,6 +139,57 @@ def test_invariant_cell_dims_match_average():
                 for p in range(0, 2 * n + 1):
                     ech = inv.basis(p, q)  # raises if the closed form disagrees
                     assert ech.dim == invariant_cell_dim(desc, n, p, q)
+
+
+def test_invariant_basis_spans_brute_force_average():
+    for desc in (TORUS, S2, CP1):
+        for n in (2, 3, 4, 5):
+            page = E2Page(desc, n)
+            inv = InvariantComplex(page)
+            for q in range(n // 2 + 1):
+                for p in range(0, 2 * n + 1):
+                    averages = []
+                    for seed in inv.seeds(p, q):
+                        average = brute_average(page, seed)
+                        assert page.orbit_average(seed) == average
+                        averages.append(average)
+                    assert inv.basis(p, q).basis() == Echelon(averages).basis()
+
+
+def test_orbit_average_exact_on_disjoint_pair_keys():
+    # every key with pairwise disjoint edges, cancelling ones included; the
+    # per-key normalisation matters where combinations of keys are averaged
+    cancelled = 0
+    for desc in (TORUS, S2):
+        for n in (3, 4):
+            page = E2Page(desc, n)
+            for keys in page.cells.values():
+                for key in keys:
+                    points = [x for edge in key[0] for x in edge]
+                    if len(points) != len(set(points)):
+                        continue
+                    average = page.orbit_average(key)
+                    assert average == brute_average(page, key)
+                    cancelled += not average
+    assert cancelled
+
+
+def test_cohomology_dims_computes_each_rank_once(monkeypatch):
+    calls = []
+
+    def counting_span_dim(vectors):
+        calls.append(None)
+        return span_dim(vectors)
+
+    monkeypatch.setattr(e2_module, "span_dim", counting_span_dim)
+    page = E2Page(TORUS, 3)
+    d = TORUS.d
+    dims = page.cohomology_dims()
+    top = max(p + qd1 for (p, qd1) in dims)
+    assert [page.betti_ordered(i) for i in range(top + 1)] == [1, 6, 14, 14, 5, 0, 0]
+    assert page.cohomology_dims() == dims
+    referenced = set(page.cells) | {(p - d, q + 1) for (p, q) in page.cells}
+    assert 0 < len(calls) <= len(referenced)
 
 
 def test_invariant_dim_is_trivial_multiplicity():
