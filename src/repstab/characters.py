@@ -4,6 +4,10 @@ Irreducible characters are evaluated by the Murnaghan-Nakayama rule on beta
 sets, memoized per (shape, cycle type).  All inner products are exact
 rationals; a non-integral or negative multiplicity raises NotACharacter
 instead of silently rounding.
+
+The same module reads characters and isotypic components off explicit
+representations: traces from the pivots of a reduced echelon basis, and
+isotypic components as joint eigenspaces of the Jucys-Murphy power sums.
 """
 
 from dataclasses import dataclass
@@ -11,15 +15,17 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
+from .linalg import Echelon, add_into, kernel_basis
 from .partitions import (
     Partition,
     check_partition,
+    contents,
     dim_irrep,
     leadsto,
     pad,
     partitions_of,
 )
-from .perms import class_size
+from .perms import class_representative, class_size, from_cycles, generators
 
 
 class NotACharacter(Exception):
@@ -265,6 +271,87 @@ def count_partition_chains(lam: Partition, mu: Partition, n: int) -> int:
                 nxt[nu2] = nxt.get(nu2, 0) + ways
         level = nxt
     return level.get(target, 0)
+
+
+# ---------------------------------------------------------------------------
+# explicit representations: an action act(sigma, v) on sparse vectors
+
+
+def explicit_character(ech: Echelon, n: int, act) -> ClassFunction:
+    """Character of S_n on the span of a reduced echelon basis.
+
+    The span is checked to be invariant under the generators of S_n, hence
+    under all of S_n.  An in-span vector then has coordinate w[pivot_i] on row
+    i, since every other row vanishes at that pivot, so each trace is a sum of
+    pivot entries and needs no further reduction.
+    """
+    for g in generators(n):
+        for _, row in ech.rows:
+            if ech.reduce(act(g, row)):
+                raise ValueError("span is not invariant under the action")
+    values = []
+    for rho in partitions_of(n):
+        g = class_representative(rho, n)
+        values.append(sum(act(g, row).get(pivot, 0) for pivot, row in ech.rows))
+    return ClassFunction(n, tuple(values))
+
+
+def content_power_sums(lam: Partition, k: int) -> tuple[int, ...]:
+    """p_1..p_k of the contents of lam: the scalars by which the Jucys-Murphy
+    power sums p_j(J_1, ..., J_n) act on V_lam."""
+    cs = contents(lam)
+    return tuple(sum(c**j for c in cs) for j in range(1, k + 1))
+
+
+@cache
+def separating_degree(mu: Partition) -> int:
+    """Least k such that the content power sums p_1..p_k of mu differ from
+    those of every other partition of |mu|."""
+    others = [nu for nu in partitions_of(sum(mu)) if nu != mu]
+    k = 1
+    while any(content_power_sums(nu, k) == content_power_sums(mu, k) for nu in others):
+        k += 1
+    return k
+
+
+def central_isotypic(ech: Echelon, mu: Partition, n: int, act) -> list[dict]:
+    """Reduced echelon basis of the V_mu-isotypic part of an invariant span,
+    given by its reduced echelon basis.
+
+    The Jucys-Murphy elements J_i = sum_{a<i} (a i) commute, and their power
+    sums p_j(J) are central, acting on V_nu by content_power_sums(nu).  By
+    semisimplicity the V_mu-isotypic part is the joint kernel of
+    p_j(J) - p_j(contents(mu)) for j up to separating_degree(mu); each p_j(J)
+    costs O(j n^2) transposition actions per vector, and its image in the span
+    is recorded by its pivot entries.
+    """
+    k = separating_degree(mu)
+    scalars = content_power_sums(mu, k)
+    pivots = ech.pivots()
+    jm = [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
+    stacked = []
+    for idx, (_, b) in enumerate(ech.rows):
+        powers = [{} for _ in scalars]  # pivot entries of p_j(J) b
+        for taus in jm:
+            v = b
+            for power in powers:
+                image: dict = {}
+                for tau in taus:
+                    add_into(image, act(tau, v))
+                v = image
+                add_into(power, {p: v[p] for p in pivots if p in v})
+        row: dict = {}
+        for j, (power, c) in enumerate(zip(powers, scalars)):
+            add_into(row, {(j, p): x for p, x in power.items()})
+            add_into(row, {(j, pivots[idx]): -c})
+        stacked.append(row)
+    component = Echelon()
+    for combo in kernel_basis(stacked):
+        v: dict = {}
+        for idx, c in combo.items():
+            add_into(v, ech.rows[idx][1], c)
+        component.insert(v)
+    return component.basis()
 
 
 def format_table(n: int) -> str:

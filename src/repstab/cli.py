@@ -138,6 +138,8 @@ def cmd_stable(args) -> tuple[int, str]:
 
 
 def cmd_ranges(args) -> tuple[int, str]:
+    if args.pages < 2:
+        return 2, f"ranges: need pages >= 2, got {args.pages}"
     try:
         m = Fraction(args.m)
     except (ValueError, ZeroDivisionError):
@@ -164,8 +166,10 @@ def cmd_arnold(args) -> tuple[int, str]:
 
 
 def cmd_e2(args) -> tuple[int, str]:
-    desc = load_manifold(args.manifold)
     n = args.n
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    desc = load_manifold(args.manifold)
     d = desc.d
     rows = []
     max_p = n * max(desc.degrees)
@@ -203,6 +207,8 @@ def cmd_color_betti(args) -> tuple[int, str]:
 
 
 def cmd_ranges_for(args) -> tuple[int, str]:
+    if args.i < 0:
+        raise ValueError(f"need i >= 0, got {args.i}")
     desc = load_manifold(args.manifold)
     rows = [[name, text] for name, text in stable_range_report(desc, args.i)]
     return 0, _emit(rows, args.format)

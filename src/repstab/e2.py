@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 
 from .arnold import act_monomial, all_monomials, top_character
-from .characters import ClassFunction, induced_character
+from .characters import ClassFunction, explicit_character, induced_character
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
@@ -272,23 +272,8 @@ class E2Page:
             for idx, c in combo.items():
                 add_into(v, {keys[idx]: c})
             kernel_vecs.append(v)
-        ker_ech = Echelon(kernel_vecs)
-        im_ech = Echelon(images_in)
-        values = []
-        for rho in partitions_of(self.n):
-            g = class_representative(rho, self.n)
-            values.append(_trace_on(self, g, ker_ech) - _trace_on(self, g, im_ech))
-        return ClassFunction(self.n, tuple(values))
-
-
-def _trace_on(page: E2Page, g: Perm, ech: Echelon):
-    tr = 0
-    for i, (_, row) in enumerate(ech.rows):
-        coords, residual = ech.coords(page.act_vec(g, row))
-        if residual:
-            raise ValueError("subspace not invariant under the action")
-        tr += coords[i]
-    return tr
+        kernel = explicit_character(Echelon(kernel_vecs), self.n, self.act_vec)
+        return kernel - explicit_character(Echelon(images_in), self.n, self.act_vec)
 
 
 # ---------------------------------------------------------------------------

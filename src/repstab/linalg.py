@@ -5,7 +5,9 @@ coefficients are never stored.  Echelon keeps a fully reduced basis so that
 membership tests and coordinate extraction are single reduction passes.
 """
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def vec_scale(v: dict, c) -> dict:
@@ -105,36 +107,39 @@ def span_dim(vectors) -> int:
 
 
 def kernel_basis(vectors: list[dict]) -> list[dict]:
-    """Basis of {c : sum c_i vectors_i = 0}, keys are input indices."""
-    ech = Echelon()
+    """Basis of {c : sum c_i vectors_i = 0}, keys are input indices.
+
+    Fraction-free: each input is scaled to integer entries, and every row is
+    kept as a primitive integer vector together with its trace (the same
+    combination of the inputs), so elimination runs on ints.  Rows stay in
+    pivot order without back-substitution, which one forward reduction pass
+    needs.
+    """
+    rows: list[tuple[object, dict, dict]] = []  # (pivot, row, trace), sorted by pivot
     kernel = []
-    traces = []  # trace[i] expresses current row i in terms of inputs
     for idx, v in enumerate(vectors):
-        v = dict(v)
-        trace = {idx: 1}
-        for (pivot, row), tr in zip(ech.rows, traces):
+        scale = lcm(*(Fraction(x).denominator for x in v.values()))
+        v = {k: int(x * scale) for k, x in v.items()}
+        trace = {idx: scale}
+        for pivot, row, tr in rows:
             c = v.get(pivot)
             if c:
-                add_into(v, row, -c)
-                add_into(trace, tr, -c)
+                a = row[pivot]
+                g = gcd(a, c)
+                if a != g:
+                    v = {k: x * (a // g) for k, x in v.items()}
+                    trace = {k: x * (a // g) for k, x in trace.items()}
+                add_into(v, row, -(c // g))
+                add_into(trace, tr, -(c // g))
+        g = gcd(*v.values(), *trace.values())
+        if g > 1:
+            v = {k: x // g for k, x in v.items()}
+            trace = {k: x // g for k, x in trace.items()}
         if not v:
             kernel.append(trace)
             continue
         pivot = min(v)
-        inv = Fraction(1, 1) / v[pivot]
-        v = {k: x * inv for k, x in v.items()}
-        trace = {k: x * inv for k, x in trace.items()}
-        # keep existing rows reduced against the new pivot
-        for (p2, row), tr in zip(ech.rows, traces):
-            c = row.get(pivot)
-            if c:
-                add_into(row, v, -c)
-                add_into(tr, trace, -c)
-        ech.rows.append((pivot, v))
-        traces.append(trace)
-        order = sorted(range(len(ech.rows)), key=lambda i: ech.rows[i][0])
-        ech.rows = [ech.rows[i] for i in order]
-        traces = [traces[i] for i in order]
+        insort(rows, (pivot, v, trace), key=lambda r: r[0])
     return kernel
 
 

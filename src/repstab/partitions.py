@@ -146,6 +146,11 @@ def dim_irrep(lam: Partition) -> int:
     return num // hooks
 
 
+def contents(lam: Partition) -> tuple[int, ...]:
+    """Contents j - i of the boxes (i, j) of the Young diagram, row by row."""
+    return tuple(j - i for i, row in enumerate(lam) for j in range(row))
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not lam:

@@ -5,7 +5,9 @@ in ambient n, represented as sparse dicts.  The Specht span I_n(V_lam), the
 inclusion iota to ambient n+1, the fill-the-boxes maps pi_mu, and the
 generators w_T are implemented literally from their defining sums, and
 verify_claims / monotonicity_witness re-derive the structural facts about
-them at desk scale.
+them at desk scale.  Isotypic components come from the Jucys-Murphy central
+elements (characters.central_isotypic); the n! group-sum projector
+project_tabloid is kept only as the oracle the tests compare against.
 """
 
 from dataclasses import dataclass, field
@@ -14,10 +16,17 @@ from functools import cache
 from itertools import permutations
 from math import factorial
 
-from .characters import ClassFunction, decompose, irreducible_character, mn_character
+from .characters import (
+    ClassFunction,
+    central_isotypic,
+    decompose,
+    explicit_character,
+    irreducible_character,
+    mn_character,
+)
 from .linalg import Echelon, add_into
-from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare, partitions_of
-from .perms import Perm, all_perms, class_representative, cycle_type, generators
+from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare
+from .perms import Perm, all_perms, cycle_type, generators
 from .tabloids import (
     PseudoTableau,
     PseudoTabloid,
@@ -66,17 +75,7 @@ class Subspace:
 
     def character(self) -> ClassFunction:
         """Traces of canonical class representatives acting on the span."""
-        values = []
-        for rho in partitions_of(self.n):
-            g = class_representative(rho, self.n)
-            tr = 0
-            for i, (_, row) in enumerate(self.echelon.rows):
-                coords, residual = self.echelon.coords(act_vec(g, row))
-                if residual:
-                    raise ValueError("subspace is not invariant under the action")
-                tr += coords[i]
-            values.append(tr)
-        return ClassFunction(self.n, tuple(values))
+        return explicit_character(self.echelon, self.n, act_vec)
 
     def decompose(self):
         return decompose(self.character())
@@ -286,36 +285,20 @@ def _bad_bijections_vanish(t_mu, lam, mu, targets, report) -> bool:
     return ok
 
 
-_PROJ_CACHE: dict = {}
-
-
 def project_tabloid(mu: Partition, t: PseudoTabloid) -> Vec:
-    """sum over g in S_n of chi^mu(g) * {g t}, cached per (mu, tabloid)."""
-    key = (mu, t)
-    hit = _PROJ_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = t.n
+    """sum over g in S_n of chi^mu(g) * {g t}: n! terms, the test oracle for
+    isotypic_component (scale by dim mu / n! for the projection)."""
     out: Vec = {}
-    for g in all_perms(n):
+    for g in all_perms(t.n):
         chi = mn_character(mu, cycle_type(g))
         if chi:
             add_into(out, {act_tabloid(g, t): chi})
-    _PROJ_CACHE[key] = out
     return out
 
 
 def isotypic_component(sub: Subspace, mu: Partition) -> list[Vec]:
     """Echelon basis of the V_mu-isotypic component of the subspace."""
-    n = sub.n
-    scale = Fraction(dim_irrep(mu), factorial(n))
-    ech = Echelon()
-    for v in sub.basis():
-        proj: Vec = {}
-        for t, c in v.items():
-            add_into(proj, project_tabloid(mu, t), c)
-        ech.insert({k: scale * x for k, x in proj.items()})
-    return ech.basis()
+    return central_isotypic(sub.echelon, mu, sub.n, act_vec)
 
 
 def sn_span(seeds: list[Vec], n: int) -> Echelon:

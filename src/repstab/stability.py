@@ -10,24 +10,29 @@ suffices by semisimplicity.
 Two backends coexist: multiplicity bookkeeping through induced characters
 (fast, used for Condition III) and explicit linear algebra (needed for
 Conditions I/II and for monotonicity, which quantifies over subspaces).
+On the explicit side, Rep.character reads traces off the pivots of the
+reduced echelon basis and Rep.isotypic takes the joint eigenspace of the
+Jucys-Murphy power sums (characters.explicit_character and
+characters.central_isotypic); neither sums over S_n.
 All verdicts are statements about the tested window only.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .characters import (
     ClassFunction,
+    central_isotypic,
     decompose,
+    explicit_character,
     induced_character,
     irreducible_character,
     young_permutation_character,
 )
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .partitions import Partition, curly_pad, dim_irrep, partitions_of, unpad
-from .perms import class_representative, generators
-from .specht import project_tabloid, specht_module
+from .perms import generators
+from .specht import specht_module
 from .tabloids import PseudoTabloid, act_tabloid, pseudo_tabloids
 
 
@@ -57,35 +62,20 @@ class Rep:
         out: dict = {}
         for key, c in v.items():
             key2, coeff = self.act_key(sigma, key)
-            add_into(out, {key2: coeff * c})
+            out[key2] = c if coeff == 1 else coeff * c  # keys are permuted, never merged
         return self.nf(out)
 
     def basis(self) -> list[dict]:
         return self.echelon.basis()
 
     def character(self) -> ClassFunction:
-        values = []
-        for rho in partitions_of(self.n):
-            g = class_representative(rho, self.n)
-            tr = 0
-            for i, (_, row) in enumerate(self.echelon.rows):
-                coords, residual = self.echelon.coords(self.act_vec(g, row))
-                if residual:
-                    raise ValueError("representation basis is not invariant")
-                tr += coords[i]
-            values.append(tr)
-        return ClassFunction(self.n, tuple(values))
+        """Traces read off the echelon pivots; raises ValueError unless the
+        span is invariant."""
+        return explicit_character(self.echelon, self.n, self.act_vec)
 
     def isotypic(self, mu: Partition) -> list[dict]:
-        """Echelon basis of the V_mu-isotypic component."""
-        scale = Fraction(dim_irrep(mu), factorial(self.n))
-        ech = Echelon()
-        for v in self.basis():
-            proj: dict = {}
-            for key, c in v.items():
-                add_into(proj, _project_key(mu, key), c)
-            ech.insert(self.nf({k: scale * x for k, x in proj.items()}))
-        return ech.basis()
+        """Echelon basis of the V_mu-isotypic component (Jucys-Murphy kernel)."""
+        return central_isotypic(self.echelon, mu, self.n, self.act_vec)
 
     def sn_span(self, seeds) -> "Rep":
         """Smallest invariant subspace containing the seeds (same level)."""
@@ -103,16 +93,6 @@ class Rep:
                 if span.echelon.insert(image):
                     queue.append(image)
         return span
-
-
-def _project_key(mu: Partition, key) -> dict:
-    """Group-algebra projector sum applied to one basis key (cached)."""
-    if isinstance(key, PseudoTabloid):
-        return project_tabloid(mu, key)
-    if isinstance(key, tuple) and len(key) == 2 and key[0] in ("L", "R"):
-        tag, inner = key
-        return {(tag, k): c for k, c in _project_key(mu, inner).items()}
-    raise TypeError(f"no projector rule for key {key!r}")
 
 
 def _act_tabloid_key(sigma, key: PseudoTabloid):

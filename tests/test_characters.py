@@ -7,11 +7,13 @@ from repstab.characters import (
     ClassFunction,
     NotACharacter,
     character_table,
+    content_power_sums,
     count_partition_chains,
     decompose,
     induced_character,
     irreducible_character,
     mn_character,
+    separating_degree,
     trivial_character,
     young_invariants_dim,
     young_permutation_character,
@@ -274,3 +276,18 @@ def test_sign_values_match_perms():
 
             g = class_representative(rho, n)
             assert sign(g) == (-1) ** (n - len(rho))
+
+
+def test_content_power_sums():
+    # contents of (3, 2): 0 1 2 / -1 0
+    assert content_power_sums((3, 2), 3) == (2, 6, 8)
+    assert content_power_sums((), 2) == (0, 0)
+
+
+def test_separating_degree_by_n():
+    # p_1 of the contents (the content sum) already tells partitions apart
+    # except at n = 6, 8, 9, where p_2 is needed, e.g. (4,1,1) vs (3,3)
+    worst = {n: max(separating_degree(mu) for mu in partitions_of(n)) for n in range(1, 10)}
+    assert worst == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 1, 8: 2, 9: 2}
+    assert separating_degree((4, 1, 1)) == separating_degree((3, 3)) == 2
+    assert separating_degree((5, 1)) == 1

@@ -74,6 +74,18 @@ def test_ranges_rejects_nonpositive_m():
     assert code == 2
 
 
+def test_ranges_rejects_too_few_pages():
+    for pages in ("-1", "1"):
+        code, text = run("ranges", "--m", "2", "--ell", "0", "--pages", pages)
+        assert code == 2
+        assert text == f"ranges: need pages >= 2, got {pages}"
+
+
+def test_ranges_for_rejects_negative_degree():
+    code, text = run("ranges-for", "--manifold", "torus", "--i", "-1")
+    assert (code, text) == (2, "error: need i >= 0, got -1")
+
+
 def test_ranges_for():
     code, text = run("ranges-for", "--manifold", "torus", "--i", "3")
     rows = dict(line.split("\t") for line in text.splitlines())
@@ -92,6 +104,12 @@ def test_e2_explicit_agreement():
     code, text = run("e2", "--manifold", "s2", "--n", "2", "--explicit")
     assert code == 0
     assert "explicit\tagree" in text
+
+
+def test_e2_rejects_negative_n():
+    for extra in ((), ("--explicit",)):
+        code, text = run("e2", "--manifold", "torus", "--n", "-1", *extra)
+        assert (code, text) == (2, "error: need n >= 0, got -1")
 
 
 def test_monotone_command():

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import factorial
+
+import pytest
 
 from repstab.characters import decompose, induced_character, irreducible_character
 from repstab.linalg import Echelon, add_into, vec_add, vec_scale
-from repstab.partitions import dim_irrep, leadsto
-from repstab.perms import all_perms
+from repstab.partitions import dim_irrep, leadsto, partitions_of
+from repstab.perms import all_perms, generators
 from repstab.specht import (
     Subspace,
     act_vec,
@@ -13,6 +16,7 @@ from repstab.specht import (
     monotonicity_witness,
     pi_mu,
     polytabloid,
+    project_tabloid,
     sn_span,
     specht_module,
     verify_claims,
@@ -241,6 +245,51 @@ def test_isotypic_component_dims():
     for mu in leadsto((1,), 3):
         comp = isotypic_component(sub, mu)
         assert len(comp) == dim_irrep(mu)
+
+
+def oracle_isotypic(basis, mu, n):
+    """Echelon basis of (dim mu / n!) * sum_g chi^mu(g) g . v over the basis."""
+    scale = Fraction(dim_irrep(mu), factorial(n))
+    memo = {}
+    ech = Echelon()
+    for v in basis:
+        proj = {}
+        for t, c in v.items():
+            if t not in memo:
+                memo[t] = project_tabloid(mu, t)
+            add_into(proj, memo[t], c)
+        ech.insert({k: scale * x for k, x in proj.items()})
+    return ech.basis()
+
+
+@pytest.mark.parametrize("lam", [lam for k in range(4) for lam in partitions_of(k)])
+def test_isotypic_component_matches_group_sum_oracle(lam):
+    for n in range(max(sum(lam), 1), 7):
+        sub = specht_module(lam, n)
+        for mu in leadsto(lam, n):
+            assert isotypic_component(sub, mu) == oracle_isotypic(sub.basis(), mu, n)
+
+
+def test_character_rejects_non_invariant_span():
+    t = next(iter(specht_module((1,), 3).basis()[0]))
+    with pytest.raises(ValueError):
+        Subspace(3, (1,), Echelon([{t: 1}])).character()
+
+
+def test_character_reduces_once_per_generator_and_row(monkeypatch):
+    sub = specht_module((2, 1), 5)
+    calls = []
+    for name in ("reduce", "coords"):
+        original = getattr(Echelon, name)
+
+        def counted(self, v, original=original):
+            if self is sub.echelon:
+                calls.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(Echelon, name, counted)
+    assert sub.character() == induced_character(irreducible_character((2, 1)), 5)
+    assert len(calls) <= len(generators(5)) * sub.dim
 
 
 def test_sn_span_is_whole_module_for_cyclic_vector():

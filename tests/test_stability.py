@@ -1,8 +1,13 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from repstab.characters import decompose
+from repstab.characters import content_power_sums, decompose, separating_degree
+from repstab.linalg import Echelon, add_into
+from repstab.partitions import dim_irrep
+from repstab.perms import generators
+from repstab.specht import project_tabloid
 from repstab.stability import (
     ImageSequence,
     InducedModuleSequence,
@@ -12,6 +17,7 @@ from repstab.stability import (
     MapSequence,
     QuotientSequence,
     RangeParams,
+    Rep,
     SumSequence,
     ZeroPhiSequence,
     check_monotone,
@@ -20,6 +26,26 @@ from repstab.stability import (
     property_suite,
     row_merge_key,
 )
+from repstab.tabloids import PseudoTabloid
+
+
+def project_key(mu, key):
+    """The n! group-sum projector on one key: a tabloid, or a tagged one."""
+    if isinstance(key, PseudoTabloid):
+        return project_tabloid(mu, key)
+    tag, inner = key
+    return {(tag, k): c for k, c in project_key(mu, inner).items()}
+
+
+def oracle_isotypic(rep, mu):
+    scale = Fraction(dim_irrep(mu), factorial(rep.n))
+    ech = Echelon()
+    for v in rep.basis():
+        proj = {}
+        for key, c in v.items():
+            add_into(proj, project_key(mu, key), c)
+        ech.insert(rep.nf({k: scale * x for k, x in proj.items()}))
+    return ech.basis()
 
 
 def test_trivial_sequence_stable_everywhere():
@@ -160,3 +186,52 @@ def test_propagate_ranges_fractional_m():
 def test_range_params_validation():
     with pytest.raises(ValueError):
         RangeParams(Fraction(0), 0)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        SumSequence(InducedSpechtSequence((1,)), InducedSpechtSequence((2,))),
+        QuotientSequence(InducedModuleSequence((1, 1)), InducedSpechtSequence((1, 1))),
+    ],
+    ids=["sum", "quotient"],
+)
+def test_rep_isotypic_matches_group_sum_oracle(seq):
+    for n in (4, 5):
+        rep = seq.rep(n)
+        for mu in decompose(rep.character()).counts:
+            assert rep.isotypic(mu) == oracle_isotypic(rep, mu)
+
+
+def test_rep_isotypic_separates_equal_content_sums():
+    # (4,1,1) and (3,3) both have content sum 3, so p_2 of the Jucys-Murphy
+    # elements is needed to tell their isotypic components apart
+    rep = InducedModuleSequence((1, 1, 1)).rep(6)
+    counts = decompose(rep.character()).counts
+    for mu in ((4, 1, 1), (3, 3)):
+        assert counts[mu] > 0
+        assert separating_degree(mu) == 2
+        assert rep.isotypic(mu) == oracle_isotypic(rep, mu)
+    assert content_power_sums((4, 1, 1), 1) == content_power_sums((3, 3), 1)
+
+
+def test_rep_character_rejects_non_invariant_span():
+    rep = InducedModuleSequence((1,)).rep(3)
+    with pytest.raises(ValueError):
+        Rep(3, rep.act_key, [rep.basis()[0]]).character()
+
+
+def test_rep_character_reduces_once_per_generator_and_row(monkeypatch):
+    rep = InducedModuleSequence((1, 1)).rep(5)
+    calls = []
+    for name in ("reduce", "coords"):
+        original = getattr(Echelon, name)
+
+        def counted(self, v, original=original):
+            if self is rep.echelon:
+                calls.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(Echelon, name, counted)
+    assert rep.character() == InducedModuleSequence((1, 1)).character_hint(5)
+    assert len(calls) <= len(generators(5)) * rep.dim
