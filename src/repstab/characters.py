@@ -281,8 +281,9 @@ def explicit_character(ech: Echelon, n: int, act) -> ClassFunction:
     """Character of S_n on the span of a reduced echelon basis.
 
     The span is checked to be invariant under the generators of S_n, hence
-    under all of S_n.  An in-span vector then has coordinate w[pivot_i] on row
-    i, since every other row vanishes at that pivot, so each trace is a sum of
+    under all of S_n.  An in-span vector w then has coordinate
+    w[pivot_i] / a_i on the echelon's integer row i, whose pivot entry is a_i,
+    since every other row vanishes at that pivot; so each trace is a sum of
     pivot entries and needs no further reduction.
     """
     for g in generators(n):
@@ -292,7 +293,9 @@ def explicit_character(ech: Echelon, n: int, act) -> ClassFunction:
     values = []
     for rho in partitions_of(n):
         g = class_representative(rho, n)
-        values.append(sum(act(g, row).get(pivot, 0) for pivot, row in ech.rows))
+        values.append(
+            sum(Fraction(act(g, row).get(pivot, 0), row[pivot]) for pivot, row in ech.rows)
+        )
     return ClassFunction(n, tuple(values))
 
 
@@ -322,15 +325,17 @@ def central_isotypic(ech: Echelon, mu: Partition, n: int, act) -> list[dict]:
     sums p_j(J) are central, acting on V_nu by content_power_sums(nu).  By
     semisimplicity the V_mu-isotypic part is the joint kernel of
     p_j(J) - p_j(contents(mu)) for j up to separating_degree(mu); each p_j(J)
-    costs O(j n^2) transposition actions per vector, and its image in the span
-    is recorded by its pivot entries.
+    costs O(j n^2) transposition actions per vector.  The image of the
+    echelon's integer row b_i has coordinate w[pivot_k] / a_k on row b_k; the
+    stacked relations scale column k by a_k, which keeps them integral and
+    leaves the kernel, a set of combinations of the rows b_i, unchanged.
     """
     k = separating_degree(mu)
     scalars = content_power_sums(mu, k)
     pivots = ech.pivots()
     jm = [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
     stacked = []
-    for idx, (_, b) in enumerate(ech.rows):
+    for pivot, b in ech.rows:
         powers = [{} for _ in scalars]  # pivot entries of p_j(J) b
         for taus in jm:
             v = b
@@ -343,7 +348,7 @@ def central_isotypic(ech: Echelon, mu: Partition, n: int, act) -> list[dict]:
         row: dict = {}
         for j, (power, c) in enumerate(zip(powers, scalars)):
             add_into(row, {(j, p): x for p, x in power.items()})
-            add_into(row, {(j, pivots[idx]): -c})
+            add_into(row, {(j, pivot): -c * b[pivot]})
         stacked.append(row)
     component = Echelon()
     for combo in kernel_basis(stacked):

@@ -164,13 +164,13 @@ class E2Page:
 
     # -- the differential ----------------------------------------------------
 
-    def diff_key(self, key: Key) -> dict[Key, Fraction]:
+    def diff_key(self, key: Key) -> dict[Key, int | Fraction]:
         if self.desc.diagonal is None:
             raise MissingDiagonal(f"{self.desc.name} has no diagonal class")
         mono, word = key
         desc = self.desc
         d = desc.d
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, int | Fraction] = {}
         old_blocks = blocks_of(mono, self.n)
         for i, (a, b) in enumerate(mono):
             sign_i = (-1) ** ((d - 1) * i)

@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dicts mapping orderable keys to int/Fraction coefficients; zero
-coefficients are never stored.  Echelon keeps a fully reduced basis so that
-membership tests and coordinate extraction are single reduction passes.
+coefficients are never stored.  Echelon keeps a fully reduced basis as
+primitive integer rows, so membership tests, normal forms and coordinates
+are single integer passes; only basis() and reduce() produce fractions.
 """
 
 from bisect import insort
@@ -36,15 +37,37 @@ def add_into(dst: dict, src: dict, coeff=1) -> None:
             dst.pop(k, None)
 
 
+def _integral(v: dict) -> tuple[dict, int]:
+    """(w, den) with w an int vector and v = w / den, den the lcm of the
+    denominators of v's entries."""
+    den = lcm(*[x.denominator for x in v.values()])
+    return {k: x.numerator * (den // x.denominator) for k, x in v.items()}, den
+
+
+def _primitive(v: dict, pivot) -> dict:
+    """v divided by the gcd of its entries, signed so that v[pivot] > 0."""
+    g = gcd(*v.values())
+    if v[pivot] < 0:
+        g = -g
+    return v if g == 1 else {k: x // g for k, x in v.items()}
+
+
+def _pivot_of(row: tuple) -> object:
+    return row[0]
+
+
 class Echelon:
     """Reduced row echelon basis of a subspace of the free module on orderable keys.
 
-    Pivots are the minimal keys of their rows and are normalized to 1;
-    every pivot is eliminated from every other row.
+    Rows are stored fraction-free: each is the primitive integer multiple of
+    its reduced row, with a positive entry a_i at its pivot, the row's minimal
+    key.  Every pivot is zero in every other row, so v's coordinate on row i
+    is v[pivot_i] / a_i.  basis() divides each row by a_i and returns the
+    reduced rows with pivots normalized to 1.
     """
 
     def __init__(self, vectors=None):
-        self.rows: list[tuple[object, dict]] = []  # (pivot, vector), sorted by pivot
+        self.rows: list[tuple[object, dict]] = []  # (pivot, primitive int row), sorted by pivot
         if vectors:
             for v in vectors:
                 self.insert(v)
@@ -53,47 +76,59 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
+    def _residual(self, v: dict) -> tuple[dict, int]:
+        """(r, den): r an int vector with r / den the normal form of v."""
+        w, den = _integral(v)
+        hits = []
+        scale = 1
+        for pivot, row in self.rows:
+            c = w.get(pivot)
+            if c:
+                a = row[pivot]
+                hits.append((c, a, row))
+                if scale % a:
+                    scale = lcm(scale, a)
+        if scale != 1:
+            w = {k: x * scale for k, x in w.items()}
+        for c, a, row in hits:
+            add_into(w, row, -c * (scale // a))
+        return w, den * scale
+
     def reduce(self, v: dict) -> dict:
         """Normal form of v modulo the span; does not modify the basis."""
-        v = dict(v)
-        for pivot, row in self.rows:
-            c = v.get(pivot)
-            if c:
-                add_into(v, row, -c)
-        return v
+        r, den = self._residual(v)
+        if den == 1:
+            return r
+        return {k: Fraction(x, den) for k, x in r.items()}
 
     def coords(self, v: dict):
-        """(coefficients per basis row, residual normal form)."""
-        v = dict(v)
-        out = []
-        for pivot, row in self.rows:
-            c = v.get(pivot, 0)
-            out.append(c)
-            if c:
-                add_into(v, row, -c)
-        return out, v
+        """(coefficients per reduced basis row, residual normal form)."""
+        return [v.get(pivot, 0) for pivot, _ in self.rows], self.reduce(v)
 
     def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
+        return not self._residual(v)[0]
 
     def insert(self, v: dict) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        v = self.reduce(v)
-        if not v:
+        r, _ = self._residual(v)
+        if not r:
             return False
-        pivot = min(v)
-        inv = Fraction(1, 1) / v[pivot]
-        v = {k: x * inv for k, x in v.items()}
-        for _, row in self.rows:
+        pivot = min(r)
+        r = _primitive(r, pivot)
+        a = r[pivot]
+        for i, (p, row) in enumerate(self.rows):
             c = row.get(pivot)
             if c:
-                add_into(row, v, -c)
-        self.rows.append((pivot, v))
-        self.rows.sort(key=lambda pr: pr[0])
+                g = gcd(a, c)
+                if a != g:
+                    row = {k: x * (a // g) for k, x in row.items()}
+                add_into(row, r, -(c // g))
+                self.rows[i] = (p, _primitive(row, p))
+        insort(self.rows, (pivot, r), key=_pivot_of)
         return True
 
     def basis(self) -> list[dict]:
-        return [dict(row) for _, row in self.rows]
+        return [{k: Fraction(x, row[pivot]) for k, x in row.items()} for pivot, row in self.rows]
 
     def pivots(self) -> list:
         return [pivot for pivot, _ in self.rows]
@@ -118,8 +153,7 @@ def kernel_basis(vectors: list[dict]) -> list[dict]:
     rows: list[tuple[object, dict, dict]] = []  # (pivot, row, trace), sorted by pivot
     kernel = []
     for idx, v in enumerate(vectors):
-        scale = lcm(*(Fraction(x).denominator for x in v.values()))
-        v = {k: int(x * scale) for k, x in v.items()}
+        v, scale = _integral(v)
         trace = {idx: scale}
         for pivot, row, tr in rows:
             c = v.get(pivot)
@@ -139,9 +173,5 @@ def kernel_basis(vectors: list[dict]) -> list[dict]:
             kernel.append(trace)
             continue
         pivot = min(v)
-        insort(rows, (pivot, v, trace), key=lambda r: r[0])
+        insort(rows, (pivot, v, trace), key=_pivot_of)
     return kernel
-
-
-def matrix_rank(columns: list[dict]) -> int:
-    return span_dim(columns)

@@ -9,9 +9,10 @@ The descriptor file format is line oriented:
     mul a b pt 1         # a*b = 1*pt (+ more lines for more summands)
     diag a b -1/1        # diagonal class summand a (x) b with coefficient
 
-Rationals are written p/q.  Unit products and graded-commutative mirror
-products are filled in automatically; a descriptor that contradicts graded
-commutativity or (when a diagonal is present) Poincare duality is rejected.
+Rationals are written p/q and parsed to an int when q divides p.  Unit
+products and graded-commutative mirror products are filled in automatically;
+a descriptor that contradicts graded commutativity or (when a diagonal is
+present) Poincare duality is rejected.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ class ManifoldDescriptor:
     d: int
     class_names: list[str]
     degrees: list[int]
-    products: dict  # (i, j) -> {k: Fraction}
-    diagonal: list | None  # [(i, j, Fraction)]
+    products: dict  # (i, j) -> {k: int | Fraction}
+    diagonal: list | None  # [(i, j, int | Fraction)]
     flags: set = field(default_factory=set)
 
     @property
@@ -63,11 +64,10 @@ class ManifoldDescriptor:
             raise DescriptorError(f"unknown class {name!r}") from exc
 
 
-def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _parse_fraction(text: str) -> int | Fraction:
+    num, slash, den = text.partition("/")
+    value = Fraction(int(num), int(den) if slash else 1)
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_descriptor(text: str, source: str = "<string>") -> ManifoldDescriptor:
@@ -75,8 +75,8 @@ def parse_descriptor(text: str, source: str = "<string>") -> ManifoldDescriptor:
     d = None
     class_names: list[str] = []
     degrees: list[int] = []
-    raw_products: list[tuple[int, str, str, str, Fraction]] = []
-    raw_diag: list[tuple[int, str, str, Fraction]] = []
+    raw_products: list[tuple[int, str, str, str, int | Fraction]] = []
+    raw_diag: list[tuple[int, str, str, int | Fraction]] = []
     flags: set = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -100,7 +100,7 @@ def parse_descriptor(text: str, source: str = "<string>") -> ManifoldDescriptor:
                 raw_diag.append((lineno, parts[1], parts[2], _parse_fraction(parts[3])))
             else:
                 raise DescriptorError(f"{source}:{lineno}: cannot parse {raw!r}")
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise DescriptorError(f"{source}:{lineno}: cannot parse {raw!r}") from exc
 
     if d is None:
@@ -119,6 +119,7 @@ def parse_descriptor(text: str, source: str = "<string>") -> ManifoldDescriptor:
         diagonal=None,
         flags=flags,
     )
+    _check_connected(desc)
     _install_products(desc, raw_products, source)
     if raw_diag:
         desc.diagonal = [
@@ -135,12 +136,12 @@ def _install_products(desc: ManifoldDescriptor, raw_products, source: str) -> No
         if desc.degrees[i] + desc.degrees[j] != desc.degrees[k]:
             raise DescriptorError(f"{source}:{lineno}: degree mismatch in {a}*{b}={c}")
         table.setdefault((i, j), {})
-        table[(i, j)][k] = table[(i, j)].get(k, Fraction(0)) + coef
+        table[(i, j)][k] = table[(i, j)].get(k, 0) + coef
     # unit products
     unit = desc.unit
     for i in range(desc.dim_total):
-        table.setdefault((unit, i), {i: Fraction(1)})
-        table.setdefault((i, unit), {i: Fraction(1)})
+        table.setdefault((unit, i), {i: 1})
+        table.setdefault((i, unit), {i: 1})
     # graded-commutative mirrors
     for (i, j) in list(table):
         sign = (-1) ** (desc.degrees[i] * desc.degrees[j])
@@ -177,9 +178,13 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def validate_descriptor(desc: ManifoldDescriptor) -> None:
+def _check_connected(desc: ManifoldDescriptor) -> None:
     if sum(1 for deg in desc.degrees if deg == 0) != 1:
         raise DescriptorError(f"{desc.name}: needs exactly one degree-0 class (connected)")
+
+
+def validate_descriptor(desc: ManifoldDescriptor) -> None:
+    _check_connected(desc)
     if any(deg < 0 or deg > desc.d for deg in desc.degrees):
         raise DescriptorError(f"{desc.name}: class degree outside 0..{desc.d}")
     for (i, j), terms in desc.products.items():

@@ -6,10 +6,12 @@ import pytest
 from repstab.characters import (
     ClassFunction,
     NotACharacter,
+    central_isotypic,
     character_table,
     content_power_sums,
     count_partition_chains,
     decompose,
+    explicit_character,
     induced_character,
     irreducible_character,
     mn_character,
@@ -18,6 +20,7 @@ from repstab.characters import (
     young_invariants_dim,
     young_permutation_character,
 )
+from repstab.linalg import Echelon
 from repstab.partitions import dim_irrep, leadsto, pad, partitions_of
 from repstab.perms import all_perms, class_size, cycle_type, sign
 
@@ -291,3 +294,21 @@ def test_separating_degree_by_n():
     assert worst == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 1, 8: 2, 9: 2}
     assert separating_degree((4, 1, 1)) == separating_degree((3, 3)) == 2
     assert separating_degree((5, 1)) == 1
+
+
+def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one():
+    # S_3 permutes i in the keys (i, tag).  The vectors 2(i,x) + (i,y) span a
+    # copy of the permutation module whose integer echelon rows have pivot
+    # entry 2, so coordinates in those rows carry a denominator.
+    def act(g, v):
+        return {(g[i - 1], tag): c for (i, tag), c in v.items()}
+
+    ech = Echelon([{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)])
+    assert [row[pivot] for pivot, row in ech.rows] == [2, 2, 2]
+    assert explicit_character(ech, 3, act) == induced_character(irreducible_character((1,)), 3)
+    trivial = {(i, tag): c for i in (1, 2, 3) for tag, c in (("x", 1), ("y", Fraction(1, 2)))}
+    assert central_isotypic(ech, (3,), 3, act) == [trivial]
+    standard = central_isotypic(ech, (2, 1), 3, act)
+    assert len(standard) == 2
+    assert Echelon(standard + [trivial]).dim == 3
+    assert all(sum(v.values()) == 0 for v in standard)

@@ -175,3 +175,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_betti_zero_denominator_exits_2(tmp_path):
+    path = tmp_path / "bad.desc"
+    path.write_text("dim 2\nclass 1 0\nclass a 1\nclass b 1\nclass pt 2\nmul a b pt 1/0\n")
+    code, text = run("betti", "--manifold", str(path), "--n", "2", "--i", "1")
+    assert code == 2
+    assert text == f"error: {path}:6: cannot parse 'mul a b pt 1/0'"

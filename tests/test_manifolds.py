@@ -95,3 +95,25 @@ def test_load_from_path(tmp_path):
     assert desc.name == "pt"
     assert "open" in desc.flags
     assert desc.diagonal is None
+
+
+@pytest.mark.parametrize("line", ["mul x x pt 1/0", "diag x x 1/0"])
+def test_zero_denominator_reports_line(line):
+    text = f"dim 4\nclass 1 0\nclass x 2\nclass pt 4\n{line}\n"
+    with pytest.raises(DescriptorError, match=":5: cannot parse"):
+        parse_descriptor(text)
+
+
+def test_missing_degree_zero_class_named():
+    with pytest.raises(DescriptorError, match="needs exactly one degree-0 class"):
+        parse_descriptor("dim 2\nclass a 1\nclass pt 2\n")
+
+
+def test_integral_coefficients_parse_to_int():
+    base = "dim 4\nclass 1 0\nclass x 2\nclass pt 4\n"
+    desc = parse_descriptor(base + "mul x x pt 4/2\n")
+    x, pt = desc.index("x"), desc.index("pt")
+    assert all(type(c) is int for terms in desc.products.values() for c in terms.values())
+    assert desc.product(x, x) == {pt: 2}
+    [half] = parse_descriptor(base + "mul x x pt 1/2\n").product(x, x).values()
+    assert type(half) is Fraction and half == Fraction(1, 2)
