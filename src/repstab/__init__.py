@@ -20,11 +20,9 @@ from .characters import (
     young_invariants_dim,
 )
 from .configspaces import (
-    E2Cell,
     NotComputable,
     betti_unordered,
     colored_betti,
-    e2_character,
     e2_page,
     graded_invariants_dim,
     load_manifold,

@@ -350,13 +350,7 @@ def central_isotypic(ech: Echelon, mu: Partition, n: int, act) -> list[dict]:
             add_into(row, {(j, p): x for p, x in power.items()})
             add_into(row, {(j, pivot): -c * b[pivot]})
         stacked.append(row)
-    component = Echelon()
-    for combo in kernel_basis(stacked):
-        v: dict = {}
-        for idx, c in combo.items():
-            add_into(v, ech.rows[idx][1], c)
-        component.insert(v)
-    return component.basis()
+    return Echelon(kernel_basis(stacked, [b for _, b in ech.rows])).basis()
 
 
 def format_table(n: int) -> str:

@@ -15,7 +15,6 @@ and are computed from the decomposition of the surviving page into
 irreducibles.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -25,20 +24,18 @@ from .e2 import (
     E2Page,
     InvariantComplex,
     NotComputable,
+    _poly_mul,
     block_rows,
     e2_cell_character,
     e2_cell_dim,
 )
-from .linalg import Echelon, add_into
+from .linalg import Echelon, add_into, kernel_basis
 from .manifolds import ManifoldDescriptor, load_manifold
 from .partitions import Partition, make_partition, partitions_of
 from .perms import centralizer_order
 
 __all__ = [
     "load_manifold",
-    "E2Cell",
-    "e2_character",
-    "e2_explicit",
     "e2_page",
     "e2_cell_character",
     "e2_cell_dim",
@@ -64,42 +61,6 @@ def e2_page(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> E2Page:
     if page.total_dim > budget:
         raise BudgetExceeded(f"E2 page for n={n} exceeds the {budget}-element budget")
     return page
-
-
-@dataclass(frozen=True)
-class E2Cell:
-    """One entry of the second page: bigrading plus its S_n character."""
-
-    n: int
-    p: int
-    q: int  # the honest q-grading, a multiple of d-1
-    character: object
-
-    @property
-    def dim(self) -> int:
-        return self.character.degree()
-
-
-def e2_character(desc: ManifoldDescriptor, n: int, p: int, q: int) -> E2Cell:
-    """Character-backend cell: zero off the rows divisible by d-1."""
-    return E2Cell(n, p, q, e2_cell_character(desc, n, p, q))
-
-
-def e2_explicit(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> E2Page:
-    """The explicit page with its differential (requires a diagonal class)."""
-    if desc.diagonal is None:
-        from .e2 import MissingDiagonal
-
-        raise MissingDiagonal(f"{desc.name} has no diagonal class")
-    return e2_page(desc, n, budget)
-
-
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            out[da + db] = out.get(da + db, 0) + ca * cb
-    return out
 
 
 def tensor_power_invariants_dim(poincare: dict[int, int], n: int, p: int) -> int:
@@ -201,6 +162,8 @@ def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budge
     mu = () is the unordered case; otherwise the surviving page is decomposed
     into irreducibles and each contributes its Young-invariant dimension.
     """
+    if n < 0 or i < 0:
+        raise ValueError("need n, i >= 0")
     mu = make_partition(mu)
     if sum(mu) > n:
         raise ValueError(f"|mu| = {sum(mu)} exceeds n = {n}")
@@ -246,8 +209,6 @@ def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int, budget: i
         return out
 
     # cocycle representatives of the degree-i invariant cohomology at level n
-    from .linalg import kernel_basis
-
     reps: list[dict] = []
     for q in range(n // 2 + 1):
         p = i - q * (d - 1)
@@ -256,14 +217,10 @@ def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int, budget: i
         basis_vecs = inv_n.basis(p, q).basis()
         if not basis_vecs:
             continue
-        combos = kernel_basis([page_n.diff_vec(v) for v in basis_vecs])
         chosen = Echelon(
             [page_n.diff_vec(v) for v in inv_n.basis(p - d, q + 1).basis()]
         )
-        for combo in combos:
-            v: dict = {}
-            for idx, c in combo.items():
-                add_into(v, basis_vecs[idx], c)
+        for v in kernel_basis([page_n.diff_vec(b) for b in basis_vecs], basis_vecs):
             if chosen.insert(v):
                 reps.append(v)
     if not reps:

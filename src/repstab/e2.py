@@ -20,11 +20,12 @@ from functools import cache
 from itertools import combinations
 
 from .arnold import act_monomial, all_monomials, top_character
-from .characters import ClassFunction, explicit_character, induced_character
+from .characters import ClassFunction, induced_character
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
 from .perms import Perm, class_representative, compose, generators, identity
+from .rep import Rep
 
 Monomial = tuple[tuple[int, int], ...]
 Key = tuple[Monomial, tuple[int, ...]]
@@ -261,19 +262,11 @@ class E2Page:
 
     def cohomology_cell_character(self, p: int, q: int) -> ClassFunction:
         """Character of ker/im at cell (p, q): traces on explicit subspaces."""
-        d = self.desc.d
         keys = self.cell(p, q)
-        images_in = [self.diff_key(key) for key in self.cell(p - d, q + 1)]
-        diffs = [self.diff_key(key) for key in keys]
-        combos = kernel_basis(diffs)
-        kernel_vecs = []
-        for combo in combos:
-            v: dict = {}
-            for idx, c in combo.items():
-                add_into(v, {keys[idx]: c})
-            kernel_vecs.append(v)
-        kernel = explicit_character(Echelon(kernel_vecs), self.n, self.act_vec)
-        return kernel - explicit_character(Echelon(images_in), self.n, self.act_vec)
+        cycles = kernel_basis([self.diff_key(key) for key in keys], [{key: 1} for key in keys])
+        boundaries = [self.diff_key(key) for key in self.cell(p - self.desc.d, q + 1)]
+        kernel = Rep(self.n, self.act_vec, cycles).character()
+        return kernel - Rep(self.n, self.act_vec, boundaries).character()
 
 
 # ---------------------------------------------------------------------------

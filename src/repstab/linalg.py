@@ -11,23 +11,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def vec_scale(v: dict, c) -> dict:
-    if c == 0:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
-def vec_add(a: dict, b: dict, coeff=1) -> dict:
-    out = dict(a)
-    for k, x in b.items():
-        val = out.get(k, 0) + coeff * x
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
-
-
 def add_into(dst: dict, src: dict, coeff=1) -> None:
     for k, x in src.items():
         val = dst.get(k, 0) + coeff * x
@@ -141,18 +124,20 @@ def span_dim(vectors) -> int:
     return ech.dim
 
 
-def kernel_basis(vectors: list[dict]) -> list[dict]:
-    """Basis of {c : sum c_i vectors_i = 0}, keys are input indices.
+def kernel_basis(images: list[dict], domain: list[dict]) -> list[dict]:
+    """Basis of the kernel of the linear map sending domain_i to images_i,
+    as vectors sum c_i domain_i for a basis of the relations
+    {c : sum c_i images_i = 0}; the domain vectors must be independent.
 
-    Fraction-free: each input is scaled to integer entries, and every row is
+    Fraction-free: each image is scaled to integer entries, and every row is
     kept as a primitive integer vector together with its trace (the same
-    combination of the inputs), so elimination runs on ints.  Rows stay in
+    combination of the images), so elimination runs on ints.  Rows stay in
     pivot order without back-substitution, which one forward reduction pass
     needs.
     """
     rows: list[tuple[object, dict, dict]] = []  # (pivot, row, trace), sorted by pivot
     kernel = []
-    for idx, v in enumerate(vectors):
+    for idx, v in enumerate(images):
         v, scale = _integral(v)
         trace = {idx: scale}
         for pivot, row, tr in rows:
@@ -170,7 +155,10 @@ def kernel_basis(vectors: list[dict]) -> list[dict]:
             v = {k: x // g for k, x in v.items()}
             trace = {k: x // g for k, x in trace.items()}
         if not v:
-            kernel.append(trace)
+            combo: dict = {}
+            for i, c in trace.items():
+                add_into(combo, domain[i], c)
+            kernel.append(combo)
             continue
         pivot = min(v)
         insort(rows, (pivot, v, trace), key=_pivot_of)

@@ -236,8 +236,12 @@ def load_manifold(path_or_name: str) -> ManifoldDescriptor:
     import os
 
     if os.path.exists(path_or_name):
-        with open(path_or_name, encoding="utf-8") as fh:
-            return parse_descriptor(fh.read(), source=path_or_name)
+        try:
+            with open(path_or_name, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DescriptorError(f"cannot read descriptor {path_or_name!r}: {exc.strerror}") from exc
+        return parse_descriptor(text, source=path_or_name)
     base = path_or_name if path_or_name.endswith(".desc") else path_or_name + ".desc"
     try:
         data = resources.files("repstab.data").joinpath(base).read_text()

@@ -114,11 +114,6 @@ def leadsto(lam: Partition, n: int) -> tuple[Partition, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def lex_ge(mu: Partition, nu: Partition) -> bool:
-    """mu >= nu in lexicographic order ((n) is the largest partition of n)."""
-    return lex_compare(mu, nu) >= 0
-
-
 def lex_compare(mu: Partition, nu: Partition) -> int:
     """-1, 0, or 1; total order on partitions of the same integer."""
     if sum(mu) != sum(nu):

@@ -5,9 +5,10 @@ in ambient n, represented as sparse dicts.  The Specht span I_n(V_lam), the
 inclusion iota to ambient n+1, the fill-the-boxes maps pi_mu, and the
 generators w_T are implemented literally from their defining sums, and
 verify_claims / monotonicity_witness re-derive the structural facts about
-them at desk scale.  Isotypic components come from the Jucys-Murphy central
-elements (characters.central_isotypic); the n! group-sum projector
-project_tabloid is kept only as the oracle the tests compare against.
+them at desk scale.  A Specht span is a rep.Rep under the tabloid action
+act_vec, so its traces, isotypic components (Jucys-Murphy kernels) and span
+closures are Rep's; the n! group-sum projector project_tabloid is kept only
+as the oracle the tests compare against.
 """
 
 from dataclasses import dataclass, field
@@ -16,17 +17,11 @@ from functools import cache
 from itertools import permutations
 from math import factorial
 
-from .characters import (
-    ClassFunction,
-    central_isotypic,
-    decompose,
-    explicit_character,
-    irreducible_character,
-    mn_character,
-)
-from .linalg import Echelon, add_into
+from .characters import irreducible_character, mn_character
+from .linalg import add_into
 from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare
-from .perms import Perm, all_perms, cycle_type, generators
+from .perms import Perm, all_perms, cycle_type
+from .rep import Rep
 from .tabloids import (
     PseudoTableau,
     PseudoTabloid,
@@ -55,34 +50,12 @@ def polytabloid(t: PseudoTableau) -> Vec:
     return out
 
 
-@dataclass
-class Subspace:
-    """Span in I_n(M^lam) kept as a reduced echelon basis."""
-
-    n: int
-    lam: Partition
-    echelon: Echelon = field(default_factory=Echelon)
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.dim
-
-    def contains(self, v: Vec) -> bool:
-        return self.echelon.contains(v)
-
-    def basis(self) -> list[Vec]:
-        return self.echelon.basis()
-
-    def character(self) -> ClassFunction:
-        """Traces of canonical class representatives acting on the span."""
-        return explicit_character(self.echelon, self.n, act_vec)
-
-    def decompose(self):
-        return decompose(self.character())
+# bench/tracer.py wraps Subspace.character by this name.
+Subspace = Rep
 
 
 @cache
-def specht_module(lam: Partition, n: int, full: bool = False) -> Subspace:
+def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
     """I_n(V_lam): the span of all polytabloids of shape lam in ambient n.
 
     Since v_T = +/- v_T' when T' reorders columns of T, only column-sorted
@@ -94,7 +67,7 @@ def specht_module(lam: Partition, n: int, full: bool = False) -> Subspace:
 
     if n < sum(lam):
         raise ValueError(f"ambient {n} too small for {lam}")
-    sub = Subspace(n, lam)
+    sub = Rep(n, act_vec)
     target = None if full else dim_irrep(lam) * comb(n, sum(lam))
     for t in pseudo_tableaux(lam, n):
         if not full and any(
@@ -296,26 +269,16 @@ def project_tabloid(mu: Partition, t: PseudoTabloid) -> Vec:
     return out
 
 
-def isotypic_component(sub: Subspace, mu: Partition) -> list[Vec]:
-    """Echelon basis of the V_mu-isotypic component of the subspace."""
-    return central_isotypic(sub.echelon, mu, sub.n, act_vec)
+# isotypic_component and sn_span delegate to Rep; bench/tracer.py times them
+# by these names as the specht layer.
+def isotypic_component(sub: Rep, mu: Partition) -> list[Vec]:
+    """Echelon basis of the V_mu-isotypic component of the span."""
+    return sub.isotypic(mu)
 
 
-def sn_span(seeds: list[Vec], n: int) -> Echelon:
-    """Closure of the span of the seeds under the S_n action."""
-    ech = Echelon()
-    queue = []
-    for v in seeds:
-        if ech.insert(v):
-            queue.append(v)
-    gens = generators(n)
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            image = act_vec(g, v)
-            if ech.insert(image):
-                queue.append(image)
-    return ech
+def sn_span(seeds: list[Vec], n: int) -> Rep:
+    """Closure of the span of the seeds under the S_n action on tabloids."""
+    return Rep(n, act_vec).sn_span(seeds)
 
 
 @dataclass
@@ -345,8 +308,7 @@ def monotonicity_witness(lam: Partition, n: int) -> MonotonicityReport:
         if len(component) != dim_irrep(mu):
             report.failures.append((mu, "isotypic_dim", len(component)))
         span = sn_span([iota(v) for v in component], n + 1)
-        span_sub = Subspace(n + 1, lam, span)
-        chi = span_sub.character()
+        chi = span.character()
         target = curly_pad(mu)
         mult = chi.inner(irreducible_character(target))
         entry["target"] = target

@@ -1,19 +1,19 @@
 """Consistent sequences of S_n-representations and their stability checkers.
 
-A sequence provides, per level n, an explicit representation presented inside
-a free module with a monomial action (permutation of basis keys up to sign),
-possibly as a quotient, plus the connecting maps phi_n.  The checkers verify,
-on a finite window, the three uniform-stability conditions and the
-monotonicity condition; the latter quantifies over isotypic components, which
-suffices by semisimplicity.
+A sequence provides, per level n, an explicit representation (a rep.Rep: a
+span inside a free module with a vector action, possibly as a quotient),
+plus the connecting maps phi_n.  The checkers verify, on a finite window,
+the three uniform-stability conditions and the monotonicity condition; the
+latter quantifies over isotypic components, which suffices by
+semisimplicity.
 
 Two backends coexist: multiplicity bookkeeping through induced characters
 (fast, used for Condition III) and explicit linear algebra (needed for
 Conditions I/II and for monotonicity, which quantifies over subspaces).
 On the explicit side, Rep.character reads traces off the pivots of the
-reduced echelon basis and Rep.isotypic takes the joint eigenspace of the
-Jucys-Murphy power sums (characters.explicit_character and
-characters.central_isotypic); neither sums over S_n.
+reduced echelon basis, Rep.isotypic takes the joint eigenspace of the
+Jucys-Murphy power sums and Rep.sn_span closes spans under the generators;
+none sums over S_n.
 All verdicts are statements about the tested window only.
 """
 
@@ -22,87 +22,21 @@ from fractions import Fraction
 
 from .characters import (
     ClassFunction,
-    central_isotypic,
     decompose,
-    explicit_character,
     induced_character,
     irreducible_character,
     young_permutation_character,
 )
-from .linalg import Echelon, add_into, kernel_basis, span_dim
+from .linalg import add_into, kernel_basis, span_dim
 from .partitions import Partition, curly_pad, dim_irrep, partitions_of, unpad
-from .perms import generators
-from .specht import specht_module
+from .rep import Rep
+from .specht import act_vec, specht_module
 from .tabloids import PseudoTabloid, act_tabloid, pseudo_tabloids
 
 
-# ---------------------------------------------------------------------------
-# explicit representations
-
-
-class Rep:
-    """Subquotient S/W of a free module with monomial S_n action on keys."""
-
-    def __init__(self, n: int, act_key, vectors, modulus: Echelon | None = None):
-        self.n = n
-        self.act_key = act_key
-        self.modulus = modulus
-        self.echelon = Echelon()
-        for v in vectors:
-            self.echelon.insert(self.nf(v))
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.dim
-
-    def nf(self, v: dict) -> dict:
-        return self.modulus.reduce(v) if self.modulus is not None else dict(v)
-
-    def act_vec(self, sigma, v: dict) -> dict:
-        out: dict = {}
-        for key, c in v.items():
-            key2, coeff = self.act_key(sigma, key)
-            out[key2] = c if coeff == 1 else coeff * c  # keys are permuted, never merged
-        return self.nf(out)
-
-    def basis(self) -> list[dict]:
-        return self.echelon.basis()
-
-    def character(self) -> ClassFunction:
-        """Traces read off the echelon pivots; raises ValueError unless the
-        span is invariant."""
-        return explicit_character(self.echelon, self.n, self.act_vec)
-
-    def isotypic(self, mu: Partition) -> list[dict]:
-        """Echelon basis of the V_mu-isotypic component (Jucys-Murphy kernel)."""
-        return central_isotypic(self.echelon, mu, self.n, self.act_vec)
-
-    def sn_span(self, seeds) -> "Rep":
-        """Smallest invariant subspace containing the seeds (same level)."""
-        span = Rep(self.n, self.act_key, [], modulus=self.modulus)
-        queue = []
-        for v in seeds:
-            v = self.nf(v)
-            if span.echelon.insert(v):
-                queue.append(v)
-        gens = generators(self.n)
-        while queue:
-            v = queue.pop()
-            for g in gens:
-                image = self.act_vec(g, v)
-                if span.echelon.insert(image):
-                    queue.append(image)
-        return span
-
-
-def _act_tabloid_key(sigma, key: PseudoTabloid):
-    return act_tabloid(sigma, key), 1
-
-
-def _act_sum_key(sigma, key):
-    tag, inner = key
-    new_inner, coeff = _act_tabloid_key(sigma, inner)
-    return (tag, new_inner), coeff
+def _act_tagged(sigma, v: dict) -> dict:
+    """The tabloid action on a direct sum, keys tagged ("L" | "R", tabloid)."""
+    return {(tag, act_tabloid(sigma, t)): c for (tag, t), c in v.items()}
 
 
 def stable_multiplicities(chi: ClassFunction) -> dict[Partition, int]:
@@ -132,7 +66,7 @@ class InducedModuleSequence:
 
     def rep(self, n: int) -> Rep:
         vectors = [{t: 1} for t in pseudo_tabloids(self.lam, n)]
-        return Rep(n, _act_tabloid_key, vectors)
+        return Rep(n, act_vec, vectors)
 
     def character_hint(self, n: int) -> ClassFunction:
         k = sum(self.lam)
@@ -150,8 +84,7 @@ class InducedSpechtSequence(InducedModuleSequence):
         self.label = f"I_n(V_{lam})"
 
     def rep(self, n: int) -> Rep:
-        sub = specht_module(self.lam, n)
-        return Rep(n, _act_tabloid_key, sub.basis())
+        return specht_module(self.lam, n)
 
     def character_hint(self, n: int) -> ClassFunction:
         return induced_character(irreducible_character(self.lam), n)
@@ -176,7 +109,7 @@ class SumSequence:
         vectors = [
             {("L", k): c for k, c in v.items()} for v in self.left.rep(n).basis()
         ] + [{("R", k): c for k, c in v.items()} for v in self.right.rep(n).basis()]
-        return Rep(n, _act_sum_key, vectors)
+        return Rep(n, _act_tagged, vectors)
 
     def character_hint(self, n: int) -> ClassFunction:
         return self.left.character_hint(n) + self.right.character_hint(n)
@@ -210,7 +143,7 @@ class QuotientSequence:
     def rep(self, n: int) -> Rep:
         w_rep = self.small.rep(n)
         v_rep = self.big.rep(n)
-        return Rep(n, v_rep.act_key, v_rep.basis(), modulus=w_rep.echelon)
+        return Rep(n, v_rep.act, v_rep.basis(), modulus=w_rep.echelon)
 
     def character_hint(self, n: int) -> ClassFunction:
         return self.big.character_hint(n) - self.small.character_hint(n)
@@ -253,14 +186,7 @@ class KernelSequence:
     def rep(self, n: int) -> Rep:
         domain = self.fmap.domain.rep(n)
         basis = domain.basis()
-        combos = kernel_basis([self.fmap.apply(v) for v in basis])
-        vectors = []
-        for combo in combos:
-            v: dict = {}
-            for idx, c in combo.items():
-                add_into(v, basis[idx], c)
-            vectors.append(v)
-        return Rep(n, domain.act_key, vectors)
+        return Rep(n, domain.act, kernel_basis([self.fmap.apply(v) for v in basis], basis))
 
     def character_hint(self, n: int):
         return None
@@ -286,7 +212,7 @@ class ImageSequence:
     def rep(self, n: int) -> Rep:
         domain = self.fmap.domain.rep(n)
         codomain = self.fmap.codomain.rep(n)
-        return Rep(n, codomain.act_key, [self.fmap.apply(v) for v in domain.basis()])
+        return Rep(n, codomain.act, [self.fmap.apply(v) for v in domain.basis()])
 
     def character_hint(self, n: int):
         return None
@@ -444,7 +370,7 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
                 level_ok = False
                 report.witnesses.append((n, mu, "isotypic_dim", len(component)))
                 continue
-            span = target.sn_span([target.nf(seq.phi(n, v)) for v in component])
+            span = target.sn_span([seq.phi(n, v) for v in component])
             achieved = span.character().inner(irreducible_character(curly_pad(mu)))
             if achieved < k:
                 level_ok = False

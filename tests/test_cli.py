@@ -147,6 +147,17 @@ def test_bad_manifold_exits_2():
     assert "error" in text
 
 
+def test_directory_as_manifold_exits_2(tmp_path):
+    code, text = run("betti", "--manifold", str(tmp_path), "--n", "2", "--i", "1")
+    assert code == 2
+    assert text.startswith(f"error: cannot read descriptor {str(tmp_path)!r}")
+
+
+def test_color_betti_rejects_negative_degree():
+    code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "2", "--i", "-1")
+    assert (code, text) == (2, "error: need n, i >= 0")
+
+
 def test_bad_partition_exits_2():
     code, text = run("branch", "--lambda", "1,2", "--n", "4")
     assert code == 2

@@ -140,6 +140,12 @@ def test_colored_rejects_oversized_mu():
         colored_betti(TORUS, 2, 1, (2, 1))
 
 
+def test_colored_rejects_negative_degree_and_n():
+    for n, i in ((2, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="need n, i >= 0"):
+            colored_betti(TORUS, n, i, (1,))
+
+
 def test_euler_consistency():
     for desc in (TORUS, S2):
         for n in (2, 3):

@@ -15,7 +15,7 @@ vec = st.dictionaries(st.integers(min_value=0, max_value=5), coeff, max_size=4)
 @settings(max_examples=80, deadline=None)
 @given(st.lists(vec, max_size=7))
 def test_kernel_basis_is_a_basis_of_the_relations(vectors):
-    kernel = kernel_basis(vectors)
+    kernel = kernel_basis(vectors, [{i: 1} for i in range(len(vectors))])
     for combo in kernel:
         total = {}
         for idx, c in combo.items():
@@ -27,7 +27,7 @@ def test_kernel_basis_is_a_basis_of_the_relations(vectors):
 
 def test_kernel_basis_scales_fractions_to_integers():
     vectors = [{0: Fraction(1, 2)}, {0: Fraction(1, 3)}, {1: 1}]
-    assert kernel_basis(vectors) == [{0: -2, 1: 3}]
+    assert kernel_basis(vectors, [{i: 1} for i in range(3)]) == [{0: -2, 1: 3}]
 
 
 class FractionRREF:
@@ -98,3 +98,10 @@ def test_echelon_keeps_integer_multiple_of_reduced_row():
     assert ech.reduce({1: 1}) == {1: 1}
     assert ech.reduce({0: 1, 1: 1}) == {1: Fraction(-1, 2)}
     assert ech.coords({0: 1, 2: 5}) == ([1, 5], {1: Fraction(-3, 2)})
+
+
+def test_kernel_basis_recombines_over_the_domain():
+    # 2 * images[0] - images[1] = 0, so the kernel is -2 * domain[0] + domain[1]
+    images = [{0: 1}, {0: 2}, {1: 1}]
+    domain = [{"a": 1}, {"a": 1, "b": 1}, {"c": 5}]
+    assert kernel_basis(images, domain) == [{"a": -1, "b": 1}]

@@ -4,11 +4,11 @@ from math import factorial
 import pytest
 
 from repstab.characters import decompose, induced_character, irreducible_character
-from repstab.linalg import Echelon, add_into, vec_add, vec_scale
+from repstab.linalg import Echelon, add_into
 from repstab.partitions import dim_irrep, leadsto, partitions_of
 from repstab.perms import all_perms, generators
+from repstab.rep import Rep
 from repstab.specht import (
-    Subspace,
     act_vec,
     good_bijection_count,
     iota,
@@ -228,13 +228,12 @@ def test_w_span_only_contains_lower_irreps():
     # W^mu (the S_n-span of w_T) sits inside the sum of V_nu with nu <= mu
     from repstab.characters import decompose as char_decompose
     from repstab.partitions import lex_compare
-    from repstab.specht import Subspace
 
     for lam, n in [((1,), 3), ((2,), 4), ((1, 1), 4), ((2, 1), 5)]:
         for mu in leadsto(lam, n):
             w = w_element(row_major_tableau(mu, n), lam)
             span = sn_span([w], n)
-            counts = char_decompose(Subspace(n, lam, span).character()).counts
+            counts = char_decompose(span.character()).counts
             assert counts.get(mu, 0) == 1
             for nu, c in counts.items():
                 assert c == 0 or lex_compare(nu, mu) <= 0
@@ -273,7 +272,7 @@ def test_isotypic_component_matches_group_sum_oracle(lam):
 def test_character_rejects_non_invariant_span():
     t = next(iter(specht_module((1,), 3).basis()[0]))
     with pytest.raises(ValueError):
-        Subspace(3, (1,), Echelon([{t: 1}])).character()
+        Rep(3, act_vec, [{t: 1}]).character()
 
 
 def test_character_reduces_once_per_generator_and_row(monkeypatch):
@@ -344,7 +343,7 @@ def test_linalg_echelon_roundtrip():
     b = {2: 1, 3: 1}
     ech = Echelon([a, b])
     assert ech.dim == 2
-    combo = vec_add(vec_scale(a, 3), b, -2)
+    combo = {1: 3, 2: 4, 3: -2}  # 3a - 2b
     assert ech.contains(combo)
     coords, residual = ech.coords(combo)
     assert not residual

@@ -218,7 +218,7 @@ def test_rep_isotypic_separates_equal_content_sums():
 def test_rep_character_rejects_non_invariant_span():
     rep = InducedModuleSequence((1,)).rep(3)
     with pytest.raises(ValueError):
-        Rep(3, rep.act_key, [rep.basis()[0]]).character()
+        Rep(3, rep.act, [rep.basis()[0]]).character()
 
 
 def test_rep_character_reduces_once_per_generator_and_row(monkeypatch):
