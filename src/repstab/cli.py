@@ -195,7 +195,7 @@ def cmd_e2(args) -> tuple[int, str]:
 
 def cmd_betti(args) -> tuple[int, str]:
     desc = load_manifold(args.manifold)
-    value = betti_unordered(desc, args.n, args.i, budget=_budget())
+    value = betti_unordered(desc, args.n, args.i)
     return 0, str(value)
 
 

@@ -7,8 +7,9 @@ Two computable regimes, with the transfer isomorphism doing the work:
   computed here by an exact cycle-index sum (and cross-checked against the
   Sym/Lambda partition sum of graded_invariants_dim);
 * descriptors with a diagonal class and the single_differential flag (the
-  smooth projective situation): cohomology of the S_n-invariant subcomplex
-  of the explicit page.
+  smooth projective situation): cohomology of the page's S_n-coinvariants,
+  computed on orbit representatives (e2.InvariantComplex) without building
+  a page cell, so this path has no budget.
 
 Colored configurations quotient by a Young subgroup instead of all of S_n
 and are computed from the decomposition of the surviving page into
@@ -29,7 +30,7 @@ from .e2 import (
     e2_cell_character,
     e2_cell_dim,
 )
-from .linalg import Echelon, add_into, kernel_basis
+from .linalg import Echelon, kernel_basis
 from .manifolds import ManifoldDescriptor, load_manifold
 from .partitions import Partition, make_partition, partitions_of
 from .perms import centralizer_order
@@ -56,7 +57,7 @@ def e2_page(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> E2Page:
     """The cached explicit page; a cached page still has to fit the budget."""
     key = (desc.name, id(desc), n)
     if key not in _PAGES:
-        _PAGES[key] = E2Page(desc, n, budget=budget)
+        _PAGES[key] = E2Page(desc, n)  # no cells yet: the check below comes first
     page = _PAGES[key]
     if page.total_dim > budget:
         raise BudgetExceeded(f"E2 page for n={n} exceeds the {budget}-element budget")
@@ -122,15 +123,14 @@ def stabilization_onset(poincare: dict[int, int], p: int) -> int:
     return p // positive[0]
 
 
-def betti_unordered(desc: ManifoldDescriptor, n: int, i: int, budget: int = 200_000) -> int:
+def betti_unordered(desc: ManifoldDescriptor, n: int, i: int) -> int:
     """dim H^i(B_n(M); Q) via the transfer isomorphism."""
     if n < 0 or i < 0:
         raise ValueError("need n, i >= 0")
     if desc.d % 2 == 1:
         return tensor_power_invariants_dim(desc.poincare(), n, i)
     if desc.diagonal is not None and "single_differential" in desc.flags:
-        inv = _invariant_complex(desc, n, budget)
-        return inv.betti(i)
+        return _invariant_complex(desc, n).betti(i)
     raise NotComputable(
         f"{desc.name}: closed even-dimensional descriptor without the "
         "single_differential flag (the page may not degenerate after one "
@@ -141,11 +141,10 @@ def betti_unordered(desc: ManifoldDescriptor, n: int, i: int, budget: int = 200_
 _INVARIANT: dict = {}
 
 
-def _invariant_complex(desc: ManifoldDescriptor, n: int, budget: int) -> InvariantComplex:
-    page = e2_page(desc, n, budget)  # checks the budget on cache hits too
+def _invariant_complex(desc: ManifoldDescriptor, n: int) -> InvariantComplex:
     key = (desc.name, id(desc), n)
     if key not in _INVARIANT:
-        _INVARIANT[key] = InvariantComplex(page)
+        _INVARIANT[key] = InvariantComplex(E2Page(desc, n))
     return _INVARIANT[key]
 
 
@@ -168,7 +167,7 @@ def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budge
     if sum(mu) > n:
         raise ValueError(f"|mu| = {sum(mu)} exceeds n = {n}")
     if mu == ():
-        return betti_unordered(desc, n, i, budget)
+        return betti_unordered(desc, n, i)
     if desc.diagonal is None or "single_differential" not in desc.flags:
         raise NotComputable(
             f"{desc.name}: colored Betti numbers need the explicit complex"
@@ -190,56 +189,35 @@ def _colored_via_characters(desc: ManifoldDescriptor, n: int, i: int, mu: Partit
     return total
 
 
-def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int, budget: int = 200_000) -> bool:
+def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int) -> bool:
     """The composition (H^i C_n)^{S_n} -> H^i(C_{n+1}) -> (H^i C_{n+1})^{S_{n+1}}.
 
     Monotonicity for the trivial representation says this is injective once
-    n > i; checked here on explicit cocycle representatives.
+    n > i; checked here on the coinvariant complexes, where the S_{n+1}-average
+    of iota(v) is the class of iota(v).
     """
-    page_n = e2_page(desc, n, budget)
-    page_m = e2_page(desc, n + 1, budget)
-    inv_n = _invariant_complex(desc, n, budget)
-    inv_m = _invariant_complex(desc, n + 1, budget)
+    inv_n = _invariant_complex(desc, n)
+    inv_m = _invariant_complex(desc, n + 1)
     d = desc.d
 
-    def iota_vec(v: dict) -> dict:
-        out = {}
-        for (mono, word), c in v.items():
-            out[(mono, word + (desc.unit,))] = c
-        return out
+    def boundaries(inv: InvariantComplex, q: int) -> list[dict]:
+        """Images of d in degree i, row q."""
+        return [inv.diff(seed) for seed in inv.basis(i - q * (d - 1) - d, q + 1)]
 
-    # cocycle representatives of the degree-i invariant cohomology at level n
+    # cocycle representatives of the degree-i cohomology at level n
     reps: list[dict] = []
     for q in range(n // 2 + 1):
-        p = i - q * (d - 1)
-        if p < 0:
-            continue
-        basis_vecs = inv_n.basis(p, q).basis()
-        if not basis_vecs:
-            continue
-        chosen = Echelon(
-            [page_n.diff_vec(v) for v in inv_n.basis(p - d, q + 1).basis()]
-        )
-        for v in kernel_basis([page_n.diff_vec(b) for b in basis_vecs], basis_vecs):
+        chosen = Echelon(boundaries(inv_n, q))
+        seeds = inv_n.basis(i - q * (d - 1), q)
+        for v in kernel_basis([inv_n.diff(seed) for seed in seeds], [{seed: 1} for seed in seeds]):
             if chosen.insert(v):
                 reps.append(v)
     if not reps:
         return True
-    check = Echelon()
-    for q in range((n + 1) // 2 + 1):
-        p = i - q * (d - 1)
-        if p < 0:
-            continue
-        for v in inv_m.basis(p - d, q + 1).basis():
-            check.insert(page_m.diff_vec(v))
-    ok = True
-    for v in reps:
-        averaged: dict = {}
-        for key, c in iota_vec(v).items():
-            add_into(averaged, page_m.orbit_average(key), c)
-        if not check.insert(averaged):
-            ok = False
-    return ok
+    check = Echelon([v for q in range((n + 1) // 2 + 1) for v in boundaries(inv_m, q)])
+    # iota adds point n+1 carrying the unit class
+    lifted = [{(mono, word + (desc.unit,)): c for (mono, word), c in v.items()} for v in reps]
+    return all(check.insert(inv_m.classes(v)) for v in lifted)
 
 
 def euler_characteristic_consistency(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> bool:

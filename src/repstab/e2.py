@@ -9,6 +9,9 @@ this basis.  The differential sends an edge generator to the diagonal class
 of its two endpoints and extends as a graded derivation; Koszul signs follow
 one rule: a transposition of adjacent odd-degree factors contributes -1.
 
+Orbit-representative backend: InvariantComplex computes H^*(B_n(M)) on one
+disjoint-pair key per S_n-orbit and never enumerates a page cell.
+
 Character backend: cell characters are assembled independently, from
 sigma-fixed set partitions, the top characters of the Euclidean blocks, and
 a graded trace over cyclic block-orbits.  Agreement of the two backends is a
@@ -16,15 +19,16 @@ test, not an assumption.
 """
 
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
 from .arnold import act_monomial, all_monomials, top_character
 from .characters import ClassFunction, induced_character
-from .linalg import Echelon, add_into, kernel_basis, span_dim
+from .linalg import add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
-from .perms import Perm, class_representative, compose, generators, identity
+from .perms import Perm, class_representative, compose, from_cycles, identity
 from .rep import Rep
 
 Monomial = tuple[tuple[int, int], ...]
@@ -75,30 +79,31 @@ def _sort_sign(entries: list[tuple[int, int]]) -> int:
 
 
 class E2Page:
-    """Explicit cells, action, and differential for one (M, n)."""
+    """Explicit cells, action, and differential for one (M, n).
 
-    def __init__(self, desc: ManifoldDescriptor, n: int, budget: int = 200_000):
+    Constructing a page allocates nothing: total_dim is the closed-form
+    count and the cells are enumerated on first use.
+    """
+
+    def __init__(self, desc: ManifoldDescriptor, n: int):
         self.desc = desc
         self.n = n
-        self.cells: dict[tuple[int, int], list[Key]] = {}
-        total = 0
-        for mono in all_monomials(n):
-            blocks = blocks_of(mono, n)
-            q = len(mono)
-            words = [()]
-            for _ in blocks:
-                words = [w + (c,) for w in words for c in range(desc.dim_total)]
-            for word in words:
-                p = sum(desc.degrees[c] for c in word)
-                self.cells.setdefault((p, q), []).append((mono, word))
-                total += 1
-                if total > budget:
-                    raise BudgetExceeded(
-                        f"E2 page for n={n} exceeds the {budget}-element budget"
-                    )
-        self.total_dim = total
+        # sum over forests of D^blocks: the rising factorial D(D+1)...(D+n-1)
+        self.total_dim = prod(range(desc.dim_total, desc.dim_total + n))
         self._ranks: dict[tuple[int, int], int] = {}
         self._cohomology: dict[tuple[int, int], int] | None = None
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, int], list[Key]]:
+        cells: dict[tuple[int, int], list[Key]] = {}
+        for mono in all_monomials(self.n):
+            words = [()]
+            for _ in blocks_of(mono, self.n):
+                words = [w + (c,) for w in words for c in range(self.desc.dim_total)]
+            for word in words:
+                p = sum(self.desc.degrees[c] for c in word)
+                cells.setdefault((p, len(mono)), []).append((mono, word))
+        return cells
 
     # -- grading helpers ---------------------------------------------------
 
@@ -134,34 +139,6 @@ class E2Page:
             for key2, coeff in self.act_key(sigma, key).items():
                 add_into(out, {key2: coeff * c})
         return out
-
-    def orbit_average(self, key: Key) -> dict[Key, Fraction]:
-        """(1/n!) * sum of sigma.key over S_n, for a key that every sigma sends to +-key.
-
-        Walks the signed orbit breadth-first under the generators of S_n.  A
-        key reached with both signs is fixed by some sigma acting by -1, so
-        the average vanishes; otherwise every orbit point is reached n!/|orbit|
-        times with one sign, and the average is the signed orbit sum over
-        |orbit|.  Disjoint-pair keys are always acted on this way.
-        """
-        gens = generators(self.n)
-        signs = {key: 1}
-        queue = [key]
-        for current in queue:
-            for g in gens:
-                image = self.act_key(g, current)
-                if len(image) != 1:
-                    raise AssertionError(f"S_{self.n} does not act monomially on {current}")
-                [(target, s)] = image.items()
-                s *= signs[current]
-                seen = signs.get(target)
-                if seen is None:
-                    signs[target] = s
-                    queue.append(target)
-                elif seen != s:
-                    return {}
-        weight = Fraction(1, len(signs))
-        return {k: s * weight for k, s in signs.items()}
 
     # -- the differential ----------------------------------------------------
 
@@ -270,7 +247,7 @@ class E2Page:
 
 
 # ---------------------------------------------------------------------------
-# invariant subcomplex (transfer: H^*(B_n) = S_n-invariants)
+# orbit-representative complex (transfer: H^*(B_n) = S_n-invariants = coinvariants)
 
 
 def sym_word_multisets(desc: ManifoldDescriptor, count: int):
@@ -280,8 +257,8 @@ def sym_word_multisets(desc: ManifoldDescriptor, count: int):
     out = []
     for odd_count in range(min(len(odds), count) + 1):
         for odd_set in combinations(odds, odd_count):
-            for even_multi in combinations_with_replacement_list(evens, count - odd_count):
-                out.append(tuple(sorted(even_multi + list(odd_set))))
+            for even_multi in combinations_with_replacement(evens, count - odd_count):
+                out.append(tuple(sorted(even_multi + odd_set)))
     return sorted(set(out))
 
 
@@ -292,15 +269,9 @@ def epsilon_word_multisets(desc: ManifoldDescriptor, count: int):
     out = []
     for even_count in range(min(len(evens), count) + 1):
         for even_set in combinations(evens, even_count):
-            for odd_multi in combinations_with_replacement_list(odds, count - even_count):
-                out.append(tuple(sorted(list(even_set) + odd_multi)))
+            for odd_multi in combinations_with_replacement(odds, count - even_count):
+                out.append(tuple(sorted(even_set + odd_multi)))
     return sorted(set(out))
-
-
-def combinations_with_replacement_list(pool, count):
-    from itertools import combinations_with_replacement
-
-    return [list(c) for c in combinations_with_replacement(pool, count)]
 
 
 def invariant_cell_dim(desc: ManifoldDescriptor, n: int, p: int, q: int) -> int:
@@ -322,20 +293,24 @@ def invariant_cell_dim(desc: ManifoldDescriptor, n: int, p: int, q: int) -> int:
 
 
 class InvariantComplex:
-    """The S_n-invariant subcomplex, spanned by orbit averages of seed keys.
+    """H^*(B_n(M)) on orbit representatives: the Sym(H^even) x Lambda(H^odd)
+    complex of Felix-Thomas (2000) and Knudsen (AGT 2017).
 
-    S_n moves the disjoint-pair keys that carry every invariant to +-keys, so
-    each average is a signed orbit sum (E2Page.orbit_average), never a sum
-    over all of S_n.
+    Over Q the S_n-invariants of the page are isomorphic to its coinvariants,
+    and d commutes with S_n, so each orbit of keys is computed on one
+    representative.  Only disjoint-pair keys have orbits that survive, and
+    canonical() relabels each to its seed with a sign; the differential of a
+    seed is canonicalised term by term.  No page cell is enumerated and
+    nothing is averaged.
     """
 
     def __init__(self, page: E2Page):
         self.page = page
-        self._bases: dict[tuple[int, int], Echelon] = {}
+        self._bases: dict[tuple[int, int], list[Key]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
     def seeds(self, p: int, q: int) -> list[Key]:
-        """Disjoint-pair keys whose orbit averages span the invariants of cell (p, q).
+        """Disjoint-pair keys that represent the orbits of cell (p, q).
 
         The edges are (1 2), (3 4), ...; the pairs carry a Lambda x Sym word
         and the singletons a Sym x Lambda word, each as a sorted multiset.
@@ -344,44 +319,79 @@ class InvariantComplex:
         if not 0 <= q <= n // 2 or (q > 0 and desc.d % 2 == 1):
             return []
         mono = tuple((2 * i + 1, 2 * i + 2) for i in range(q))
-        blocks = blocks_of(mono, n)
         out = []
         for pair_multi in epsilon_word_multisets(desc, q):
             pair_deg = sum(desc.degrees[c] for c in pair_multi)
             for single_multi in sym_word_multisets(desc, n - 2 * q):
                 if pair_deg + sum(desc.degrees[c] for c in single_multi) != p:
                     continue
-                word = tuple(pair_multi) + tuple(single_multi)
-                assert len(word) == len(blocks)
-                out.append((mono, word))
+                out.append((mono, pair_multi + single_multi))
         return out
 
-    def basis(self, p: int, q: int) -> Echelon:
-        key = (p, q)
-        if key in self._bases:
-            return self._bases[key]
-        desc, n = self.page.desc, self.page.n
-        ech = Echelon(self.page.orbit_average(seed) for seed in self.seeds(p, q))
-        expected = invariant_cell_dim(desc, n, p, q)
-        if ech.dim != expected:
-            raise AssertionError(
-                f"invariant cell ({p},{q}) has dim {ech.dim}, closed form {expected}"
-            )
-        self._bases[key] = ech
-        return ech
+    def canonical(self, key: Key) -> tuple[Key, int] | None:
+        """(seed, sign) with [key] = sign * [seed] in the coinvariants, or None
+        when [key] = 0.
+
+        One relabelling sends the pairs, sorted by class, to (1 2), (3 4), ...
+        and the singletons, sorted by class, to the points after them.  The
+        class vanishes when a generator of the seed's stabiliser acts by -1:
+        a flip inside a pair, or a swap of adjacent equal-class pairs or of
+        adjacent equal-class singletons.
+        """
+        page = self.page
+        mono, word = key
+        blocks = sorted(
+            ((len(blk) == 1, cls, blk) for blk, cls in zip(blocks_of(mono, page.n), word))
+        )
+        sigma = [0] * page.n
+        for target, x in enumerate((x for _, _, blk in blocks for x in blk), 1):
+            sigma[x - 1] = target
+        [(seed, sign)] = page.act_key(tuple(sigma), key).items()
+        q, seed_word = len(seed[0]), seed[1]
+        stabiliser = [[(1, 2)]] if q else []
+        for t in range(q - 1):
+            if seed_word[t] == seed_word[t + 1]:
+                stabiliser.append([(2 * t + 1, 2 * t + 3), (2 * t + 2, 2 * t + 4)])
+        for t in range(q, len(seed_word) - 1):
+            if seed_word[t] == seed_word[t + 1]:
+                stabiliser.append([(q + t + 1, q + t + 2)])  # word slot t is point q + t + 1
+        for cycs in stabiliser:
+            if page.act_key(from_cycles(page.n, cycs), seed) != {seed: 1}:
+                return None
+        return seed, sign
+
+    def classes(self, v: dict) -> dict:
+        """The coinvariant class of a page vector, in seed coordinates."""
+        out: dict = {}
+        for key, c in v.items():
+            if image := self.canonical(key):
+                add_into(out, {image[0]: image[1] * c})
+        return out
+
+    def diff(self, key: Key) -> dict:
+        """d of a key, in seed coordinates."""
+        return self.classes(self.page.diff_key(key))
+
+    def basis(self, p: int, q: int) -> list[Key]:
+        """The seeds of cell (p, q) whose class survives."""
+        if (p, q) not in self._bases:
+            basis = [seed for seed in self.seeds(p, q) if self.canonical(seed)]
+            expected = invariant_cell_dim(self.page.desc, self.page.n, p, q)
+            if len(basis) != expected:
+                raise AssertionError(
+                    f"invariant cell ({p},{q}) has dim {len(basis)}, closed form {expected}"
+                )
+            self._bases[(p, q)] = basis
+        return self._bases[(p, q)]
 
     def differential_rank(self, p: int, q: int) -> int:
         """Rank of d out of invariant cell (p, q); computed once per cell."""
         if (p, q) not in self._ranks:
-            rank = 0
-            if q >= 1:
-                source = self.basis(p, q).basis()
-                rank = span_dim([self.page.diff_vec(v) for v in source])
-            self._ranks[(p, q)] = rank
+            self._ranks[(p, q)] = span_dim([self.diff(seed) for seed in self.basis(p, q)])
         return self._ranks[(p, q)]
 
     def cohomology_dim(self, p: int, q: int) -> int:
-        dim = self.basis(p, q).dim
+        dim = len(self.basis(p, q))
         rank_out = self.differential_rank(p, q)
         rank_in = self.differential_rank(p - self.page.desc.d, q + 1)
         return dim - rank_out - rank_in
@@ -542,8 +552,6 @@ def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
     if qd1 % (d - 1) != 0 or qd1 < 0:
         return 0
     q = qd1 // (d - 1)
-    from math import factorial
-
     total = 0
     for mu in partitions_of(q):
         if len(mu) + q > n:
@@ -561,8 +569,6 @@ def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
 
 
 def _partition_count(n: int, shape: Partition) -> int:
-    from math import factorial
-
     out = factorial(n)
     mult: dict[int, int] = {}
     for s in shape:

@@ -27,16 +27,11 @@ from .characters import (
     irreducible_character,
     young_permutation_character,
 )
-from .linalg import add_into, kernel_basis, span_dim
+from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .partitions import Partition, curly_pad, dim_irrep, partitions_of, unpad
 from .rep import Rep
 from .specht import act_vec, specht_module
-from .tabloids import PseudoTabloid, act_tabloid, pseudo_tabloids
-
-
-def _act_tagged(sigma, v: dict) -> dict:
-    """The tabloid action on a direct sum, keys tagged ("L" | "R", tabloid)."""
-    return {(tag, act_tabloid(sigma, t)): c for (tag, t), c in v.items()}
+from .tabloids import PseudoTabloid, pseudo_tabloids
 
 
 def stable_multiplicities(chi: ClassFunction) -> dict[Partition, int]:
@@ -106,10 +101,25 @@ class SumSequence:
         return max(self.left.stable_start(), self.right.stable_start())
 
     def rep(self, n: int) -> Rep:
-        vectors = [
-            {("L", k): c for k, c in v.items()} for v in self.left.rep(n).basis()
-        ] + [{("R", k): c for k, c in v.items()} for v in self.right.rep(n).basis()]
-        return Rep(n, _act_tagged, vectors)
+        """Keys tagged ("L" | "R", key); each tag is acted on by its own
+        summand, and the summands' moduli become one tagged modulus."""
+        parts = {"L": self.left.rep(n), "R": self.right.rep(n)}
+
+        def tag(t, v: dict) -> dict:
+            return {(t, k): c for k, c in v.items()}
+
+        def act(sigma, v: dict) -> dict:
+            out = {}
+            for t, part in parts.items():
+                piece = {k: c for (s, k), c in v.items() if s == t}
+                out.update(tag(t, part.act_vec(sigma, piece)))
+            return out
+
+        moduli = [
+            tag(t, w) for t, part in parts.items() if part.modulus is not None for w in part.modulus.basis()
+        ]
+        vectors = [tag(t, v) for t, part in parts.items() for v in part.basis()]
+        return Rep(n, act, vectors, modulus=Echelon(moduli) if moduli else None)
 
     def character_hint(self, n: int) -> ClassFunction:
         return self.left.character_hint(n) + self.right.character_hint(n)

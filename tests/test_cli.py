@@ -31,17 +31,26 @@ def test_betti_golden():
 
 
 def test_betti_env_budget(monkeypatch):
+    # the budget covers the explicit page, which color-betti with mu != 0 builds
     monkeypatch.setenv("REPSTAB_BUDGET", "10")
-    code, text = run("betti", "--manifold", "torus", "--n", "4", "--i", "4")
+    code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "4", "--i", "4")
     assert code == 2
     assert "budget" in text
 
 
 def test_betti_bad_env_budget(monkeypatch):
     monkeypatch.setenv("REPSTAB_BUDGET", "abc")
-    code, text = run("betti", "--manifold", "torus", "--n", "4", "--i", "4")
+    code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "4", "--i", "4")
     assert code == 2
     assert text.startswith("error: ") and "REPSTAB_BUDGET" in text
+
+
+def test_betti_builds_no_page(monkeypatch):
+    # unordered Betti numbers never enumerate a page cell, so no budget applies;
+    # the explicit torus page at n = 7 has 604800 elements
+    monkeypatch.setenv("REPSTAB_BUDGET", "10")
+    code, text = run("betti", "--manifold", "torus", "--n", "7", "--i", "4")
+    assert (code, text) == (0, "7")
 
 
 def test_color_betti():

@@ -1,8 +1,11 @@
+from math import factorial, prod
+
 import pytest
 
 from repstab.arnold import poincare_polynomial
 from repstab.configspaces import (
     NotComputable,
+    _invariant_complex,
     betti_unordered,
     colored_betti,
     correspondence_injective,
@@ -19,6 +22,7 @@ from repstab.manifolds import load_manifold, parse_descriptor
 TORUS = load_manifold("torus")
 S2 = load_manifold("s2")
 S3 = load_manifold("s3")
+CP1 = load_manifold("cp1")
 
 
 def test_torus_betti_published_values():
@@ -105,14 +109,15 @@ def test_colored_reduces_to_unordered():
 
 
 def test_transfer_consistency_two_routes():
-    # invariants-then-cohomology (invariant subcomplex) agrees with
+    # invariants-then-cohomology (orbit-representative complex) agrees with
     # cohomology-then-invariants (trivial part of the surviving page)
     from repstab.configspaces import _colored_via_characters
 
-    for n in (2, 3, 4):
-        for i in range(0, 5):
-            via_characters = _colored_via_characters(TORUS, n, i, (), 200_000)
-            assert via_characters == betti_unordered(TORUS, n, i)
+    for desc, n_max in ((TORUS, 4), (S2, 5), (CP1, 5)):
+        for n in range(2, n_max + 1):
+            for i in range(0, 5):
+                via_characters = _colored_via_characters(desc, n, i, (), 200_000)
+                assert via_characters == betti_unordered(desc, n, i)
 
 
 def test_colored_full_coloring_is_ordered():
@@ -154,8 +159,6 @@ def test_euler_consistency():
 
 def test_unordered_euler_is_ordered_over_factorial():
     # the action on the ordered space is free, so chi(B_n) = chi(C_n)/n!
-    from math import factorial
-
     for desc, chi_m in ((TORUS, 0), (S2, 2)):
         for n in (2, 3, 4):
             chi_cn = 1
@@ -175,12 +178,42 @@ def test_homological_stability_corollary_on_sphere():
 
 def test_cached_pages_honour_budget():
     # a page cached under the default budget is refused under a smaller one
-    assert betti_unordered(TORUS, 4, 2) == 3
+    assert colored_betti(TORUS, 4, 2, (1,)) == 9
     with pytest.raises(BudgetExceeded):
-        betti_unordered(TORUS, 4, 2, budget=10)
+        colored_betti(TORUS, 4, 2, (1,), budget=10)
     assert ordered_betti(TORUS, 4, 2) == 30
     with pytest.raises(BudgetExceeded):
         ordered_betti(TORUS, 4, 2, budget=10)
+
+
+def test_betti_builds_no_page_cells():
+    # the explicit torus page at n = 12 would have 4*5*...*15 elements
+    assert betti_unordered(TORUS, 12, 4) == 7
+    assert "cells" not in _invariant_complex(TORUS, 12).page.__dict__
+
+
+def _generalised_binomial(x: int, n: int) -> int:
+    return prod(range(x - n + 1, x + 1)) // factorial(n)
+
+
+def test_unordered_euler_characteristic_is_generalised_binomial():
+    # chi(B_n(M)) = binom(chi(M), n), independent of the complex
+    for desc in (TORUS, S2, CP1):
+        chi_m = sum((-1) ** deg * dim for deg, dim in desc.poincare().items())
+        for n in range(0, 11):
+            top = n * desc.d
+            chi_bn = sum((-1) ** i * betti_unordered(desc, n, i) for i in range(top + 1))
+            assert chi_bn == _generalised_binomial(chi_m, n), (desc.name, n)
+
+
+def test_unordered_betti_constant_from_the_stable_range():
+    # b_i(B_n) is constant from the start stable_range_report gives, to n = 12
+    for desc in (TORUS, S2, CP1):
+        for i in range(0, 9):
+            rows = dict(stable_range_report(desc, i))
+            start = int(rows.get("unordered-improved", rows["unordered"]).split()[2])
+            values = {betti_unordered(desc, n, i) for n in range(start, 13)}
+            assert len(values) == 1, (desc.name, i, start)
 
 
 def test_correspondence_injectivity_torus():

@@ -27,7 +27,7 @@ CP1 = load_manifold("cp1")
 
 
 def brute_average(page, key):
-    """(1/n!) * sum of sigma.key over all of S_n: the oracle for orbit_average."""
+    """(1/n!) * sum of sigma.key over all of S_n: the oracle for canonical."""
     total: dict = {}
     for sigma in all_perms(page.n):
         add_into(total, page.act_key(sigma, key))
@@ -81,6 +81,7 @@ def test_explicit_dims_match_character_backend():
     for desc in (TORUS, S2, S3):
         for n in (2, 3, 4):
             page = E2Page(desc, n)
+            assert page.total_dim == sum(map(len, page.cells.values()))  # closed form
             d = desc.d
             for (p, q), keys in page.cells.items():
                 qd1 = q * (d - 1)
@@ -137,8 +138,8 @@ def test_invariant_cell_dims_match_average():
             inv = InvariantComplex(page)
             for q in range(n // 2 + 1):
                 for p in range(0, 2 * n + 1):
-                    ech = inv.basis(p, q)  # raises if the closed form disagrees
-                    assert ech.dim == invariant_cell_dim(desc, n, p, q)
+                    basis = inv.basis(p, q)  # raises if the closed form disagrees
+                    assert len(basis) == invariant_cell_dim(desc, n, p, q)
 
 
 def test_invariant_basis_spans_brute_force_average():
@@ -148,29 +149,36 @@ def test_invariant_basis_spans_brute_force_average():
             inv = InvariantComplex(page)
             for q in range(n // 2 + 1):
                 for p in range(0, 2 * n + 1):
-                    averages = []
-                    for seed in inv.seeds(p, q):
-                        average = brute_average(page, seed)
-                        assert page.orbit_average(seed) == average
-                        averages.append(average)
-                    assert inv.basis(p, q).basis() == Echelon(averages).basis()
+                    averages = [brute_average(page, seed) for seed in inv.seeds(p, q)]
+                    kept = Echelon([brute_average(page, seed) for seed in inv.basis(p, q)])
+                    assert kept.dim == len(inv.basis(p, q))  # the kept averages are independent
+                    assert kept.basis() == Echelon(averages).basis()
 
 
-def test_orbit_average_exact_on_disjoint_pair_keys():
-    # every key with pairwise disjoint edges, cancelling ones included; the
-    # per-key normalisation matters where combinations of keys are averaged
+def test_canonical_matches_brute_average_on_disjoint_pair_keys():
+    # every key with pairwise disjoint edges, cancelling ones included: the
+    # average of a key is sign * the average of its seed, a basis element of
+    # the key's cell, and it vanishes exactly where canonical returns None
     cancelled = 0
     for desc in (TORUS, S2):
         for n in (3, 4):
             page = E2Page(desc, n)
-            for keys in page.cells.values():
+            inv = InvariantComplex(page)
+            for (p, q), keys in page.cells.items():
                 for key in keys:
                     points = [x for edge in key[0] for x in edge]
                     if len(points) != len(set(points)):
                         continue
-                    average = page.orbit_average(key)
-                    assert average == brute_average(page, key)
-                    cancelled += not average
+                    average = brute_average(page, key)
+                    image = inv.canonical(key)
+                    if image is None:
+                        assert average == {}
+                        cancelled += 1
+                        continue
+                    seed, sign = image
+                    assert seed in inv.basis(p, q)
+                    assert average
+                    assert average == {k: sign * c for k, c in brute_average(page, seed).items()}
     assert cancelled
 
 

@@ -152,6 +152,19 @@ def test_sum_sequence_monotone():
     assert report.ok, report.witnesses
 
 
+def test_sum_sequence_acts_per_summand():
+    # each summand acts on its own tag, modulo its own modulus: a quotient
+    # summand and a nested sum (tagged keys inside tagged keys) both work
+    quot = QuotientSequence(InducedModuleSequence((1, 1)), InducedSpechtSequence((1, 1)))
+    summed = SumSequence(quot, InducedSpechtSequence((1,)))
+    nested = SumSequence(summed, InducedModuleSequence((1,)))
+    for n in range(2, 6):
+        assert summed.rep(n).character() == summed.character_hint(n)
+        assert nested.rep(n).character() == nested.character_hint(n)
+    report = check_monotone(summed, 2, 4)
+    assert report.ok, report.witnesses
+
+
 def test_quotient_sequence_monotone_from_stable_start():
     quot = QuotientSequence(InducedModuleSequence((1, 1)), InducedSpechtSequence((1, 1)))
     report = check_monotone(quot, quot.monotone_start(), 6)
