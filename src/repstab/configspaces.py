@@ -16,6 +16,7 @@ and are computed from the decomposition of the surviving page into
 irreducibles.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import comb
 
@@ -50,15 +51,36 @@ __all__ = [
     "NotComputable",
 ]
 
-_PAGES: dict = {}
+
+class BoundedCache(OrderedDict):
+    """A dict that keeps only its maxsize most recently used entries."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def fetch(self, key, build):
+        """The entry for key, built by build() on a miss."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = build()
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return value
+
+
+# Keyed by (name, id(desc), n); a cached value holds desc, so its id stays
+# unique.  One pass of the acceptance gate's calls builds no explicit page
+# and 8 invariant complexes.
+_PAGES = BoundedCache(16)
+_INVARIANT = BoundedCache(64)
 
 
 def e2_page(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> E2Page:
     """The cached explicit page; a cached page still has to fit the budget."""
-    key = (desc.name, id(desc), n)
-    if key not in _PAGES:
-        _PAGES[key] = E2Page(desc, n)  # no cells yet: the check below comes first
-    page = _PAGES[key]
+    # no cells yet: the check below comes first
+    page = _PAGES.fetch((desc.name, id(desc), n), lambda: E2Page(desc, n))
     if page.total_dim > budget:
         raise BudgetExceeded(f"E2 page for n={n} exceeds the {budget}-element budget")
     return page
@@ -138,14 +160,8 @@ def betti_unordered(desc: ManifoldDescriptor, n: int, i: int) -> int:
     )
 
 
-_INVARIANT: dict = {}
-
-
 def _invariant_complex(desc: ManifoldDescriptor, n: int) -> InvariantComplex:
-    key = (desc.name, id(desc), n)
-    if key not in _INVARIANT:
-        _INVARIANT[key] = InvariantComplex(E2Page(desc, n))
-    return _INVARIANT[key]
+    return _INVARIANT.fetch((desc.name, id(desc), n), lambda: InvariantComplex(E2Page(desc, n)))
 
 
 def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = 200_000) -> int:

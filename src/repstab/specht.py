@@ -8,12 +8,14 @@ verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep under the tabloid action
 act_vec, so its traces, isotypic components (Jucys-Murphy kernels) and span
 closures are Rep's; the n! group-sum projector project_tabloid is kept only
-as the oracle the tests compare against.
+as the oracle the tests compare against.  Those Reps carry tabloid_index(lam,
+n), so they compute on integer positions and act by permutation tables, and
+read each trace off a pivot without acting on a row.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -21,7 +23,7 @@ from .characters import irreducible_character, mn_character
 from .linalg import add_into
 from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare
 from .perms import Perm, all_perms, cycle_type
-from .rep import Rep
+from .rep import KeyIndex, Rep
 from .tabloids import (
     PseudoTableau,
     PseudoTabloid,
@@ -31,6 +33,7 @@ from .tabloids import (
     column_stabilizer,
     column_stabilizer_order,
     pseudo_tableaux,
+    pseudo_tabloids,
     row_major_tableau,
     strip,
 )
@@ -40,6 +43,14 @@ Vec = dict  # PseudoTabloid -> int | Fraction
 
 def act_vec(sigma: Perm, v: Vec) -> Vec:
     return {act_tabloid(sigma, t): c for t, c in v.items()}
+
+
+@lru_cache(maxsize=128)
+def tabloid_index(lam: Partition, n: int) -> KeyIndex:
+    """Positions of the pseudo-tabloids of shape lam in ambient n, and the
+    index tables of the tabloid action: the monomial fast path of every
+    Rep inside I_n(M^lam)."""
+    return KeyIndex(pseudo_tabloids(lam, n), act_tabloid)
 
 
 def polytabloid(t: PseudoTableau) -> Vec:
@@ -67,14 +78,15 @@ def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
 
     if n < sum(lam):
         raise ValueError(f"ambient {n} too small for {lam}")
-    sub = Rep(n, act_vec)
+    index = tabloid_index(lam, n)
+    sub = Rep(n, act_vec, index=index)
     target = None if full else dim_irrep(lam) * comb(n, sum(lam))
     for t in pseudo_tableaux(lam, n):
         if not full and any(
             col != tuple(sorted(col)) for col in t.columns() if len(col) > 1
         ):
             continue
-        sub.echelon.insert(polytabloid(t))
+        sub.echelon.insert(index.encode(polytabloid(t)))
         if target is not None and sub.dim == target:
             break
     return sub
@@ -277,8 +289,11 @@ def isotypic_component(sub: Rep, mu: Partition) -> list[Vec]:
 
 
 def sn_span(seeds: list[Vec], n: int) -> Rep:
-    """Closure of the span of the seeds under the S_n action on tabloids."""
-    return Rep(n, act_vec).sn_span(seeds)
+    """Closure of the span of the seeds under the S_n action on tabloids,
+    indexed when the seeds' tabloids all have one shape."""
+    shapes = {t.shape for v in seeds for t in v}
+    index = tabloid_index(shapes.pop(), n) if len(shapes) == 1 else None
+    return Rep(n, act_vec, index=index).sn_span(seeds)
 
 
 @dataclass

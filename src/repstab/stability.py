@@ -13,7 +13,11 @@ Conditions I/II and for monotonicity, which quantifies over subspaces).
 On the explicit side, Rep.character reads traces off the pivots of the
 reduced echelon basis, Rep.isotypic takes the joint eigenspace of the
 Jucys-Murphy power sums and Rep.sn_span closes spans under the generators;
-none sums over S_n.
+none sums over S_n.  Levels inside a tabloid module (induced modules and
+Specht spans, and the quotients, kernels and images built from them, which
+reuse their source's index) take the monomial fast path of specht.tabloid_index;
+without a modulus their traces are read off the pivots with no action, while
+quotients act and reduce.  Sums stay on the generic vector action.
 All verdicts are statements about the tested window only.
 """
 
@@ -30,8 +34,8 @@ from .characters import (
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .partitions import Partition, curly_pad, dim_irrep, partitions_of, unpad
 from .rep import Rep
-from .specht import act_vec, specht_module
-from .tabloids import PseudoTabloid, pseudo_tabloids
+from .specht import act_vec, specht_module, tabloid_index
+from .tabloids import PseudoTabloid
 
 
 def stable_multiplicities(chi: ClassFunction) -> dict[Partition, int]:
@@ -60,8 +64,8 @@ class InducedModuleSequence:
         return 2 * sum(self.lam)
 
     def rep(self, n: int) -> Rep:
-        vectors = [{t: 1} for t in pseudo_tabloids(self.lam, n)]
-        return Rep(n, act_vec, vectors)
+        index = tabloid_index(self.lam, n)
+        return Rep(n, act_vec, [{t: 1} for t in index.keys], index=index)
 
     def character_hint(self, n: int) -> ClassFunction:
         k = sum(self.lam)
@@ -115,9 +119,7 @@ class SumSequence:
                 out.update(tag(t, part.act_vec(sigma, piece)))
             return out
 
-        moduli = [
-            tag(t, w) for t, part in parts.items() if part.modulus is not None for w in part.modulus.basis()
-        ]
+        moduli = [tag(t, w) for t, part in parts.items() for w in part.modulus_basis()]
         vectors = [tag(t, v) for t, part in parts.items() for v in part.basis()]
         return Rep(n, act, vectors, modulus=Echelon(moduli) if moduli else None)
 
@@ -153,7 +155,7 @@ class QuotientSequence:
     def rep(self, n: int) -> Rep:
         w_rep = self.small.rep(n)
         v_rep = self.big.rep(n)
-        return Rep(n, v_rep.act, v_rep.basis(), modulus=w_rep.echelon)
+        return Rep(n, v_rep.act, v_rep.basis(), modulus=w_rep.echelon, index=w_rep.index)
 
     def character_hint(self, n: int) -> ClassFunction:
         return self.big.character_hint(n) - self.small.character_hint(n)
@@ -196,7 +198,8 @@ class KernelSequence:
     def rep(self, n: int) -> Rep:
         domain = self.fmap.domain.rep(n)
         basis = domain.basis()
-        return Rep(n, domain.act, kernel_basis([self.fmap.apply(v) for v in basis], basis))
+        kernel = kernel_basis([self.fmap.apply(v) for v in basis], basis)
+        return Rep(n, domain.act, kernel, index=domain.index)
 
     def character_hint(self, n: int):
         return None
@@ -222,7 +225,8 @@ class ImageSequence:
     def rep(self, n: int) -> Rep:
         domain = self.fmap.domain.rep(n)
         codomain = self.fmap.codomain.rep(n)
-        return Rep(n, codomain.act, [self.fmap.apply(v) for v in domain.basis()])
+        images = [self.fmap.apply(v) for v in domain.basis()]
+        return Rep(n, codomain.act, images, index=codomain.index)
 
     def character_hint(self, n: int):
         return None

@@ -3,7 +3,9 @@ from math import factorial, prod
 import pytest
 
 from repstab.arnold import poincare_polynomial
+import repstab.configspaces as configspaces
 from repstab.configspaces import (
+    BoundedCache,
     NotComputable,
     _invariant_complex,
     betti_unordered,
@@ -190,6 +192,29 @@ def test_betti_builds_no_page_cells():
     # the explicit torus page at n = 12 would have 4*5*...*15 elements
     assert betti_unordered(TORUS, 12, 4) == 7
     assert "cells" not in _invariant_complex(TORUS, 12).page.__dict__
+
+
+def test_bounded_cache_evicts_least_recently_used():
+    cache = BoundedCache(2)
+    assert cache.fetch("a", lambda: 1) == 1
+    assert cache.fetch("b", lambda: 2) == 2
+    assert cache.fetch("a", lambda: None) == 1  # a is now the most recent
+    assert cache.fetch("c", lambda: 3) == 3
+    assert list(cache) == ["a", "c"]
+    assert cache.fetch("b", lambda: 4) == 4  # rebuilt after eviction
+
+
+def test_bounded_page_caches_stay_correct_past_their_bound(monkeypatch):
+    ordered = {n: ordered_betti(S2, n, 2) for n in (2, 3, 4, 5)}
+    monkeypatch.setattr(configspaces, "_INVARIANT", BoundedCache(2))
+    monkeypatch.setattr(configspaces, "_PAGES", BoundedCache(2))
+    unordered = {2: 1, 3: 3, 4: 3, 5: 3}
+    for n in (2, 3, 4, 5, 2, 3):
+        assert betti_unordered(TORUS, n, 2) == unordered[n]
+        assert ordered_betti(S2, n, 2) == ordered[n]
+    assert [key[2] for key in configspaces._INVARIANT] == [2, 3]
+    assert [key[2] for key in configspaces._PAGES] == [2, 3]
+    assert len(configspaces._PAGES) == 2
 
 
 def _generalised_binomial(x: int, n: int) -> int:
