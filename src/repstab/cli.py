@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arnold import arnold_report, format_polynomial
 from .characters import format_table
-from .e2 import BudgetExceeded
+from .e2 import BudgetExceeded, MissingDiagonal
 from .configspaces import (
     NotComputable,
     betti_unordered,
@@ -288,7 +288,7 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return (0, "") if exc.code == 0 else (2, "usage error")
     try:
         return args.func(args)
-    except (DescriptorError, NotComputable, InsufficientWindow, ValueError) as exc:
+    except (DescriptorError, MissingDiagonal, NotComputable, InsufficientWindow, ValueError) as exc:
         return 2, f"error: {exc}"
     except BudgetExceeded as exc:
         return 2, f"error: {exc} (raise REPSTAB_BUDGET to override)"

@@ -8,6 +8,9 @@ relation that identifies the two point-pullbacks along an edge is built into
 this basis.  The differential sends an edge generator to the diagonal class
 of its two endpoints and extends as a graded derivation; Koszul signs follow
 one rule: a transposition of adjacent odd-degree factors contributes -1.
+The S_n action is linear but not monomial (Arnold straightening), so the
+characters of the surviving cells act through a rep.LinearIndex over the
+cell's keys, built per call: each (sigma, key) is straightened once.
 
 Orbit-representative backend: InvariantComplex computes H^*(B_n(M)) on one
 disjoint-pair key per S_n-orbit and never enumerates a page cell.
@@ -29,7 +32,7 @@ from .linalg import add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
 from .perms import Perm, class_representative, compose, from_cycles, identity
-from .rep import Rep
+from .rep import LinearIndex, Rep
 
 Monomial = tuple[tuple[int, int], ...]
 Key = tuple[Monomial, tuple[int, ...]]
@@ -238,12 +241,17 @@ class E2Page:
     # -- characters of the surviving page (for colored invariants) ----------
 
     def cohomology_cell_character(self, p: int, q: int) -> ClassFunction:
-        """Character of ker/im at cell (p, q): traces on explicit subspaces."""
+        """Character of ker/im at cell (p, q): traces on explicit subspaces.
+
+        The cycles and the boundaries both lie in cell (p, q), so their Reps
+        share one LinearIndex over its keys: each permutation's action is
+        tabulated once per key and dropped when this call returns."""
         keys = self.cell(p, q)
+        index = LinearIndex(keys, self.act_key)
         cycles = kernel_basis([self.diff_key(key) for key in keys], [{key: 1} for key in keys])
         boundaries = [self.diff_key(key) for key in self.cell(p - self.desc.d, q + 1)]
-        kernel = Rep(self.n, self.act_vec, cycles).character()
-        return kernel - Rep(self.n, self.act_vec, boundaries).character()
+        kernel = Rep(self.n, self.act_vec, cycles, index=index).character()
+        return kernel - Rep(self.n, self.act_vec, boundaries, index=index).character()
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +513,22 @@ def _block_orbit_factor(desc: ManifoldDescriptor, sigma: Perm, orbit, blocks) ->
     return scalar, poly
 
 
+def _row(desc: ManifoldDescriptor, qd1: int) -> int | None:
+    """The edge count q of the page row in degree qd1 = q(d-1), or None when
+    no row has that degree.  The bigrading needs d >= 2: for d = 1 every row
+    sits in degree 0."""
+    d = desc.d
+    if d < 2:
+        raise NotComputable(f"{desc.name}: the E2 bigrading (p, q(d-1)) needs dim >= 2, got {d}")
+    if qd1 % (d - 1) != 0 or qd1 < 0:
+        return None
+    return qd1 // (d - 1)
+
+
 def e2_cell_character(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> ClassFunction:
     """Character of E2^{p, qd1}(n) by the fixed-partition trace formula."""
-    d = desc.d
-    if qd1 % (d - 1) != 0 or qd1 < 0:
-        return ClassFunction(n, tuple(0 for _ in partitions_of(n)))
-    q = qd1 // (d - 1)
-    if q > n:
+    q = _row(desc, qd1)
+    if q is None or q > n:
         return ClassFunction(n, tuple(0 for _ in partitions_of(n)))
     values = []
     for rho in partitions_of(n):
@@ -548,10 +565,9 @@ def _is_fixed(sigma: Perm, blocks: tuple) -> bool:
 
 def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
     """Cell dimension, combinatorially (no basis enumeration)."""
-    d = desc.d
-    if qd1 % (d - 1) != 0 or qd1 < 0:
+    q = _row(desc, qd1)
+    if q is None:
         return 0
-    q = qd1 // (d - 1)
     total = 0
     for mu in partitions_of(q):
         if len(mu) + q > n:
@@ -659,10 +675,9 @@ def _single_orbit_sum(desc, orbits, alpha):
 
 def block_rows(desc: ManifoldDescriptor, p: int, qd1: int) -> list[dict]:
     """The E(mu, r, alpha) inventory of a cell: k, onset 2k, block dimension."""
-    d = desc.d
-    if qd1 % (d - 1) != 0 or qd1 < 0:
+    q = _row(desc, qd1)
+    if q is None:
         return []
-    q = qd1 // (d - 1)
     rows = []
     for mu in partitions_of(q):
         for r in range(p + 1):

@@ -4,17 +4,27 @@ linear action, optionally modulo an invariant subspace.
 Rep is the one class behind Specht spans (specht.specht_module), the levels
 of consistent sequences (stability) and the cohomology cells of the explicit
 E2 page (e2).  It keeps the span as a reduced Echelon and takes a vector
-action act(sigma, v), so non-monomial actions (the E2 page's) need nothing
-extra.  Traces and isotypic components come from characters.explicit_character
-and characters.central_isotypic; sn_span is the one span-closure loop.
+action act(sigma, v).  Traces and isotypic components come from
+characters.explicit_character and characters.central_isotypic; sn_span is
+the one span-closure loop.
 
-When S_n permutes the keys (the tabloid modules), a KeyIndex gives the Rep a
-monomial fast path: the echelon is kept over integer positions in sorted key
-order, and sigma acts on a vector by one precomputed index table.  Every
-public method still takes and returns key-keyed vectors, and since positions
-follow the key order, pivots and bases are those of the keyed computation.
-Without a modulus, traces are read as row[g^-1 . pivot] without acting on
-any row; a quotient still acts and reduces.
+An index over the keys of a finite basis lets a Rep act by table lookups:
+the echelon is kept over integer positions in sorted key order, and sigma
+acts on a vector through one table per permutation.  Every public method
+still takes and returns key-keyed vectors, and since positions follow the
+key order, pivots and bases are those of the keyed computation.
+
+* KeyIndex serves monomial actions, where S_n permutes the keys (the tabloid
+  modules).  Without a modulus, traces are read as row[g^-1 . pivot] without
+  acting on any row; a quotient still acts and reduces.
+* LinearIndex serves linear actions, where sigma sends a key to a
+  combination of keys (the E2 page, whose Arnold straightening is not
+  monomial).  Each table entry is the tuple of (position, coefficient) terms
+  of one key's image, so the key action runs once per (sigma, key); traces
+  act on the rows.
+
+The generic act(sigma, v) path without an index serves sums of
+representations, and is the oracle the tests compare both indices against.
 """
 
 from functools import lru_cache
@@ -33,7 +43,24 @@ from .partitions import Partition
 from .perms import from_cycles, generators
 
 
-class KeyIndex:
+class _Positions:
+    """The sorted keys of a finite basis and their integer positions."""
+
+    def __init__(self, keys, act_key):
+        self.keys = sorted(keys)
+        self.pos = {k: i for i, k in enumerate(self.keys)}
+        self.act_key = act_key
+
+    def encode(self, v: dict) -> dict:
+        pos = self.pos
+        return {pos[k]: c for k, c in v.items()}
+
+    def decode(self, v: dict) -> dict:
+        keys = self.keys
+        return {keys[i]: c for i, c in v.items()}
+
+
+class KeyIndex(_Positions):
     """Integer positions for the sorted keys of a finite S_n-set, and the
     index table of each permutation: table(sigma)[i] is the position of
     act_key(sigma, keys[i]).  Tables are built on first use and kept in a
@@ -43,9 +70,7 @@ class KeyIndex:
     keeps at most 26 tables per index."""
 
     def __init__(self, keys, act_key):
-        self.keys = sorted(keys)
-        self.pos = {k: i for i, k in enumerate(self.keys)}
-        self.act_key = act_key
+        super().__init__(keys, act_key)
         self.table = lru_cache(maxsize=256)(self._build_table)
 
     def _build_table(self, sigma) -> tuple[int, ...]:
@@ -70,27 +95,59 @@ class KeyIndex:
             table = tuple(map(self.table(from_cycles(len(w), [(i + 1, i + 2)])).__getitem__, table))
         return table
 
-    def encode(self, v: dict) -> dict:
-        pos = self.pos
-        return {pos[k]: c for k, c in v.items()}
+    def act(self, sigma, v: dict) -> dict:
+        table = self.table(sigma)
+        return {table[i]: c for i, c in v.items()}
 
-    def decode(self, v: dict) -> dict:
-        keys = self.keys
-        return {keys[i]: c for i, c in v.items()}
+
+class LinearIndex(_Positions):
+    """Integer positions for the sorted keys of a finite basis on which S_n
+    acts linearly, act_key(sigma, key) being a {key: coefficient} dict over
+    the same keys, and one table per permutation: table(sigma)[i] is the
+    tuple of (position, coefficient) terms of act_key(sigma, keys[i]).
+
+    act_key runs once per (sigma, key).  The tables live as long as the
+    index, which is meant to serve one computation (E2Page builds one per
+    cohomology_cell_character call) and asks for the generators and the
+    p(n) class representatives."""
+
+    def __init__(self, keys, act_key):
+        super().__init__(keys, act_key)
+        self._tables: dict = {}
+
+    def table(self, sigma) -> tuple[tuple[tuple[int, object], ...], ...]:
+        table = self._tables.get(sigma)
+        if table is None:
+            pos, act_key = self.pos, self.act_key
+            table = self._tables[sigma] = tuple(
+                tuple((pos[k], c) for k, c in act_key(sigma, key).items()) for key in self.keys
+            )
+        return table
+
+    def act(self, sigma, v: dict) -> dict:
+        table = self.table(sigma)
+        out: dict = {}
+        for i, c in v.items():
+            for j, x in table[i]:
+                out[j] = out.get(j, 0) + x * c
+        return {j: c for j, c in out.items() if c}
 
 
 class Rep:
     """S/W for a span S of vectors and an optional invariant modulus W, with
     S_n acting by act(sigma, v).
 
-    With an index, act must agree with the index's key action; the echelon
-    and the modulus are then over the index's positions, and the Rep acts
-    through its tables.  closed is True for a Rep that sn_span built, whose
-    span is invariant by construction, so its trace skips the check."""
+    With an index (a KeyIndex or a LinearIndex), act must agree with the
+    index's key action; the echelon and the modulus are then over the
+    index's positions, and the Rep acts through its tables.  closed is True
+    for a Rep that sn_span built, whose span is invariant by construction,
+    so its trace skips the check."""
 
     closed = False
 
-    def __init__(self, n: int, act, vectors=(), modulus: Echelon | None = None, index: KeyIndex | None = None):
+    def __init__(
+        self, n: int, act, vectors=(), modulus: Echelon | None = None, index: KeyIndex | LinearIndex | None = None
+    ):
         self.n = n
         self.act = act
         self.modulus = modulus
@@ -119,8 +176,7 @@ class Rep:
         """Normal form of sigma . v, in internal coordinates."""
         if self.index is None:
             return self._nf(self.act(sigma, v))
-        table = self.index.table(sigma)
-        return self._nf({table[i]: c for i, c in v.items()})
+        return self._nf(self.index.act(sigma, v))
 
     # key-keyed interface
 
@@ -144,8 +200,10 @@ class Rep:
 
     def character(self) -> ClassFunction:
         """Traces read off the echelon pivots; raises ValueError unless the
-        span is invariant (checked unless sn_span built it)."""
-        table = self.index.table if self.index is not None and self.modulus is None else None
+        span is invariant (checked unless sn_span built it).  Only a
+        monomial index without a modulus reads them without acting."""
+        monomial = isinstance(self.index, KeyIndex) and self.modulus is None
+        table = self.index.table if monomial else None
         return explicit_character(self.echelon, self.n, self._act, table=table, closed=self.closed)
 
     def decompose(self) -> MultiplicityVector:

@@ -267,9 +267,11 @@ def row_merge_key(t: PseudoTabloid):
     return PseudoTabloid(t.n, (merged,)), 1
 
 
-def _sequence_character(seq, n: int) -> ClassFunction:
+def _sequence_character(seq, n: int, level: Rep) -> ClassFunction:
+    """The character of level n: the sequence's hint, or the trace on level,
+    which is seq.rep(n) built by the caller."""
     hinted = seq.character_hint(n) if hasattr(seq, "character_hint") else None
-    return hinted if hinted is not None else seq.rep(n).character()
+    return hinted if hinted is not None else level.character()
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +337,21 @@ def check_uniform_stability(seq, n_start: int, n_max: int) -> StabilityReport:
     of uniform representation stability, on the window [n_start, n_max].
 
     Condition III runs on the character backend when the sequence provides
-    one; Conditions I and II always run on the explicit backend.
+    one; Conditions I and II always run on the explicit backend.  Each level
+    is built once.
     """
     if n_max < n_start + 1:
         raise InsufficientWindow(f"window [{n_start}, {n_max}] has no map to check")
     report = StabilityReport(seq.label, (n_start, n_max))
-    for n in range(n_start, n_max + 1):
-        report.multiplicities[n] = stable_multiplicities(_sequence_character(seq, n))
+
+    def level(n: int) -> Rep:
+        rep = seq.rep(n)
+        report.multiplicities[n] = stable_multiplicities(_sequence_character(seq, n, rep))
+        return rep
+
+    target = level(n_start)
     for n in range(n_start, n_max):
-        source, target = seq.rep(n), seq.rep(n + 1)
+        source, target = target, level(n + 1)
         images = [target.nf(seq.phi(n, v)) for v in source.basis()]
         inj = span_dim(images) == source.dim
         report.injectivity[n] = inj
@@ -368,13 +376,14 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
     V_n, the S_{n+1}-span of phi_n(W) contains V_{mu{n+1}}^k.
 
     `only` restricts to components with the given stable label, e.g. () for
-    the trivial representation.
+    the trivial representation.  Each level is built once.
     """
     report = StabilityReport(seq.label, (n_start, n_max))
+    target = None
     for n in range(n_start, n_max):
-        source = seq.rep(n)
+        source = target if target is not None else seq.rep(n)
         target = seq.rep(n + 1)
-        counts = decompose(_sequence_character(seq, n)).counts
+        counts = decompose(_sequence_character(seq, n, source)).counts
         level_ok = True
         for mu, k in sorted(counts.items(), reverse=True):
             if only is not None and unpad(mu) != only:

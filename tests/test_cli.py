@@ -203,3 +203,19 @@ def test_betti_zero_denominator_exits_2(tmp_path):
     code, text = run("betti", "--manifold", str(path), "--n", "2", "--i", "1")
     assert code == 2
     assert text == f"error: {path}:6: cannot parse 'mul a b pt 1/0'"
+
+
+def test_e2_explicit_without_diagonal_exits_2(tmp_path):
+    path = tmp_path / "r2.desc"
+    path.write_text("name r2\ndim 2\nclass 1 0\n")
+    assert run("e2", "--manifold", str(path), "--n", "2")[0] == 0  # closed-form dims need no diagonal
+    code, text = run("e2", "--manifold", str(path), "--n", "2", "--explicit")
+    assert (code, text) == (2, "error: r2 has no diagonal class")
+
+
+def test_e2_dim_one_exits_2(tmp_path):
+    path = tmp_path / "s1.desc"
+    path.write_text("name s1\ndim 1\nclass 1 0\nclass t 1\ndiag 1 t 1\ndiag t 1 -1\n")
+    for extra in ((), ("--explicit",)):
+        code, text = run("e2", "--manifold", str(path), "--n", "2", *extra)
+        assert (code, text) == (2, "error: s1: the E2 bigrading (p, q(d-1)) needs dim >= 2, got 1")

@@ -122,6 +122,11 @@ def test_transfer_consistency_two_routes():
                 assert via_characters == betti_unordered(desc, n, i)
 
 
+def test_colored_betti_pinned_values():
+    assert [colored_betti(TORUS, n, 3, (1,)) for n in (3, 4, 5)] == [6, 14, 15]
+    assert [colored_betti(S2, n, 3, (2,)) for n in (4, 5)] == [1, 1]
+
+
 def test_colored_full_coloring_is_ordered():
     for n in (2, 3):
         for i in range(0, 4):

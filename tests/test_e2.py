@@ -103,6 +103,22 @@ def test_explicit_traces_match_character_backend():
                 assert explicit == e2_cell_character(desc, n, p, q * (d - 1))
 
 
+def test_equivariant_euler_characteristic_of_cohomology():
+    # d raises p + q(d-1) by one, so the alternating sum of the E3 characters
+    # equals that of the E2 characters of the character backend
+    for desc in (TORUS, S2, CP1):
+        for n in (2, 3, 4):
+            page = E2Page(desc, n)
+            d = desc.d
+            zero = ClassFunction(n, tuple(0 for _ in partitions_of(n)))
+            e3, e2 = zero, zero
+            for p, q in page.cells:
+                sign = (-1) ** (p + q * (d - 1))
+                e3 = e3 + page.cohomology_cell_character(p, q) * sign
+                e2 = e2 + e2_cell_character(desc, n, p, q * (d - 1)) * sign
+            assert e3 == e2
+
+
 def test_c2_sphere_betti():
     # C_2(S^2) is homotopy equivalent to S^2 (forget-a-point bundle with
     # contractible fiber): Betti (1, 0, 1, 0), Euler characteristic 2

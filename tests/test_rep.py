@@ -1,12 +1,15 @@
-"""The monomial fast path of rep.Rep: index tables, and agreement with the
-generic vector action on the same vectors."""
+"""The indexed paths of rep.Rep: index tables, and agreement with the
+generic vector action on the same vectors, for the tabloid modules
+(KeyIndex) and the cells of the explicit E2 page (LinearIndex)."""
 
 import pytest
 
-from repstab.linalg import Echelon
+from repstab.e2 import E2Page
+from repstab.linalg import Echelon, kernel_basis
+from repstab.manifolds import load_manifold
 from repstab.partitions import partitions_of
 from repstab.perms import all_perms, compose, from_cycles, identity
-from repstab.rep import Rep
+from repstab.rep import LinearIndex, Rep
 from repstab.specht import act_vec, specht_module, tabloid_index
 from repstab.stability import (
     InducedModuleSequence,
@@ -98,3 +101,57 @@ def test_only_spans_closed_by_sn_span_skip_the_invariance_check():
     t = next(iter(sub.basis()[0]))
     with pytest.raises(ValueError):
         Rep(4, act_vec, [{t: 1}], index=sub.index).character()
+
+
+def _pages(names, n_max):
+    return [E2Page(load_manifold(name), n) for name in names for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("name", ["torus", "s2"])
+def test_linear_index_tables_are_the_page_action(name):
+    page = E2Page(load_manifold(name), 4)
+    perms = list(all_perms(4))
+    for keys in page.cells.values():
+        index = LinearIndex(keys, page.act_key)
+        assert index.keys == sorted(keys)
+        for sigma in perms:
+            table = index.table(sigma)
+            assert [index.decode(dict(terms)) for terms in table] == [page.act_key(sigma, k) for k in index.keys]
+        v = {k: i + 1 for i, k in enumerate(index.keys[::2])}
+        assert index.decode(index.act(perms[5], index.encode(v))) == page.act_vec(perms[5], v)
+
+
+def generic_cell_character(page, p, q):
+    """cohomology_cell_character on the generic vector action: the oracle."""
+    keys = page.cell(p, q)
+    cycles = kernel_basis([page.diff_key(key) for key in keys], [{key: 1} for key in keys])
+    boundaries = [page.diff_key(key) for key in page.cell(p - page.desc.d, q + 1)]
+    kernel = Rep(page.n, page.act_vec, cycles).character()
+    return kernel - Rep(page.n, page.act_vec, boundaries).character()
+
+
+@pytest.mark.parametrize("page", _pages(["torus", "s2", "cp1"], 4), ids=lambda page: f"{page.desc.name}-n{page.n}")
+def test_cell_characters_agree_with_generic_action(page):
+    for p, q in page.cells:
+        assert page.cohomology_cell_character(p, q) == generic_cell_character(page, p, q)
+
+
+def test_cell_character_acts_once_per_permutation_and_key(monkeypatch):
+    page = E2Page(load_manifold("torus"), 4)
+    calls = []
+    act_key = page.act_key
+    monkeypatch.setattr(page, "act_key", lambda sigma, key: calls.append((sigma, key)) or act_key(sigma, key))
+    monkeypatch.setattr(page, "act_vec", None)  # the indexed path never acts on keyed vectors
+    for p, q in page.cells:
+        calls.clear()
+        page.cohomology_cell_character(p, q)
+        assert len(calls) == len(set(calls))
+
+
+def test_linear_index_keeps_the_invariance_check():
+    page = E2Page(load_manifold("torus"), 3)
+    keys = page.cell(1, 1)
+    index = LinearIndex(keys, page.act_key)
+    with pytest.raises(ValueError):
+        Rep(3, page.act_vec, [{keys[0]: 1}], index=index).character()
+    assert Rep(3, page.act_vec, [{k: 1} for k in keys], index=index).character().degree() == len(keys)

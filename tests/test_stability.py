@@ -248,3 +248,19 @@ def test_rep_character_reduces_once_per_generator_and_row(monkeypatch):
         monkeypatch.setattr(Echelon, name, counted)
     assert rep.character() == InducedModuleSequence((1, 1)).character_hint(5)
     assert len(calls) <= len(generators(5)) * rep.dim
+
+
+def test_checkers_build_each_level_once(monkeypatch):
+    # a kernel has no character hint, so its traces come from the level itself
+    merge = MapSequence(
+        InducedModuleSequence((2, 1)), InducedModuleSequence((3,)), row_merge_key, label="row merge"
+    )
+    ker = KernelSequence(merge)
+    built = []
+    rep = ker.rep
+    monkeypatch.setattr(ker, "rep", lambda n: built.append(n) or rep(n))
+    assert check_monotone(ker, 3, 6).ok
+    assert built == [3, 4, 5, 6]
+    built.clear()
+    check_uniform_stability(ker, 3, 6)
+    assert built == [3, 4, 5, 6]
