@@ -285,7 +285,8 @@ def explicit_character(ech: Echelon, n: int, act, table=None, closed: bool = Fal
     under them by construction.  An in-span vector w then has coordinate
     w[pivot_i] / a_i on the echelon's integer row i, whose pivot entry is a_i,
     since every other row vanishes at that pivot; so each trace is a sum of
-    pivot entries and needs no further reduction.
+    pivot entries and needs no further reduction.  The identity's trace is
+    the number of rows, read without acting.
 
     table(sigma), given for an action that permutes integer positions by an
     index table with no modulus to reduce by, gives (g . row)[pivot] =
@@ -298,6 +299,11 @@ def explicit_character(ech: Echelon, n: int, act, table=None, closed: bool = Fal
                     raise ValueError("span is not invariant under the action")
     values = []
     for rho in partitions_of(n):
+        if rho == (1,) * n:
+            # the identity: one per row, a Fraction as the sums below give,
+            # and the int 0 of an empty sum on the zero span
+            values.append(Fraction(ech.dim) if ech.dim else 0)
+            continue
         g = class_representative(rho, n)
         if table is None:
             entries = ((act(g, row).get(pivot, 0), row[pivot]) for pivot, row in ech.rows)

@@ -25,7 +25,7 @@ from .configspaces import (
 )
 from .manifolds import DescriptorError
 from .partitions import format_partition, parse_partition
-from .specht import monotonicity_witness, specht_module, verify_claims
+from .specht import check_claims_level, monotonicity_witness, specht_module, verify_claims
 from .stability import (
     InducedSpechtSequence,
     InsufficientWindow,
@@ -76,6 +76,8 @@ def cmd_chartable(args) -> tuple[int, str]:
 def cmd_branch(args) -> tuple[int, str]:
     lam = parse_partition(getattr(args, "lambda"))
     n = args.n
+    if args.verify:
+        check_claims_level(n)
     sub = specht_module(lam, n)
     counts = sub.decompose()
     rows = [[format_partition(mu), str(c)] for mu, c in counts.items()]

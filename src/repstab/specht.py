@@ -2,8 +2,11 @@
 
 Vectors live in I_n(M^lam), the free Q-module on pseudo-tabloids of shape lam
 in ambient n, represented as sparse dicts.  The Specht span I_n(V_lam), the
-inclusion iota to ambient n+1, the fill-the-boxes maps pi_mu, and the
-generators w_T are implemented literally from their defining sums, and
+inclusion iota to ambient n+1 and the generators w_T are implemented
+literally from their defining sums; the fill-the-boxes maps pi_mu and the
+bad-bijection sums of verify_claims are grouped by row assignment, since a
+tabloid depends only on the row each label lands in, so they cost the
+number of row assignments rather than (n-k)! fillings or bijections.
 verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep under the tabloid action
 act_vec, so its traces, isotypic components (Jucys-Murphy kernels) and span
@@ -16,7 +19,7 @@ read each trace off a pivot without acting on a row.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .characters import irreducible_character, mn_character
@@ -107,25 +110,47 @@ def iota(v: Vec) -> Vec:
     return {PseudoTabloid(t.n + 1, t.rows): c for t, c in v.items()}
 
 
+def _row_splits(items, sizes):
+    """Every way to deal the items into consecutive groups of the given sizes
+    (sum(sizes) == len(items)), each group a combination in sorted order:
+    nested combinations, in the lex order of the concatenated groups."""
+    if not sizes:
+        yield ()
+        return
+    for first in combinations(items, sizes[0]):
+        rest = [x for x in items if x not in first]
+        for tail in _row_splits(rest, sizes[1:]):
+            yield (first,) + tail
+
+
+def _added_per_row(lam: Partition, mu: Partition) -> list[int]:
+    """m_i: the number of boxes of Y_mu/Y_lam in row i, for every row of mu."""
+    per_row = [0] * len(mu)
+    for i, _ in added_boxes(lam, mu):
+        per_row[i] += 1
+    return per_row
+
+
 def pi_mu(v: Vec, mu: Partition, lam: Partition, n: int) -> Vec:
     """Fill the boxes of Y_mu/Y_lam by the complement of the support, all ways.
 
     S_n-equivariant map I_n(M^lam) -> M^mu, defined on each tabloid through
-    its canonical representative.
+    its canonical representative.  A filled tabloid depends only on the row
+    each label lands in, so the sum runs over the splits of the complement
+    into rows of m_i labels, each split standing for its prod m_i! fillings
+    (good_bijection_count).
     """
-    boxes = added_boxes(lam, mu)
+    sizes = _added_per_row(lam, mu)
+    fillings = good_bijection_count(mu, lam)
     out: Vec = {}
     for t, c in v.items():
         complement = sorted(set(range(1, n + 1)) - t.supp())
-        if len(complement) != len(boxes):
+        if len(complement) != sum(sizes):
             raise ValueError("pi_mu: |mu| must equal the ambient n")
-        for filling in permutations(complement):
-            rows = [list(row) + [0] * (mu[i] - len(row)) for i, row in enumerate(t.rows)]
-            rows += [[0] * mu[i] for i in range(len(t.rows), len(mu))]
-            for (i, j), label in zip(boxes, filling):
-                rows[i][j] = label
-            filled = PseudoTableau(n, tuple(tuple(r) for r in rows))
-            add_into(out, {filled.tabloid(): c})
+        base = t.rows + ((),) * (len(mu) - len(t.rows))
+        for groups in _row_splits(complement, sizes):
+            rows = tuple(tuple(sorted(row + group)) for row, group in zip(base, groups))
+            add_into(out, {PseudoTabloid(n, rows): c * fillings})
     return out
 
 
@@ -135,27 +160,6 @@ def w_element(t: PseudoTableau, lam: Partition) -> Vec:
     for sigma, sgn in column_stabilizer(t):
         add_into(out, {strip(act(sigma, t), lam).tabloid(): sgn})
     return out
-
-
-def moved_tableau(t: PseudoTableau, boxes_mu, boxes_nu, assignment) -> PseudoTableau:
-    """T_g: move the entry of each box of B_mu to the assigned box of B_nu."""
-    skip = set(boxes_mu)
-    content = {}
-    for i, row in enumerate(t.rows):
-        for j, label in enumerate(row):
-            if (i, j) not in skip:
-                content[(i, j)] = label
-    for b_mu, b_nu in zip(boxes_mu, assignment):
-        i, j = b_mu
-        content[b_nu] = t.rows[i][j]
-    max_row = max(i for i, _ in content) + 1
-    rows = []
-    for i in range(max_row):
-        cols = sorted(j for (r, j) in content if r == i)
-        if cols != list(range(len(cols))):
-            raise ValueError("moved boxes left a gap in a row")
-        rows.append(tuple(content[(i, j)] for j in cols))
-    return PseudoTableau(t.n, tuple(rows))
 
 
 @dataclass
@@ -170,6 +174,12 @@ class ClaimsReport:
         return not self.failures
 
 
+def check_claims_level(n: int) -> None:
+    """verify_claims is capped at n = 8; the CLI refuses before building."""
+    if n > 8:
+        raise ValueError("verify_claims capped at n = 8")
+
+
 def verify_claims(lam: Partition, n: int) -> ClaimsReport:
     """Verify the structural facts about w_T for every mu that lam leads to
     at level n, using the row-major generating tableau: membership in the
@@ -178,8 +188,7 @@ def verify_claims(lam: Partition, n: int) -> ClaimsReport:
     constant |ColStab(stripped T)|, and cancellation of the bad-bijection
     signed sums.
     """
-    if n > 8:
-        raise ValueError("verify_claims capped at n = 8")
+    check_claims_level(n)
     report = ClaimsReport(lam, n)
     targets = leadsto(lam, n)
     specht = specht_module(lam, n)
@@ -239,34 +248,59 @@ def _proportionality(image: Vec, v: Vec):
 
 def good_bijection_count(mu: Partition, lam: Partition) -> int:
     """Bijections of the added boxes to themselves preserving every row."""
-    boxes = added_boxes(lam, mu)
-    per_row: dict[int, int] = {}
-    for i, _ in boxes:
-        per_row[i] = per_row.get(i, 0) + 1
     out = 1
-    for m in per_row.values():
+    for m in _added_per_row(lam, mu):
         out *= factorial(m)
     return out
 
 
 def _bad_bijections_vanish(t_mu, lam, mu, targets, report) -> bool:
+    """For every nu >= mu and every bijection g of B_mu onto B_nu other than
+    the row-preserving ones (nu = mu), the signed sum over ColStab(T) of
+    {T_g} vanishes, T_g moving the entry of each box of B_mu to its image.
+
+    {T_g} depends only on the row map of g, the row of B_nu each box of B_mu
+    is sent to, so each sum is taken once per row map.  The bijections are
+    enumerated only when some row map's sum does not vanish, to list each
+    failing bijection in the order of permutations(B_nu).
+    """
+    boxes_mu = added_boxes(lam, mu)
+    home = tuple(i for i, _ in boxes_mu)
+    # per element of ColStab(T): the labels left in Y_lam, row by row (and an
+    # empty row below, since nu has at most one row more than lam), the
+    # labels of B_mu, and the sign
+    acted = []
+    for sigma, sgn in column_stabilizer(t_mu):
+        rows = act(sigma, t_mu).rows
+        kept = tuple(row[:part] for row, part in zip(rows, lam)) + ((),)
+        acted.append((kept, tuple(rows[i][j] for i, j in boxes_mu), sgn))
     ok = True
     for nu in targets:
         if lex_compare(nu, mu) < 0:
             continue
-        boxes_mu = added_boxes(lam, mu)
-        boxes_nu = added_boxes(lam, nu)
-        for assignment in permutations(boxes_nu):
-            good = nu == mu and all(b[0] == g[0] for b, g in zip(boxes_mu, assignment))
-            if good:
+        failed = set()
+        for groups in _row_splits(range(len(boxes_mu)), _added_per_row(lam, nu)):
+            row_map = [0] * len(boxes_mu)
+            for i, group in enumerate(groups):
+                for k in group:
+                    row_map[k] = i
+            row_map = tuple(row_map)
+            if nu == mu and row_map == home:
                 continue
             total: Vec = {}
-            for sigma, sgn in column_stabilizer(t_mu):
-                moved = moved_tableau(act(sigma, t_mu), boxes_mu, boxes_nu, assignment)
-                add_into(total, {moved.tabloid(): sgn})
+            for kept, moving, sgn in acted:
+                rows = tuple(
+                    tuple(sorted(row + tuple(moving[k] for k in group)))
+                    for row, group in zip(kept, groups)
+                )
+                add_into(total, {rows: sgn})
             if total:
-                ok = False
-                report.failures.append((mu, "bad_bijection", (nu, assignment)))
+                failed.add(row_map)
+        if failed:
+            ok = False
+            for assignment in permutations(added_boxes(lam, nu)):
+                if tuple(i for i, _ in assignment) in failed:
+                    report.failures.append((mu, "bad_bijection", (nu, assignment)))
     return ok
 
 

@@ -312,3 +312,22 @@ def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one
     assert len(standard) == 2
     assert Echelon(standard + [trivial]).dim == 3
     assert all(sum(v.values()) == 0 for v in standard)
+
+
+def test_identity_trace_is_the_row_count_without_acting():
+    # the class (1^n) is the identity: its trace is read off the row count,
+    # a Fraction like every other trace, and the int 0 of an empty sum on
+    # the zero span
+    acted = []
+
+    def act(g, v):
+        acted.append(g)
+        return {(g[i - 1], tag): c for (i, tag), c in v.items()}
+
+    ech = Echelon([{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)])
+    chi = explicit_character(ech, 3, act, closed=True)
+    assert chi == induced_character(irreducible_character((1,)), 3)
+    assert type(chi.degree()) is Fraction and chi.degree() == 3
+    assert (1, 2, 3) not in acted
+    empty = explicit_character(Echelon(), 3, act, closed=True)
+    assert empty.values == (0, 0, 0) and all(type(x) is int for x in empty.values)

@@ -17,6 +17,17 @@ def test_branch_verify_passes():
     assert text.splitlines()[-1] == "verify\tPASS"
 
 
+def test_branch_verify_above_cap_refuses_before_building(monkeypatch):
+    import repstab.cli
+
+    def unbuilt(*args):
+        raise AssertionError("specht_module built before the claims cap was checked")
+
+    monkeypatch.setattr(repstab.cli, "specht_module", unbuilt)
+    code, text = run("branch", "--lambda", "3,2,1", "--n", "9", "--verify")
+    assert (code, text) == (2, "error: verify_claims capped at n = 8")
+
+
 def test_chartable_n1():
     code, text = run("chartable", "--n", "1")
     assert code == 0

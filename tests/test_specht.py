@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+import repstab.specht as specht
 from repstab.characters import decompose, induced_character, irreducible_character
 from repstab.linalg import Echelon, add_into
-from repstab.partitions import dim_irrep, leadsto, partitions_of
+from repstab.partitions import dim_irrep, leadsto, lex_compare, partitions_of
 from repstab.perms import all_perms, generators
 from repstab.rep import Rep
 from repstab.specht import (
@@ -24,6 +26,9 @@ from repstab.specht import (
 )
 from repstab.tabloids import (
     PseudoTableau,
+    PseudoTabloid,
+    act,
+    added_boxes,
     parse_tableau,
     pseudo_tableaux,
     row_major_tableau,
@@ -141,6 +146,129 @@ def test_pi_mu_equivariant():
                 left = pi_mu(act_vec(sigma, v), mu, lam, n)
                 right = act_vec(sigma, pi_mu(v, mu, lam, n))
                 assert left == right
+
+
+def literal_pi_mu(v, mu, lam, n):
+    """pi_mu from its defining sum: every filling of the added boxes by the
+    complement of the support, (n - k)! of them per tabloid."""
+    boxes = added_boxes(lam, mu)
+    out = {}
+    for t, c in v.items():
+        complement = sorted(set(range(1, n + 1)) - t.supp())
+        if len(complement) != len(boxes):
+            raise ValueError("pi_mu: |mu| must equal the ambient n")
+        for filling in permutations(complement):
+            rows = [list(row) + [0] * (mu[i] - len(row)) for i, row in enumerate(t.rows)]
+            rows += [[0] * mu[i] for i in range(len(t.rows), len(mu))]
+            for (i, j), label in zip(boxes, filling):
+                rows[i][j] = label
+            filled = PseudoTableau(n, tuple(tuple(r) for r in rows))
+            add_into(out, {filled.tabloid(): c})
+    return out
+
+
+def moved_tableau(t, boxes_mu, boxes_nu, assignment):
+    """T_g: move the entry of each box of B_mu to the assigned box of B_nu."""
+    skip = set(boxes_mu)
+    content = {}
+    for i, row in enumerate(t.rows):
+        for j, label in enumerate(row):
+            if (i, j) not in skip:
+                content[(i, j)] = label
+    for b_mu, b_nu in zip(boxes_mu, assignment):
+        i, j = b_mu
+        content[b_nu] = t.rows[i][j]
+    max_row = max(i for i, _ in content) + 1
+    rows = []
+    for i in range(max_row):
+        cols = sorted(j for (r, j) in content if r == i)
+        if cols != list(range(len(cols))):
+            raise ValueError("moved boxes left a gap in a row")
+        rows.append(tuple(content[(i, j)] for j in cols))
+    return PseudoTableau(t.n, tuple(rows))
+
+
+def literal_bad_bijections_vanish(t_mu, lam, mu, targets, report):
+    """The bad-bijection check from its defining sums: one signed sum over
+    ColStab(T) per bijection of B_mu onto B_nu, |B_nu|! of them per nu."""
+    ok = True
+    for nu in targets:
+        if lex_compare(nu, mu) < 0:
+            continue
+        boxes_mu = added_boxes(lam, mu)
+        boxes_nu = added_boxes(lam, nu)
+        for assignment in permutations(boxes_nu):
+            good = nu == mu and all(b[0] == g[0] for b, g in zip(boxes_mu, assignment))
+            if good:
+                continue
+            total = {}
+            for sigma, sgn in specht.column_stabilizer(t_mu):
+                moved = moved_tableau(act(sigma, t_mu), boxes_mu, boxes_nu, assignment)
+                add_into(total, {moved.tabloid(): sgn})
+            if total:
+                ok = False
+                report.failures.append((mu, "bad_bijection", (nu, assignment)))
+    return ok
+
+
+def literal_claims(monkeypatch, lam, n):
+    """verify_claims with pi_mu and the bad-bijection check taken literally."""
+    with monkeypatch.context() as m:
+        m.setattr(specht, "pi_mu", literal_pi_mu)
+        m.setattr(specht, "_bad_bijections_vanish", literal_bad_bijections_vanish)
+        return specht.verify_claims(lam, n)
+
+
+SMALL_LEVELS = [(lam, n) for k in range(4) for lam in partitions_of(k) for n in range(max(k, 1), 8)]
+
+
+def test_pi_mu_matches_literal_fillings():
+    for lam, n in SMALL_LEVELS:
+        targets = leadsto(lam, n)
+        for mu in targets:
+            w = w_element(row_major_tableau(mu, n), lam)
+            for nu in targets:
+                assert pi_mu(w, nu, lam, n) == literal_pi_mu(w, nu, lam, n)
+
+
+def test_pi_mu_is_polynomial():
+    # the literal sum would run over the 11! fillings of the added boxes
+    n = 12
+    image = pi_mu({PseudoTabloid(n, ((1,),)): 1}, (n,), (1,), n)
+    assert image == {PseudoTabloid(n, (tuple(range(1, n + 1)),)): factorial(n - 1)}
+
+
+@pytest.mark.parametrize("lam, n", SMALL_LEVELS + [((3, 2, 1), 6), ((3, 2, 1), 7)])
+def test_verify_claims_matches_literal_oracle(monkeypatch, lam, n):
+    report = verify_claims(lam, n)
+    oracle = literal_claims(monkeypatch, lam, n)
+    assert report.entries == oracle.entries
+    assert report.failures == oracle.failures
+
+
+@pytest.mark.parametrize("lam, n", [((1,), 4), ((1, 1), 5), ((2, 1), 5)])
+def test_bad_bijection_failures_match_literal_loop(monkeypatch, lam, n):
+    # with ColStab(T) cut down to the identity each signed sum is a single
+    # tabloid, so every bad bijection fails; the Specht span is built (and
+    # cached) with the true column stabilizers first
+    specht_module(lam, n)
+
+    def identity_only(t):
+        yield tuple(range(1, t.n + 1)), 1
+
+    monkeypatch.setattr(specht, "column_stabilizer", identity_only)
+    report = verify_claims(lam, n)
+    oracle = literal_claims(monkeypatch, lam, n)
+    targets = leadsto(lam, n)
+    bad = [f for f in oracle.failures if f[1] == "bad_bijection"]
+    assert len(bad) == sum(
+        factorial(n - sum(lam)) - (good_bijection_count(mu, lam) if nu == mu else 0)
+        for mu in targets
+        for nu in targets
+        if lex_compare(nu, mu) >= 0
+    )
+    assert report.failures == oracle.failures
+    assert report.entries == oracle.entries
 
 
 def expand_combination(terms, n):
