@@ -25,7 +25,13 @@ from .configspaces import (
 )
 from .manifolds import DescriptorError
 from .partitions import format_partition, parse_partition
-from .specht import check_claims_level, monotonicity_witness, specht_module, verify_claims
+from .specht import (
+    check_claims_level,
+    monotonicity_witness,
+    specht_module,
+    tabloid_module_dim,
+    verify_claims,
+)
 from .stability import (
     InducedSpechtSequence,
     InsufficientWindow,
@@ -46,6 +52,18 @@ def _budget() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"REPSTAB_BUDGET must be an integer, got {raw!r}") from None
+
+
+def _check_module_budget(lam, n: int) -> None:
+    """Refuse before building anything when I_n(M^lam), the tabloid module
+    that the largest level a command builds lives in, exceeds the budget."""
+    budget = _budget()
+    size = tabloid_module_dim(lam, n)
+    if size > budget:
+        raise BudgetExceeded(
+            f"I_n(M^lambda) for lambda = {format_partition(lam)}, n = {n} has {size} tabloids, "
+            f"over the {budget}-element budget"
+        )
 
 
 def _emit(rows: list[list[str]], fmt: str) -> str:
@@ -78,6 +96,8 @@ def cmd_branch(args) -> tuple[int, str]:
     n = args.n
     if args.verify:
         check_claims_level(n)
+    monotone = args.verify and n <= 7  # monotonicity_witness builds level n + 1
+    _check_module_budget(lam, n + 1 if monotone else n)
     sub = specht_module(lam, n)
     counts = sub.decompose()
     rows = [[format_partition(mu), str(c)] for mu, c in counts.items()]
@@ -89,7 +109,7 @@ def cmd_branch(args) -> tuple[int, str]:
     if not claims.ok:
         witness_lines += [f"claims failure: {f!r}" for f in claims.failures]
     skipped = ""
-    if n <= 7:
+    if monotone:
         mono = monotonicity_witness(lam, n)
         if not mono.ok:
             witness_lines += [f"monotonicity failure: {f!r}" for f in mono.failures]
@@ -107,6 +127,7 @@ def cmd_monotone(args) -> tuple[int, str]:
     start = max(sum(lam), 1)
     if args.n_max < start + 1:
         raise InsufficientWindow(f"window [{start}, {args.n_max}] has no map to check")
+    _check_module_budget(lam, args.n_max)
     report = check_monotone(seq, start, args.n_max)
     rows = [[str(n), "ok" if flag else "FAIL"] for n, flag in sorted(report.monotone.items())]
     out = _emit(rows, args.format)
@@ -120,6 +141,7 @@ def cmd_stable(args) -> tuple[int, str]:
     lam = parse_partition(getattr(args, "lambda"))
     seq = InducedSpechtSequence(lam)
     start = max(sum(lam), 1)
+    _check_module_budget(lam, args.n_max)
     report = check_uniform_stability(seq, start, args.n_max)
     rows = []
     for n in sorted(report.multiplicities):

@@ -55,6 +55,16 @@ class Echelon:
             for v in vectors:
                 self.insert(v)
 
+    @classmethod
+    def from_reduced(cls, rows) -> "Echelon":
+        """The Echelon whose rows are the given (pivot, row) pairs, already in
+        its form: each row primitive and integral with a positive entry at its
+        pivot, its minimal key, and every pivot zero in every other row.  The
+        rows are taken as they are, with no elimination."""
+        ech = cls()
+        ech.rows = sorted(rows, key=_pivot_of)
+        return ech
+
     @property
     def dim(self) -> int:
         return len(self.rows)

@@ -1,12 +1,15 @@
 """Explicit induced tabloid modules, polytabloids, and the branching generators.
 
 Vectors live in I_n(M^lam), the free Q-module on pseudo-tabloids of shape lam
-in ambient n, represented as sparse dicts.  The Specht span I_n(V_lam), the
-inclusion iota to ambient n+1 and the generators w_T are implemented
-literally from their defining sums; the fill-the-boxes maps pi_mu and the
-bad-bijection sums of verify_claims are grouped by row assignment, since a
-tabloid depends only on the row each label lands in, so they cost the
-number of row assignments rather than (n-k)! fillings or bijections.
+in ambient n, represented as sparse dicts.  The Specht span I_n(V_lam) is
+the direct sum over the k-subsets S of 1..n of a copy of V_lam on S, so it
+is built once at ambient k = |lam| and its reduced rows are relabelled onto
+every S, in the FI-module picture of Church-Farb.  The inclusion iota to
+ambient n+1 and the generators w_T are implemented literally from their
+defining sums; the fill-the-boxes maps pi_mu and the bad-bijection sums of
+verify_claims are grouped by row assignment, since a tabloid depends only on
+the row each label lands in, so they cost the number of row assignments
+rather than (n-k)! fillings or bijections.
 verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep under the tabloid action
 act_vec, so its traces, isotypic components (Jucys-Murphy kernels) and span
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 from .characters import irreducible_character, mn_character
-from .linalg import add_into
+from .linalg import Echelon, add_into
 from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare
 from .perms import Perm, all_perms, cycle_type
 from .rep import KeyIndex, Rep
@@ -72,18 +75,37 @@ Subspace = Rep
 def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
     """I_n(V_lam): the span of all polytabloids of shape lam in ambient n.
 
-    Since v_T = +/- v_T' when T' reorders columns of T, only column-sorted
-    tableaux are inserted, and insertion stops at the branching-rule rank
-    dim_irrep(lam) * C(n, k); pass full=True to insert every polytabloid
-    (the small-n tests re-derive the rank that the early stop assumes).
-    """
-    from math import comb
+    As a vector space I_n(V_lam) is the direct sum, over the k-subsets S of
+    1..n (k = |lam|), of one copy of V_lam on the labels S.  So for n > k the
+    module at ambient k is built once, and each of its reduced rows is copied
+    onto every S through the order-preserving relabel 1..k -> S.  The relabel
+    keeps the order of the tabloids of one support, and different supports
+    share no tabloid, so the copies are the span's reduced echelon rows
+    (primitive, with positive pivots; that form is unique) and are stored
+    without any elimination.
 
-    if n < sum(lam):
+    At n = k only column-sorted tableaux are inserted (v_T = +/- v_T' when T'
+    reorders columns of T), until the rank reaches dim_irrep(lam).  full=True
+    inserts every polytabloid at any n: the oracle the tests compare against.
+    """
+    k = sum(lam)
+    if n < k:
         raise ValueError(f"ambient {n} too small for {lam}")
     index = tabloid_index(lam, n)
     sub = Rep(n, act_vec, index=index)
-    target = None if full else dim_irrep(lam) * comb(n, sum(lam))
+    if n > k and not full:
+        base = specht_module(lam, k)
+        rows = []
+        for subset in combinations(range(1, n + 1), k):
+            # position at ambient n of each ambient-k tabloid relabelled onto subset
+            pos = [
+                index.pos[PseudoTabloid(n, tuple(tuple(subset[x - 1] for x in row) for row in t.rows))]
+                for t in base.index.keys
+            ]
+            rows.extend((pos[p], {pos[i]: c for i, c in row.items()}) for p, row in base.echelon.rows)
+        sub.echelon = Echelon.from_reduced(rows)
+        return sub
+    target = None if full else dim_irrep(lam)
     for t in pseudo_tableaux(lam, n):
         if not full and any(
             col != tuple(sorted(col)) for col in t.columns() if len(col) > 1
@@ -96,8 +118,6 @@ def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
 
 
 def tabloid_module_dim(lam: Partition, n: int) -> int:
-    from math import comb
-
     k = sum(lam)
     ways = factorial(k)
     for part in lam:

@@ -1,3 +1,5 @@
+import pytest
+
 from repstab.cli import dispatch
 
 
@@ -26,6 +28,54 @@ def test_branch_verify_above_cap_refuses_before_building(monkeypatch):
     monkeypatch.setattr(repstab.cli, "specht_module", unbuilt)
     code, text = run("branch", "--lambda", "3,2,1", "--n", "9", "--verify")
     assert (code, text) == (2, "error: verify_claims capped at n = 8")
+
+
+def test_branch_budget_refuses_before_building(monkeypatch, capsys):
+    import repstab.cli
+
+    def unbuilt(*args):
+        raise AssertionError("specht_module built before the budget was checked")
+
+    # I_7(M^(3,2,1)) has 420 tabloids
+    monkeypatch.setenv("REPSTAB_BUDGET", "419")
+    monkeypatch.setattr(repstab.cli, "specht_module", unbuilt)
+    assert repstab.cli.main(["branch", "--lambda", "3,2,1", "--n", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == (
+        "error: I_n(M^lambda) for lambda = 3,2,1, n = 7 has 420 tabloids, "
+        "over the 419-element budget (raise REPSTAB_BUDGET to override)\n"
+    )
+    assert "Traceback" not in err
+
+
+def test_branch_budget_covers_the_monotonicity_level(monkeypatch):
+    # I_5(M^(2,1)) has 30 tabloids and I_6(M^(2,1)) 60; --verify at n <= 7
+    # also builds level n + 1
+    monkeypatch.setenv("REPSTAB_BUDGET", "30")
+    assert run("branch", "--lambda", "2,1", "--n", "5")[0] == 0
+    code, text = run("branch", "--lambda", "2,1", "--n", "5", "--verify")
+    assert code == 2 and "n = 6 has 60 tabloids" in text
+    monkeypatch.setenv("REPSTAB_BUDGET", "60")
+    assert run("branch", "--lambda", "2,1", "--n", "5", "--verify")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["monotone", "stable"])
+def test_sequence_budget_checks_n_max(monkeypatch, command):
+    import repstab.stability
+
+    # I_5(M^(1)) has 5 tabloids
+    monkeypatch.setenv("REPSTAB_BUDGET", "5")
+    assert run(command, "--lambda", "1", "--n-max", "5")[0] == 0
+
+    def unbuilt(*args):
+        raise AssertionError("specht_module built before the budget was checked")
+
+    monkeypatch.setenv("REPSTAB_BUDGET", "4")
+    monkeypatch.setattr(repstab.stability, "specht_module", unbuilt)
+    code, text = run(command, "--lambda", "1", "--n-max", "5")
+    assert code == 2
+    assert text.startswith("error: I_n(M^lambda) for lambda = 1, n = 5 has 5 tabloids")
+    assert text.endswith("(raise REPSTAB_BUDGET to override)")
 
 
 def test_chartable_n1():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -75,9 +75,37 @@ def test_tabloid_module_dim_matches_enumeration():
 
 
 def test_specht_full_matches_early_stop():
-    # the early-stop rank assumption re-derived by full enumeration
-    for lam, n in [((1,), 4), ((2,), 4), ((1, 1), 4), ((2, 1), 5), ((3,), 5)]:
-        assert specht_module(lam, n, full=True).dim == specht_module(lam, n).dim
+    # the relabelled copies of the ambient-k rows (and, at n = k, the
+    # early-stopped insertion) are exactly the reduced echelon rows of the
+    # span of every polytabloid
+    cases = [(lam, n) for k in range(1, 4) for lam in partitions_of(k) for n in range(k, 7)]
+    cases += [((2, 2), 6), ((3, 1, 1), 6), ((3, 2, 1), 7)]
+    cases += [((), n) for n in range(4)]
+    for lam, n in cases:
+        sub = specht_module(lam, n)
+        assert sub.echelon.rows == specht_module(lam, n, full=True).echelon.rows, (lam, n)
+        assert sub.dim == dim_irrep(lam) * comb(n, sum(lam))
+        # not marked closed, so its trace still checks invariance
+        assert not sub.closed
+
+
+def test_specht_module_enumerates_no_tableau_above_k(monkeypatch):
+    # above ambient k = |lam| the module is copied from ambient k, so no
+    # pseudo-tableau at ambient n is ever enumerated
+    real = specht.pseudo_tableaux
+
+    def only_at_k(lam, n):
+        if n > sum(lam):
+            raise AssertionError(f"pseudo_tableaux({lam}, {n}) enumerated")
+        return real(lam, n)
+
+    monkeypatch.setattr(specht, "pseudo_tableaux", only_at_k)
+    specht_module.cache_clear()
+    try:
+        assert specht_module((2, 1), 6).dim == 40
+        assert specht_module((3, 2, 1), 7).dim == 112
+    finally:
+        specht_module.cache_clear()
 
 
 def test_every_polytabloid_lies_in_early_stopped_span():
