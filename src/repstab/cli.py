@@ -95,9 +95,9 @@ def cmd_branch(args) -> tuple[int, str]:
     lam = parse_partition(getattr(args, "lambda"))
     n = args.n
     if args.verify:
-        check_claims_level(n)
-    monotone = args.verify and n <= 7  # monotonicity_witness builds level n + 1
-    _check_module_budget(lam, n + 1 if monotone else n)
+        check_claims_level(n)  # monotonicity_witness has the same cap, n = 8
+    # --verify runs monotonicity_witness, which builds level n + 1
+    _check_module_budget(lam, n + 1 if args.verify else n)
     sub = specht_module(lam, n)
     counts = sub.decompose()
     rows = [[format_partition(mu), str(c)] for mu, c in counts.items()]
@@ -108,17 +108,13 @@ def cmd_branch(args) -> tuple[int, str]:
     witness_lines = []
     if not claims.ok:
         witness_lines += [f"claims failure: {f!r}" for f in claims.failures]
-    skipped = ""
-    if monotone:
-        mono = monotonicity_witness(lam, n)
-        if not mono.ok:
-            witness_lines += [f"monotonicity failure: {f!r}" for f in mono.failures]
-    else:
-        skipped = "\nmonotonicity\tskipped (n > 7)"
+    mono = monotonicity_witness(lam, n)
+    if not mono.ok:
+        witness_lines += [f"monotonicity failure: {f!r}" for f in mono.failures]
     if witness_lines:
         path = _write_witness(witness_lines)
         return 1, out + f"\nverify\tFAIL\t{path}"
-    return 0, out + skipped + "\nverify\tPASS"
+    return 0, out + "\nverify\tPASS"
 
 
 def cmd_monotone(args) -> tuple[int, str]:

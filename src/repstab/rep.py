@@ -5,8 +5,12 @@ Rep is the one class behind Specht spans (specht.specht_module), the levels
 of consistent sequences (stability) and the cohomology cells of the explicit
 E2 page (e2).  It keeps the span as a reduced Echelon and takes a vector
 action act(sigma, v).  Traces and isotypic components come from
-characters.explicit_character and characters.central_isotypic; sn_span is
-the one span-closure loop.
+characters.explicit_character and characters.central_isotypic.
+span_multiplicities reads which constituents span(S_n . seeds) contains off
+central projections (Jucys-Murphy power sums) of the seeds, without closing
+that span; sn_span, the span-closure loop, closes only projected vectors of
+constituents that occur more than once, and is the oracle the tests compare
+span_multiplicities against.
 
 An index over the keys of a finite basis lets a Rep act by table lookups:
 the echelon is kept over integer positions in sorted key order, and sigma
@@ -28,18 +32,20 @@ representations, and is the oracle the tests compare both indices against.
 """
 
 from functools import lru_cache
+from itertools import repeat
 
 from .characters import (
     ClassFunction,
     MultiplicityVector,
     central_isotypic,
+    content_power_sums,
     decompose,
     explicit_character,
     jucys_murphy_pivots,
     separating_degree,
 )
-from .linalg import Echelon
-from .partitions import Partition
+from .linalg import Echelon, _integral, add_into
+from .partitions import Partition, dim_irrep
 from .perms import from_cycles, generators
 
 
@@ -133,6 +139,56 @@ class LinearIndex(_Positions):
         return {j: c for j, c in out.items() if c}
 
 
+def _vanishing_poly(roots) -> list[int]:
+    """Coefficients, lowest degree first, of prod (t - r) over the roots."""
+    poly = [1]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def _combine(coeffs, vectors) -> dict:
+    """sum c_i w_i."""
+    out: dict = {}
+    for c, w in zip(coeffs, vectors):
+        if c:
+            add_into(out, w, c)
+    return out
+
+
+class _CentralAction:
+    """The Jucys-Murphy power sums p_j(J) = sum_i J_i^j, J_i = sum_{a<i} (a i),
+    on the vectors of one Rep in internal coordinates, through its index's
+    action (integer vectors stay integer) or its own.
+
+    The vectors are not reduced by the modulus on the way: W is invariant,
+    so reducing once at the end gives the same normal form."""
+
+    def __init__(self, rep: "Rep"):
+        n = rep.n
+        self.jm = [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
+        self.act = rep.act if rep.index is None else rep.index.act
+
+    def _transpositions(self, taus, w: dict) -> dict:
+        """sum of tau . w over the transpositions taus."""
+        out: dict = {}
+        for tau in taus:
+            add_into(out, self.act(tau, w))
+        return out
+
+    def power_sum(self, w: dict, j: int) -> dict:
+        """p_j(J) w."""
+        if j == 1:
+            return self._transpositions([tau for taus in self.jm for tau in taus], w)
+        powers = []
+        for taus in self.jm:
+            v = w
+            for _ in range(j):
+                v = self._transpositions(taus, v)
+            powers.append(v)
+        return _combine(repeat(1), powers)
+
+
 class Rep:
     """S/W for a span S of vectors and an optional invariant modulus W, with
     S_n acting by act(sigma, v).
@@ -220,6 +276,101 @@ class Rep:
             powers = jucys_murphy_pivots(self.echelon, self.n, self._act, k)
             self._jm = (self.dim, k, powers)
         return [self._decode(v) for v in central_isotypic(self.echelon, mu, self.n, self._act, powers)]
+
+    def central_projections(self, seeds, counts: dict, nus=None) -> dict:
+        """{nu: a nonzero multiple of e_nu x, for some x in the span of the
+        seeds}, for each constituent nu of this level that e_nu does not
+        kill on the seeds; counts = {nu: m_nu} is the level's decomposition
+        and nus restricts the answer to some partitions.
+
+        p_j(J) is central and acts on V_nu by the scalar
+        content_power_sums(nu)[j - 1].  Over the distinct content sums c' of
+        the constituents, P_c = prod_{c' != c} (p_1(J) - c') is a nonzero
+        multiple of the central idempotent onto the constituents of content
+        sum c; P_c x is read off one Krylov sequence x, p_1(J) x, ... shared by
+        every c, with integer coefficients.  Constituents that tie on p_1 are
+        split by p_2(J), p_3(J), ... the same way.  The seeds are combined
+        into one vector first, and projected one by one only for the
+        constituents whose projection the combination cancels.
+
+        A constituent left out of counts would leak into the projections of
+        the others, so counts must add up to this level's dimension
+        (ValueError otherwise).
+        """
+        if sum(m * dim_irrep(nu) for nu, m in counts.items()) != self.dim:
+            raise ValueError("counts is not the decomposition of this level")
+        constituents = sorted(nu for nu, m in counts.items() if m)
+        missing = {nu for nu in (constituents if nus is None else nus) if counts.get(nu)}
+        action = _CentralAction(self)
+        xs = [_integral(x)[0] for x in (self._nf(self._encode(s)) for s in seeds) if x]
+        found: dict = {}
+
+        def absorb(x: dict) -> None:
+            for nu, y in self._project(action, x, constituents, missing).items():
+                y = self._nf(y)
+                if y:
+                    found[nu] = self._decode(y)
+            missing.difference_update(found)
+
+        combined: dict = {}
+        for i, x in enumerate(xs):
+            add_into(combined, x, i + 1)
+        absorb(combined)
+        for x in xs if missing and len(xs) > 1 else ():
+            absorb(x)
+            if not missing:
+                break
+        return found
+
+    def span_multiplicities(self, seeds, counts: dict, nus=None) -> dict:
+        """{nu: multiplicity of V_nu in span(S_n . seeds)} for the constituents
+        nu of this level, counts = {nu: m_nu} being its decomposition; nus
+        restricts the answer to some partitions.
+
+        e_nu span(S_n . X) = span(S_n . e_nu X), so a constituent with
+        m_nu = 1 is in the span exactly when central_projections finds it.
+        For m_nu > 1 only projected vectors are closed (sn_span), a span of
+        at most m_nu f^nu dimensions: the projection of the combined seeds
+        first, and the projection of every seed if that falls short.
+        """
+        mult = dict.fromkeys(counts if nus is None else nus, 0)
+        found = self.central_projections(seeds, counts, nus)
+        short = []
+        for nu, w in found.items():
+            mult[nu] = 1 if counts[nu] == 1 else self.sn_span([w]).dim // dim_irrep(nu)
+            if mult[nu] < counts[nu]:
+                short.append(nu)
+        if short:
+            projected: dict = {nu: [] for nu in short}
+            for s in seeds:
+                for nu, w in self.central_projections([s], counts, short).items():
+                    projected[nu].append(w)
+            for nu in short:
+                mult[nu] = self.sn_span(projected[nu]).dim // dim_irrep(nu)
+        return mult
+
+    def _project(self, action: _CentralAction, x, constituents: list, wanted: set, j: int = 1) -> dict:
+        """{nu: nonzero multiple of e_nu x} for the wanted constituents, given
+        x in the sum of the constituents' isotypic parts, all of which agree
+        on p_1 .. p_{j-1}; a zero projection may be left out."""
+        if len(constituents) == 1:
+            return {nu: x for nu in constituents if nu in wanted}
+        value = {nu: content_power_sums(nu, j)[-1] for nu in constituents}
+        roots = sorted(set(value.values()))
+        if len(roots) == 1:
+            return self._project(action, x, constituents, wanted, j + 1)
+        krylov = [x]
+        while len(krylov) < len(roots):
+            krylov.append(action.power_sum(krylov[-1], j))
+        out = {}
+        for c in roots:
+            group = [nu for nu in constituents if value[nu] == c]
+            if wanted.isdisjoint(group):
+                continue
+            y = _combine(_vanishing_poly([r for r in roots if r != c]), krylov)
+            if y:
+                out.update(self._project(action, y, group, wanted, j + 1))
+        return out
 
     def sn_span(self, seeds) -> "Rep":
         """Smallest invariant subspace containing the seeds (same level,

@@ -12,11 +12,14 @@ the row each label lands in, so they cost the number of row assignments
 rather than (n-k)! fillings or bijections.
 verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep under the tabloid action
-act_vec, so its traces, isotypic components (Jucys-Murphy kernels) and span
-closures are Rep's; the n! group-sum projector project_tabloid is kept only
-as the oracle the tests compare against.  Those Reps carry tabloid_index(lam,
-n), so they compute on integer positions and act by permutation tables, and
-read each trace off a pivot without acting on a row.
+act_vec, so its traces, isotypic components (Jucys-Murphy kernels), central
+projections and span closures are Rep's.  Those Reps carry
+tabloid_index(lam, n), so they compute on integer positions and act by
+permutation tables, and read each trace off a pivot without acting on a row.
+monotonicity_witness closes no span: the constituents of I_{n+1}(V_lam),
+read off its trace, are Pieri's, each once, so Rep.span_multiplicities
+reads the ones an S_{n+1}-span holds off central projections.  The n! group-sum projector
+project_tabloid is kept only as the oracle the tests compare against.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +28,7 @@ from functools import cache, lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .characters import irreducible_character, mn_character
+from .characters import mn_character
 from .linalg import Echelon, add_into
 from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare
 from .perms import Perm, all_perms, cycle_type
@@ -363,27 +366,42 @@ class MonotonicityReport:
 
 
 def monotonicity_witness(lam: Partition, n: int) -> MonotonicityReport:
-    """For each mu in leadsto(lam, n): project onto the V_mu isotypic piece of
-    I_n(V_lam), push through iota, take the S_{n+1} span, and confirm it
-    contains V_{mu{n+1}}.
+    """For each mu in leadsto(lam, n): take a vector w of the V_mu isotypic
+    piece W of I_n(V_lam), push it through iota, and confirm that its
+    S_{n+1}-span contains V_{mu{n+1}}.
+
+    The decompositions of I_n(V_lam) and I_{n+1}(V_lam) are read off their
+    traces.  By Pieri's rule the first holds each V_mu of leadsto(lam, n)
+    once; component_dim is m_mu f^mu, and an isotypic_dim failure is
+    recorded unless it is f^mu and central projection of the basis
+    (Rep.central_projections) finds a w != 0 in W.  W is then irreducible
+    and iota is S_n-equivariant, so span(S_{n+1} . iota(W)) =
+    span(S_{n+1} . iota(w)); Rep.span_multiplicities reads which
+    constituents of I_{n+1}(V_lam) that span holds off central projections
+    of iota(w), and span_dim sums their dimensions.  No isotypic basis is
+    computed, and a span is closed only where I_{n+1}(V_lam) holds a
+    constituent more than once, which Pieri's rule rules out.
     """
-    if n > 7:
-        raise ValueError("monotonicity_witness capped at n = 7")
+    if n > 8:
+        raise ValueError("monotonicity_witness capped at n = 8")
     report = MonotonicityReport(lam, n)
     sub = specht_module(lam, n)
+    sub_counts = sub.decompose().counts
+    components = sub.central_projections(sub.basis(), sub_counts, leadsto(lam, n))
+    level = specht_module(lam, n + 1)
+    counts = level.decompose().counts
     for mu in leadsto(lam, n):
-        component = isotypic_component(sub, mu)
-        entry = {"mu": mu, "component_dim": len(component)}
-        if len(component) != dim_irrep(mu):
-            report.failures.append((mu, "isotypic_dim", len(component)))
-        span = sn_span([iota(v) for v in component], n + 1)
-        chi = span.character()
+        w = components.get(mu)
+        component_dim = sub_counts.get(mu, 0) * dim_irrep(mu)
+        entry = {"mu": mu, "component_dim": component_dim}
+        if component_dim != dim_irrep(mu) or not w:
+            report.failures.append((mu, "isotypic_dim", component_dim))
+        mults = level.span_multiplicities([iota(w)] if w else [], counts)
         target = curly_pad(mu)
-        mult = chi.inner(irreducible_character(target))
         entry["target"] = target
-        entry["target_multiplicity"] = mult
-        entry["span_dim"] = span.dim
-        if mult < 1:
+        entry["target_multiplicity"] = mults.get(target, 0)
+        entry["span_dim"] = sum(m * dim_irrep(nu) for nu, m in mults.items())
+        if entry["target_multiplicity"] < 1:
             report.failures.append((mu, "span_missing_target", target))
         report.entries.append(entry)
     return report

@@ -12,12 +12,15 @@ Two backends coexist: multiplicity bookkeeping through induced characters
 Conditions I/II and for monotonicity, which quantifies over subspaces).
 On the explicit side, Rep.character reads traces off the pivots of the
 reduced echelon basis, Rep.isotypic takes the joint eigenspace of the
-Jucys-Murphy power sums and Rep.sn_span closes spans under the generators;
-none sums over S_n.  Levels inside a tabloid module (induced modules and
-Specht spans, and the quotients, kernels and images built from them, which
-reuse their source's index) take the monomial fast path of specht.tabloid_index;
-without a modulus their traces are read off the pivots with no action, while
-quotients act and reduce.  Sums stay on the generic vector action.
+Jucys-Murphy power sums, and Rep.span_multiplicities decides which
+constituents an S_{n+1}-span holds (monotonicity, and spanning) by central
+projection, closing only the projections of constituents that occur more
+than once (Rep.sn_span); none sums over S_n.  Levels inside a tabloid module
+(induced modules and Specht spans, and the quotients, kernels and images
+built from them, which reuse their source's index) take the monomial fast
+path of specht.tabloid_index; without a modulus their traces are read off
+the pivots with no action, while quotients act and reduce.  Sums stay on the
+generic vector action.
 All verdicts are statements about the tested window only.
 """
 
@@ -269,9 +272,12 @@ def row_merge_key(t: PseudoTabloid):
 
 def _sequence_character(seq, n: int, level: Rep) -> ClassFunction:
     """The character of level n: the sequence's hint, or the trace on level,
-    which is seq.rep(n) built by the caller."""
+    which is seq.rep(n) built by the caller.  A hint whose degree is not
+    level's dimension (one that drops or adds a constituent) is not used."""
     hinted = seq.character_hint(n) if hasattr(seq, "character_hint") else None
-    return hinted if hinted is not None else level.character()
+    if hinted is not None and hinted.degree() == level.dim:
+        return hinted
+    return level.character()
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +343,37 @@ def check_uniform_stability(seq, n_start: int, n_max: int) -> StabilityReport:
     of uniform representation stability, on the window [n_start, n_max].
 
     Condition III runs on the character backend when the sequence provides
-    one; Conditions I and II always run on the explicit backend.  Each level
-    is built once.
+    one (and its degree is the level's dimension); Conditions I and II
+    always run on the explicit backend.  Condition II compares the dimension
+    of span(S_{n+1} . phi_n(basis)), summed over the constituents that
+    Rep.span_multiplicities finds in it with the decomposition Condition III
+    computed, with the dimension of level n + 1.  Each level is built and
+    decomposed once.
     """
     if n_max < n_start + 1:
         raise InsufficientWindow(f"window [{n_start}, {n_max}] has no map to check")
     report = StabilityReport(seq.label, (n_start, n_max))
 
-    def level(n: int) -> Rep:
+    def level(n: int) -> tuple[Rep, dict]:
         rep = seq.rep(n)
-        report.multiplicities[n] = stable_multiplicities(_sequence_character(seq, n, rep))
-        return rep
+        counts = decompose(_sequence_character(seq, n, rep)).counts
+        report.multiplicities[n] = {unpad(mu): c for mu, c in counts.items()}
+        return rep, counts
 
-    target = level(n_start)
+    target, _ = level(n_start)
     for n in range(n_start, n_max):
-        source, target = target, level(n + 1)
+        source, (target, counts) = target, level(n + 1)
         images = [target.nf(seq.phi(n, v)) for v in source.basis()]
         inj = span_dim(images) == source.dim
         report.injectivity[n] = inj
         if not inj:
             report.witnesses.append((n, "injectivity"))
-        span = target.sn_span(images)
-        surj = span.dim == target.dim
+        mults = target.span_multiplicities(images, counts)
+        spanned = sum(m * dim_irrep(nu) for nu, m in mults.items())
+        surj = spanned == target.dim
         report.surjectivity[n] = surj
         if not surj:
-            report.witnesses.append((n, "surjectivity", span.dim, target.dim))
+            report.witnesses.append((n, "surjectivity", spanned, target.dim))
     ns = sorted(report.multiplicities)
     for a, b in zip(ns, ns[1:]):
         if report.multiplicities[a] != report.multiplicities[b]:
@@ -375,15 +387,24 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
     """Monotonicity on the window: for each isotypic component W = V_mu^k of
     V_n, the S_{n+1}-span of phi_n(W) contains V_{mu{n+1}}^k.
 
-    `only` restricts to components with the given stable label, e.g. () for
-    the trivial representation.  Each level is built once.
+    The multiplicity of V_{mu{n+1}} in that span is read off central
+    projections (Rep.span_multiplicities) of phi_n of one vector of W when
+    k = 1, of a basis of W otherwise; only projections onto V_{mu{n+1}} are
+    ever closed, where it occurs more than once in V_{n+1}.  The one vector
+    stands for W because phi_n is assumed S_n-equivariant; that is not
+    checked, and a phi_n that is not can pass here.  `only`
+    restricts to components with the given stable label, e.g. () for the
+    trivial representation.  Each level is built and decomposed once.
     """
     report = StabilityReport(seq.label, (n_start, n_max))
     target = None
     for n in range(n_start, n_max):
-        source = target if target is not None else seq.rep(n)
+        if target is None:
+            target = seq.rep(n)
+            target_counts = decompose(_sequence_character(seq, n, target)).counts
+        source, counts = target, target_counts
         target = seq.rep(n + 1)
-        counts = decompose(_sequence_character(seq, n, source)).counts
+        target_counts = decompose(_sequence_character(seq, n + 1, target)).counts
         level_ok = True
         for mu, k in sorted(counts.items(), reverse=True):
             if only is not None and unpad(mu) != only:
@@ -393,8 +414,10 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
                 level_ok = False
                 report.witnesses.append((n, mu, "isotypic_dim", len(component)))
                 continue
-            span = target.sn_span([seq.phi(n, v) for v in component])
-            achieved = span.character().inner(irreducible_character(curly_pad(mu)))
+            # one vector generates an irreducible W; phi is assumed S_n-equivariant
+            seeds = [seq.phi(n, v) for v in (component[:1] if k == 1 else component)]
+            mu_next = curly_pad(mu)
+            achieved = target.span_multiplicities(seeds, target_counts, [mu_next])[mu_next]
             if achieved < k:
                 level_ok = False
                 report.witnesses.append((n, mu, "monotone", achieved))

@@ -49,8 +49,8 @@ def test_branch_budget_refuses_before_building(monkeypatch, capsys):
 
 
 def test_branch_budget_covers_the_monotonicity_level(monkeypatch):
-    # I_5(M^(2,1)) has 30 tabloids and I_6(M^(2,1)) 60; --verify at n <= 7
-    # also builds level n + 1
+    # I_5(M^(2,1)) has 30 tabloids and I_6(M^(2,1)) 60; --verify also builds
+    # level n + 1
     monkeypatch.setenv("REPSTAB_BUDGET", "30")
     assert run("branch", "--lambda", "2,1", "--n", "5")[0] == 0
     code, text = run("branch", "--lambda", "2,1", "--n", "5", "--verify")

@@ -2,6 +2,8 @@
 generic vector action on the same vectors, for the tabloid modules
 (KeyIndex) and the cells of the explicit E2 page (LinearIndex)."""
 
+from math import lcm
+
 import pytest
 
 from repstab.e2 import E2Page
@@ -101,6 +103,35 @@ def test_only_spans_closed_by_sn_span_skip_the_invariance_check():
     t = next(iter(sub.basis()[0]))
     with pytest.raises(ValueError):
         Rep(4, act_vec, [{t: 1}], index=sub.index).character()
+
+
+def test_span_multiplicities_survive_seeds_that_cancel():
+    # the seeds 2v and -v combine (with weights 1, 2) to zero, so each must
+    # be projected on its own
+    rep = specht_module((2, 1), 5)
+    counts = rep.decompose().counts
+    b = rep.basis()[0]
+    scale = lcm(*[c.denominator for c in b.values()])
+    v = {t: int(c * scale) for t, c in b.items()}
+    seeds = [{t: 2 * c for t, c in v.items()}, {t: -c for t, c in v.items()}]
+    expected = rep.sn_span([v]).decompose().counts
+    got = rep.span_multiplicities(seeds, counts)
+    assert {nu: m for nu, m in got.items() if m} == expected
+    assert rep.central_projections(seeds, counts).keys() == expected.keys()
+
+
+@pytest.mark.parametrize("name", ["torus", "s2"])
+def test_span_multiplicities_on_page_cells(name):
+    # the linear index and the generic action, against the closed span
+    page = E2Page(load_manifold(name), 4)
+    for keys in page.cells.values():
+        basis = [{k: 1} for k in keys]
+        for index in (LinearIndex(keys, page.act_key), None):
+            rep = Rep(4, page.act_vec, basis, index=index)
+            counts = rep.decompose().counts
+            for seeds in (basis[:1], [basis[-1], {keys[0]: 2}]):
+                got = rep.span_multiplicities(seeds, counts)
+                assert {nu: m for nu, m in got.items() if m} == rep.sn_span(seeds).decompose().counts
 
 
 def _pages(names, n_max):

@@ -5,9 +5,9 @@ from math import comb, factorial
 import pytest
 
 import repstab.specht as specht
-from repstab.characters import decompose, induced_character, irreducible_character
+from repstab.characters import content_power_sums, decompose, induced_character, irreducible_character
 from repstab.linalg import Echelon, add_into
-from repstab.partitions import dim_irrep, leadsto, lex_compare, partitions_of
+from repstab.partitions import curly_pad, dim_irrep, leadsto, lex_compare, partitions_of
 from repstab.perms import all_perms, generators
 from repstab.rep import Rep
 from repstab.specht import (
@@ -24,6 +24,7 @@ from repstab.specht import (
     verify_claims,
     w_element,
 )
+from repstab.stability import InducedModuleSequence
 from repstab.tabloids import (
     PseudoTableau,
     PseudoTabloid,
@@ -465,6 +466,67 @@ def test_monotonicity_witness_examples():
     by_mu = {e["mu"]: e for e in report.entries}
     assert by_mu[(2, 2)]["target"] == (3, 2)
     assert by_mu[(2, 2)]["target_multiplicity"] >= 1
+
+
+def closure_witness(lam, n):
+    """(component_dim, span_dim, target_multiplicity) per mu of leadsto(lam, n),
+    from the isotypic basis and the closed S_{n+1}-span of its image under
+    iota: the oracle monotonicity_witness is compared against."""
+    sub = specht_module(lam, n)
+    out = []
+    for mu in leadsto(lam, n):
+        component = isotypic_component(sub, mu)
+        span = sn_span([iota(v) for v in component], n + 1)
+        out.append((len(component), span.dim, span.decompose()[curly_pad(mu)]))
+    return out
+
+
+def witness_entries(report):
+    return [(e["component_dim"], e["span_dim"], e["target_multiplicity"]) for e in report.entries]
+
+
+@pytest.mark.parametrize("lam", [lam for k in range(4) for lam in partitions_of(k)])
+def test_monotonicity_witness_matches_closure_oracle(lam):
+    for n in range(max(sum(lam), 1), 7):
+        report = monotonicity_witness(lam, n)
+        assert report.ok, report.failures
+        assert witness_entries(report) == closure_witness(lam, n)
+
+
+def test_monotonicity_witness_splits_content_sum_ties_without_closure(monkeypatch):
+    # I_6(V_(3,1)) holds (4,1,1) and (3,3), whose content sums agree, so p_1 of
+    # the Jucys-Murphy elements alone cannot tell them apart
+    assert {(4, 1, 1), (3, 3)} <= set(leadsto((3, 1), 6))
+    assert content_power_sums((4, 1, 1), 1) == content_power_sums((3, 3), 1)
+    expected = closure_witness((3, 1), 5)
+
+    def closed(*args):
+        raise AssertionError("a span was closed")
+
+    monkeypatch.setattr(Rep, "sn_span", closed)
+    report = monotonicity_witness((3, 1), 5)
+    assert report.ok
+    assert witness_entries(report) == expected
+
+
+def test_monotonicity_witness_flags_a_level_that_is_not_pieri(monkeypatch):
+    # I_4(M^(2,1)) in place of I_4(V_(2,1)) holds V_(3,1) twice, so its
+    # V_(3,1) piece is not irreducible
+    real = specht.specht_module
+    monkeypatch.setattr(
+        specht, "specht_module", lambda lam, n: InducedModuleSequence(lam).rep(n) if n == 4 else real(lam, n)
+    )
+    report = monotonicity_witness((2, 1), 4)
+    assert report.failures == [((3, 1), "isotypic_dim", 2 * dim_irrep((3, 1)))]
+    assert [e["component_dim"] for e in report.entries] == [6, 2, 3]
+
+
+def test_monotonicity_witness_runs_to_n_8():
+    report = monotonicity_witness((2, 1), 8)
+    assert report.ok
+    assert [e["target"] for e in report.entries] == [curly_pad(mu) for mu in leadsto((2, 1), 8)]
+    with pytest.raises(ValueError):
+        monotonicity_witness((1,), 9)
 
 
 def test_linalg_echelon_random_properties():

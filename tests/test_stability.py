@@ -3,11 +3,11 @@ from math import factorial
 
 import pytest
 
-from repstab.characters import content_power_sums, decompose, separating_degree
-from repstab.linalg import Echelon, add_into
-from repstab.partitions import dim_irrep
-from repstab.perms import generators
-from repstab.specht import project_tabloid
+from repstab.characters import content_power_sums, decompose, irreducible_character, separating_degree
+from repstab.linalg import Echelon, add_into, span_dim
+from repstab.partitions import contents, curly_pad, dim_irrep, pad
+from repstab.perms import from_cycles, generators
+from repstab.specht import act_vec, project_tabloid
 from repstab.stability import (
     ImageSequence,
     InducedModuleSequence,
@@ -22,6 +22,7 @@ from repstab.stability import (
     ZeroPhiSequence,
     check_monotone,
     check_uniform_stability,
+    default_seeds,
     propagate_ranges,
     property_suite,
     row_merge_key,
@@ -264,3 +265,150 @@ def test_checkers_build_each_level_once(monkeypatch):
     built.clear()
     check_uniform_stability(ker, 3, 6)
     assert built == [3, 4, 5, 6]
+
+
+# ---------------------------------------------------------------------------
+# the checkers against S_{n+1}-span closures
+
+
+def closure_monotone(seq, n_start, n_max):
+    """check_monotone's verdicts and witnesses from the decomposition of each
+    closed span(S_{n+1} . phi_n(W)): the oracle."""
+    monotone, witnesses = {}, []
+    for n in range(n_start, n_max):
+        source, target = seq.rep(n), seq.rep(n + 1)
+        monotone[n] = True
+        for mu, k in sorted(decompose(source.character()).counts.items(), reverse=True):
+            span = target.sn_span([seq.phi(n, v) for v in source.isotypic(mu)])
+            achieved = span.decompose()[curly_pad(mu)]
+            if achieved < k:
+                monotone[n] = False
+                witnesses.append((n, mu, "monotone", achieved))
+    return monotone, witnesses
+
+
+def closure_uniform(seq, n_start, n_max):
+    """check_uniform_stability's injectivity and surjectivity verdicts and
+    witnesses from span_dim and the closed span(S_{n+1} . phi_n(V_n))."""
+    injective, onto, witnesses = {}, {}, []
+    for n in range(n_start, n_max):
+        source, target = seq.rep(n), seq.rep(n + 1)
+        images = [target.nf(seq.phi(n, v)) for v in source.basis()]
+        injective[n] = span_dim(images) == source.dim
+        if not injective[n]:
+            witnesses.append((n, "injectivity"))
+        span = target.sn_span(images)
+        onto[n] = span.dim == target.dim
+        if not onto[n]:
+            witnesses.append((n, "surjectivity", span.dim, target.dim))
+    return injective, onto, witnesses
+
+
+def structural(report):
+    return report.injectivity, report.surjectivity, [
+        w for w in report.witnesses if w[1] in ("injectivity", "surjectivity")
+    ]
+
+
+COMPOSITE = [
+    seq
+    for seq in default_seeds()
+    if isinstance(seq, (SumSequence, QuotientSequence, KernelSequence, ImageSequence))
+]
+
+
+@pytest.mark.parametrize("seq", COMPOSITE, ids=lambda seq: seq.label)
+def test_checkers_match_closure_oracle(seq):
+    start = max(seq.n_min(), 1)
+    report = check_monotone(seq, start, 6)
+    assert (report.monotone, report.witnesses) == closure_monotone(seq, start, 6)
+    assert structural(check_uniform_stability(seq, start, 6)) == closure_uniform(seq, start, 6)
+
+
+@pytest.mark.parametrize("seq", COMPOSITE, ids=lambda seq: seq.label)
+def test_span_multiplicities_match_closure_oracle(seq):
+    # the span of one vector, and of a whole isotypic component, of each
+    # constituent of level n: partial spans, with multiplicities above one
+    for n in range(max(seq.n_min(), 1), 5):
+        source, target = seq.rep(n), seq.rep(n + 1)
+        counts = decompose(target.character()).counts
+        for mu in decompose(source.character()).counts:
+            component = [seq.phi(n, v) for v in source.isotypic(mu)]
+            for seeds in (component[:1], component):
+                got = target.span_multiplicities(seeds, counts)
+                assert {nu: m for nu, m in got.items() if m} == target.sn_span(seeds).decompose().counts
+
+
+def test_span_multiplicities_tell_tied_constituents_apart():
+    # a vector of V_(3,3) alone: V_(4,1,1), tied with it on p_1(J), is not
+    # in its span
+    level = InducedSpechtSequence((3, 1)).rep(6)
+    counts = decompose(level.character()).counts
+    seeds = level.isotypic((3, 3))[:1]
+    got = level.span_multiplicities(seeds, counts)
+    assert got[(3, 3)] == 1 and got[(4, 1, 1)] == 0
+    assert {nu: m for nu, m in got.items() if m} == level.sn_span(seeds).decompose().counts
+
+
+def test_check_monotone_splits_content_sum_ties_without_closure(monkeypatch):
+    # level 6 of I_n(V_(3,1)) holds (4,1,1) and (3,3), tied on p_1(J)
+    seq = InducedSpechtSequence((3, 1))
+    expected = closure_monotone(seq, 4, 6)
+
+    def closed(*args):
+        raise AssertionError("a span was closed")
+
+    monkeypatch.setattr(Rep, "sn_span", closed)
+    report = check_monotone(seq, 4, 6)
+    assert (report.monotone, report.witnesses) == expected
+    assert report.ok
+
+
+class KillTargetSequence(InducedSpechtSequence):
+    """A deliberately broken sequence: phi_n = (T - c) after iota, T the sum of
+    the transpositions of S_{n+1} and c the content sum of (n, 1), so phi_n
+    is S_n-equivariant and kills exactly the V_(n,1) part of its image."""
+
+    def phi(self, n: int, v: dict) -> dict:
+        image = super().phi(n, v)
+        out = {t: -sum(contents((n, 1))) * c for t, c in image.items()}
+        for b in range(2, n + 2):
+            for a in range(1, b):
+                add_into(out, act_vec(from_cycles(n + 1, [(a, b)]), image))
+        return out
+
+
+@pytest.mark.parametrize("lam", [(1,), (2, 1)], ids=str)
+def test_monotone_fails_where_phi_kills_the_target(lam):
+    seq = KillTargetSequence(lam)
+    start = max(sum(lam), 2)
+    report = check_monotone(seq, start, 5)
+    expected = [(n, pad((1,), n), "monotone", 0) for n in range(start, 5)]
+    assert report.witnesses == expected
+    assert (report.monotone, report.witnesses) == closure_monotone(seq, start, 5)
+    # nor is phi_n onto: V_(n,1) is missing from the span of its image
+    stab = check_uniform_stability(seq, start, 5)
+    assert not any(stab.surjectivity.values())
+    assert structural(stab) == closure_uniform(seq, start, 5)
+
+
+class DroppedHintKillTargetSequence(KillTargetSequence):
+    """KillTargetSequence whose character hint leaves out V_(n,1), the very
+    constituent phi_{n-1} misses, at every level."""
+
+    def character_hint(self, n: int):
+        return super().character_hint(n) - irreducible_character(pad((1,), n))
+
+
+def test_a_hint_that_drops_a_constituent_cannot_make_phi_onto():
+    seq = DroppedHintKillTargetSequence((1,))
+    level = seq.rep(4)
+    hinted = decompose(seq.character_hint(4)).counts
+    assert pad((1,), 4) not in hinted
+    with pytest.raises(ValueError):
+        level.span_multiplicities(level.basis(), hinted)
+    stab = check_uniform_stability(seq, 2, 5)
+    assert not any(stab.surjectivity.values())
+    assert structural(stab) == closure_uniform(seq, 2, 5)
+    # Condition III falls back to the traces, as if there were no hint
+    assert stab.multiplicities == check_uniform_stability(KillTargetSequence((1,)), 2, 5).multiplicities
