@@ -5,9 +5,10 @@ sets, memoized per (shape, cycle type).  All inner products are exact
 rationals; a non-integral or negative multiplicity raises NotACharacter
 instead of silently rounding.
 
-The same module reads characters and isotypic components off explicit
-representations: traces from the pivots of a reduced echelon basis, and
-isotypic components as joint eigenspaces of the Jucys-Murphy power sums.
+The same module reads characters off explicit representations, as traces
+from the pivots of a reduced echelon basis, and gives the scalars
+(content_power_sums) by which the Jucys-Murphy power sums act on each
+irreducible, which rep.Rep's central projections use.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .linalg import Echelon, add_into, kernel_basis
+from .linalg import Echelon
 from .partitions import (
     Partition,
     check_partition,
@@ -25,7 +26,7 @@ from .partitions import (
     pad,
     partitions_of,
 )
-from .perms import class_representative, class_size, from_cycles, generators, inverse
+from .perms import class_representative, class_size, generators, inverse
 
 
 class NotACharacter(Exception):
@@ -277,12 +278,11 @@ def count_partition_chains(lam: Partition, mu: Partition, n: int) -> int:
 # explicit representations: an action act(sigma, v) on sparse vectors
 
 
-def explicit_character(ech: Echelon, n: int, act, table=None, closed: bool = False) -> ClassFunction:
+def explicit_character(ech: Echelon, n: int, act, table=None) -> ClassFunction:
     """Character of S_n on the span of a reduced echelon basis.
 
     The span is checked to be invariant under the generators of S_n, hence
-    under all of S_n; closed=True skips the check for a span that was closed
-    under them by construction.  An in-span vector w then has coordinate
+    under all of S_n.  An in-span vector w then has coordinate
     w[pivot_i] / a_i on the echelon's integer row i, whose pivot entry is a_i,
     since every other row vanishes at that pivot; so each trace is a sum of
     pivot entries and needs no further reduction.  The identity's trace is
@@ -292,11 +292,10 @@ def explicit_character(ech: Echelon, n: int, act, table=None, closed: bool = Fal
     index table with no modulus to reduce by, gives (g . row)[pivot] =
     row[table(g^-1)[pivot]], so the traces act on no row.
     """
-    if not closed:
-        for g in generators(n):
-            for _, row in ech.rows:
-                if ech.reduce(act(g, row)):
-                    raise ValueError("span is not invariant under the action")
+    for g in generators(n):
+        for _, row in ech.rows:
+            if ech.reduce(act(g, row)):
+                raise ValueError("span is not invariant under the action")
     values = []
     for rho in partitions_of(n):
         if rho == (1,) * n:
@@ -319,66 +318,6 @@ def content_power_sums(lam: Partition, k: int) -> tuple[int, ...]:
     power sums p_j(J_1, ..., J_n) act on V_lam."""
     cs = contents(lam)
     return tuple(sum(c**j for c in cs) for j in range(1, k + 1))
-
-
-@cache
-def separating_degree(mu: Partition) -> int:
-    """Least k such that the content power sums p_1..p_k of mu differ from
-    those of every other partition of |mu|."""
-    others = [nu for nu in partitions_of(sum(mu)) if nu != mu]
-    k = 1
-    while any(content_power_sums(nu, k) == content_power_sums(mu, k) for nu in others):
-        k += 1
-    return k
-
-
-def jucys_murphy_pivots(ech: Echelon, n: int, act, k: int) -> list[list[dict]]:
-    """For each integer row b of the echelon, the pivot entries of
-    p_1(J) b, ..., p_k(J) b, with J_i = sum_{a<i} (a i) the Jucys-Murphy
-    elements; p_j(J) costs O(j n^2) transposition actions per row."""
-    pivots = ech.pivots()
-    jm = [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
-    out = []
-    for _, b in ech.rows:
-        powers = [{} for _ in range(k)]
-        for taus in jm:
-            v = b
-            for power in powers:
-                image: dict = {}
-                for tau in taus:
-                    add_into(image, act(tau, v))
-                v = image
-                add_into(power, {p: v[p] for p in pivots if p in v})
-        out.append(powers)
-    return out
-
-
-def central_isotypic(ech: Echelon, mu: Partition, n: int, act, powers=None) -> list[dict]:
-    """Reduced echelon basis of the V_mu-isotypic part of an invariant span,
-    given by its reduced echelon basis.
-
-    The Jucys-Murphy elements J_i commute, and their power sums p_j(J) are
-    central, acting on V_nu by content_power_sums(nu).  By semisimplicity the
-    V_mu-isotypic part is the joint kernel of p_j(J) - p_j(contents(mu)) for
-    j up to separating_degree(mu).  powers, the jucys_murphy_pivots of the
-    echelon to at least that degree, may be passed in to share them between
-    partitions.  The image of the echelon's integer row b_i has coordinate
-    w[pivot_k] / a_k on row b_k; the stacked relations scale column k by a_k,
-    which keeps them integral and leaves the kernel, a set of combinations of
-    the rows b_i, unchanged.
-    """
-    k = separating_degree(mu)
-    scalars = content_power_sums(mu, k)
-    if powers is None:
-        powers = jucys_murphy_pivots(ech, n, act, k)
-    stacked = []
-    for (pivot, b), row_powers in zip(ech.rows, powers):
-        row: dict = {}
-        for j, (power, c) in enumerate(zip(row_powers, scalars)):
-            add_into(row, {(j, p): x for p, x in power.items()})
-            add_into(row, {(j, pivot): -c * b[pivot]})
-        stacked.append(row)
-    return Echelon(kernel_basis(stacked, [b for _, b in ech.rows])).basis()
 
 
 def format_table(n: int) -> str:

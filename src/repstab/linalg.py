@@ -123,9 +123,6 @@ class Echelon:
     def basis(self) -> list[dict]:
         return [{k: Fraction(x, row[pivot]) for k, x in row.items()} for pivot, row in self.rows]
 
-    def pivots(self) -> list:
-        return [pivot for pivot, _ in self.rows]
-
 
 def span_dim(vectors) -> int:
     ech = Echelon()

@@ -4,12 +4,13 @@ linear action, optionally modulo an invariant subspace.
 Rep is the one class behind Specht spans (specht.specht_module), the levels
 of consistent sequences (stability) and the cohomology cells of the explicit
 E2 page (e2).  It keeps the span as a reduced Echelon and takes a vector
-action act(sigma, v).  Traces and isotypic components come from
-characters.explicit_character and characters.central_isotypic.
-span_multiplicities reads which constituents span(S_n . seeds) contains off
-central projections (Jucys-Murphy power sums) of the seeds, without closing
-that span; sn_span, the span-closure loop, closes only projected vectors of
-constituents that occur more than once, and is the oracle the tests compare
+action act(sigma, v).  Traces come from characters.explicit_character.
+Isotypic components and the constituents of span(S_n . seeds) both come
+from central projections, products of Jucys-Murphy power sums read off one
+Krylov sequence per vector: isotypic projects every echelon row, and
+span_multiplicities projects the seeds without closing their span.  sn_span,
+the span-closure loop, closes only projected vectors of constituents that
+occur more than once, and is the oracle the tests compare
 span_multiplicities against.
 
 An index over the keys of a finite basis lets a Rep act by table lookups:
@@ -34,18 +35,9 @@ representations, and is the oracle the tests compare both indices against.
 from functools import lru_cache
 from itertools import repeat
 
-from .characters import (
-    ClassFunction,
-    MultiplicityVector,
-    central_isotypic,
-    content_power_sums,
-    decompose,
-    explicit_character,
-    jucys_murphy_pivots,
-    separating_degree,
-)
+from .characters import ClassFunction, MultiplicityVector, content_power_sums, decompose, explicit_character
 from .linalg import Echelon, _integral, add_into
-from .partitions import Partition, dim_irrep
+from .partitions import dim_irrep
 from .perms import from_cycles, generators
 
 
@@ -195,11 +187,7 @@ class Rep:
 
     With an index (a KeyIndex or a LinearIndex), act must agree with the
     index's key action; the echelon and the modulus are then over the
-    index's positions, and the Rep acts through its tables.  closed is True
-    for a Rep that sn_span built, whose span is invariant by construction,
-    so its trace skips the check."""
-
-    closed = False
+    index's positions, and the Rep acts through its tables."""
 
     def __init__(
         self, n: int, act, vectors=(), modulus: Echelon | None = None, index: KeyIndex | LinearIndex | None = None
@@ -209,7 +197,6 @@ class Rep:
         self.modulus = modulus
         self.index = index
         self.echelon = Echelon()
-        self._jm = (0, 0, [])  # (dim, degree, Jucys-Murphy pivot entries per row)
         for v in vectors:
             self.echelon.insert(self._nf(self._encode(v)))
 
@@ -256,26 +243,48 @@ class Rep:
 
     def character(self) -> ClassFunction:
         """Traces read off the echelon pivots; raises ValueError unless the
-        span is invariant (checked unless sn_span built it).  Only a
-        monomial index without a modulus reads them without acting."""
+        span is invariant.  Only a monomial index without a modulus reads
+        them without acting."""
         monomial = isinstance(self.index, KeyIndex) and self.modulus is None
         table = self.index.table if monomial else None
-        return explicit_character(self.echelon, self.n, self._act, table=table, closed=self.closed)
+        return explicit_character(self.echelon, self.n, self._act, table=table)
 
     def decompose(self) -> MultiplicityVector:
         return decompose(self.character())
 
-    def isotypic(self, mu: Partition) -> list[dict]:
-        """Echelon basis of the V_mu-isotypic component (Jucys-Murphy kernel).
+    def _check_counts(self, counts: dict) -> list:
+        """The constituents of counts = {nu: m_nu}, sorted; a constituent
+        left out of counts would leak into the central projections of the
+        others, so counts must add up to this level's dimension (ValueError
+        otherwise)."""
+        if sum(m * dim_irrep(nu) for nu, m in counts.items()) != self.dim:
+            raise ValueError("counts is not the decomposition of this level")
+        return sorted(nu for nu, m in counts.items() if m)
 
-        The Jucys-Murphy pivot entries are computed once per span, up to the
-        largest separating degree asked so far, and shared by every mu."""
-        k = separating_degree(mu)
-        dim, degree, powers = self._jm
-        if dim != self.dim or degree < k:
-            powers = jucys_murphy_pivots(self.echelon, self.n, self._act, k)
-            self._jm = (self.dim, k, powers)
-        return [self._decode(v) for v in central_isotypic(self.echelon, mu, self.n, self._act, powers)]
+    def isotypic(self, counts: dict, nus=None) -> dict:
+        """{nu: echelon basis of the V_nu-isotypic part} for the constituents
+        nu of this level, counts = {nu: m_nu} being its decomposition; nus
+        restricts the answer to some partitions (empty for one that is not a
+        constituent).
+
+        The isotypic part is e_nu V, spanned by the projections e_nu b of the
+        echelon rows b.  Each row is projected once, for every wanted nu at
+        a time (_project), and a part stops taking projections once it holds
+        m_nu f^nu dimensions.
+        """
+        constituents = self._check_counts(counts)
+        nus = constituents if nus is None else nus
+        parts = {nu: Echelon() for nu in nus}
+        full = {nu: counts.get(nu, 0) * dim_irrep(nu) for nu in nus}
+        open_parts = {nu for nu in nus if full[nu]}
+        action = _CentralAction(self)
+        for _, b in self.echelon.rows:
+            if not open_parts:
+                break
+            for nu, y in self._project(action, b, constituents, open_parts).items():
+                if parts[nu].insert(self._nf(y)) and parts[nu].dim == full[nu]:
+                    open_parts.discard(nu)
+        return {nu: [self._decode(v) for v in part.basis()] for nu, part in parts.items()}
 
     def central_projections(self, seeds, counts: dict, nus=None) -> dict:
         """{nu: a nonzero multiple of e_nu x, for some x in the span of the
@@ -291,15 +300,10 @@ class Rep:
         every c, with integer coefficients.  Constituents that tie on p_1 are
         split by p_2(J), p_3(J), ... the same way.  The seeds are combined
         into one vector first, and projected one by one only for the
-        constituents whose projection the combination cancels.
-
-        A constituent left out of counts would leak into the projections of
-        the others, so counts must add up to this level's dimension
-        (ValueError otherwise).
+        constituents whose projection the combination cancels.  counts must
+        add up to this level's dimension (ValueError otherwise).
         """
-        if sum(m * dim_irrep(nu) for nu, m in counts.items()) != self.dim:
-            raise ValueError("counts is not the decomposition of this level")
-        constituents = sorted(nu for nu, m in counts.items() if m)
+        constituents = self._check_counts(counts)
         missing = {nu for nu in (constituents if nus is None else nus) if counts.get(nu)}
         action = _CentralAction(self)
         xs = [_integral(x)[0] for x in (self._nf(self._encode(s)) for s in seeds) if x]
@@ -376,7 +380,6 @@ class Rep:
         """Smallest invariant subspace containing the seeds (same level,
         modulus and index); the seeds are normalised here."""
         span = Rep(self.n, self.act, modulus=self.modulus, index=self.index)
-        span.closed = True  # every vector that grew it has its generator images inserted
         queue = [v for v in (self._nf(self._encode(s)) for s in seeds) if span.echelon.insert(v)]
         gens = generators(self.n)
         while queue:

@@ -12,8 +12,8 @@ the row each label lands in, so they cost the number of row assignments
 rather than (n-k)! fillings or bijections.
 verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep under the tabloid action
-act_vec, so its traces, isotypic components (Jucys-Murphy kernels), central
-projections and span closures are Rep's.  Those Reps carry
+act_vec, so its traces, isotypic components, central projections and span
+closures are Rep's.  Those Reps carry
 tabloid_index(lam, n), so they compute on integer positions and act by
 permutation tables, and read each trace off a pivot without acting on a row.
 monotonicity_witness closes no span: the constituents of I_{n+1}(V_lam),
@@ -342,7 +342,7 @@ def project_tabloid(mu: Partition, t: PseudoTabloid) -> Vec:
 # by these names as the specht layer.
 def isotypic_component(sub: Rep, mu: Partition) -> list[Vec]:
     """Echelon basis of the V_mu-isotypic component of the span."""
-    return sub.isotypic(mu)
+    return sub.isotypic(sub.decompose().counts, [mu])[mu]
 
 
 def sn_span(seeds: list[Vec], n: int) -> Rep:

@@ -11,11 +11,12 @@ Two backends coexist: multiplicity bookkeeping through induced characters
 (fast, used for Condition III) and explicit linear algebra (needed for
 Conditions I/II and for monotonicity, which quantifies over subspaces).
 On the explicit side, Rep.character reads traces off the pivots of the
-reduced echelon basis, Rep.isotypic takes the joint eigenspace of the
-Jucys-Murphy power sums, and Rep.span_multiplicities decides which
-constituents an S_{n+1}-span holds (monotonicity, and spanning) by central
-projection, closing only the projections of constituents that occur more
-than once (Rep.sn_span); none sums over S_n.  Levels inside a tabloid module
+reduced echelon basis, and central projection (products of Jucys-Murphy
+power sums) gives both the isotypic components (Rep.isotypic projects every
+echelon row) and the constituents an S_{n+1}-span holds (monotonicity, and
+spanning: Rep.span_multiplicities projects the seeds, closing only the
+projections of constituents that occur more than once with Rep.sn_span);
+none sums over S_n.  Levels inside a tabloid module
 (induced modules and Specht spans, and the quotients, kernels and images
 built from them, which reuse their source's index) take the monomial fast
 path of specht.tabloid_index; without a modulus their traces are read off
@@ -391,10 +392,13 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
     projections (Rep.span_multiplicities) of phi_n of one vector of W when
     k = 1, of a basis of W otherwise; only projections onto V_{mu{n+1}} are
     ever closed, where it occurs more than once in V_{n+1}.  The one vector
-    stands for W because phi_n is assumed S_n-equivariant; that is not
-    checked, and a phi_n that is not can pass here.  `only`
-    restricts to components with the given stable label, e.g. () for the
-    trivial representation.  Each level is built and decomposed once.
+    stands for W because phi_n is S_n-equivariant; this checker does not
+    check that, and a phi_n that is not can pass here, so the tests check it
+    for every default_seeds() sequence
+    (test_phi_is_equivariant_on_default_seeds).  `only` restricts to
+    components with the given stable label, e.g. () for the trivial
+    representation.  Each level is built and decomposed once, and its
+    isotypic components come from one Rep.isotypic call.
     """
     report = StabilityReport(seq.label, (n_start, n_max))
     target = None
@@ -406,10 +410,10 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
         target = seq.rep(n + 1)
         target_counts = decompose(_sequence_character(seq, n + 1, target)).counts
         level_ok = True
-        for mu, k in sorted(counts.items(), reverse=True):
-            if only is not None and unpad(mu) != only:
-                continue
-            component = source.isotypic(mu)
+        wanted = sorted((mu for mu in counts if only is None or unpad(mu) == only), reverse=True)
+        components = source.isotypic(counts, wanted)
+        for mu in wanted:
+            k, component = counts[mu], components[mu]
             if len(component) != k * dim_irrep(mu):
                 level_ok = False
                 report.witnesses.append((n, mu, "isotypic_dim", len(component)))

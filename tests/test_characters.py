@@ -6,7 +6,6 @@ import pytest
 from repstab.characters import (
     ClassFunction,
     NotACharacter,
-    central_isotypic,
     character_table,
     content_power_sums,
     count_partition_chains,
@@ -15,7 +14,6 @@ from repstab.characters import (
     induced_character,
     irreducible_character,
     mn_character,
-    separating_degree,
     trivial_character,
     young_invariants_dim,
     young_permutation_character,
@@ -23,6 +21,7 @@ from repstab.characters import (
 from repstab.linalg import Echelon
 from repstab.partitions import dim_irrep, leadsto, pad, partitions_of
 from repstab.perms import all_perms, class_size, cycle_type, sign
+from repstab.rep import Rep
 
 
 def test_trivial_and_sign_rows():
@@ -287,15 +286,6 @@ def test_content_power_sums():
     assert content_power_sums((), 2) == (0, 0)
 
 
-def test_separating_degree_by_n():
-    # p_1 of the contents (the content sum) already tells partitions apart
-    # except at n = 6, 8, 9, where p_2 is needed, e.g. (4,1,1) vs (3,3)
-    worst = {n: max(separating_degree(mu) for mu in partitions_of(n)) for n in range(1, 10)}
-    assert worst == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 1, 8: 2, 9: 2}
-    assert separating_degree((4, 1, 1)) == separating_degree((3, 3)) == 2
-    assert separating_degree((5, 1)) == 1
-
-
 def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one():
     # S_3 permutes i in the keys (i, tag).  The vectors 2(i,x) + (i,y) span a
     # copy of the permutation module whose integer echelon rows have pivot
@@ -307,8 +297,11 @@ def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one
     assert [row[pivot] for pivot, row in ech.rows] == [2, 2, 2]
     assert explicit_character(ech, 3, act) == induced_character(irreducible_character((1,)), 3)
     trivial = {(i, tag): c for i in (1, 2, 3) for tag, c in (("x", 1), ("y", Fraction(1, 2)))}
-    assert central_isotypic(ech, (3,), 3, act) == [trivial]
-    standard = central_isotypic(ech, (2, 1), 3, act)
+    rep = Rep(3, act, [{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)])
+    parts = rep.isotypic(rep.decompose().counts)
+    assert parts.keys() == {(3,), (2, 1)}
+    assert parts[(3,)] == [trivial]
+    standard = parts[(2, 1)]
     assert len(standard) == 2
     assert Echelon(standard + [trivial]).dim == 3
     assert all(sum(v.values()) == 0 for v in standard)
@@ -325,9 +318,9 @@ def test_identity_trace_is_the_row_count_without_acting():
         return {(g[i - 1], tag): c for (i, tag), c in v.items()}
 
     ech = Echelon([{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)])
-    chi = explicit_character(ech, 3, act, closed=True)
+    chi = explicit_character(ech, 3, act)
     assert chi == induced_character(irreducible_character((1,)), 3)
     assert type(chi.degree()) is Fraction and chi.degree() == 3
     assert (1, 2, 3) not in acted
-    empty = explicit_character(Echelon(), 3, act, closed=True)
+    empty = explicit_character(Echelon(), 3, act)
     assert empty.values == (0, 0, 0) and all(type(x) is int for x in empty.values)

@@ -67,7 +67,7 @@ class FractionRREF:
 def test_echelon_matches_fraction_rref(vectors, probe):
     ech, ref = Echelon(vectors), FractionRREF(vectors)
     assert ech.dim == len(ref.rows)
-    assert ech.pivots() == [pivot for pivot, _ in ref.rows]
+    assert [pivot for pivot, _ in ech.rows] == [pivot for pivot, _ in ref.rows]
     basis = ech.basis()
     assert basis == [row for _, row in ref.rows]
     assert all(type(x) is Fraction for row in basis for x in row.values())
@@ -82,7 +82,7 @@ def test_echelon_matches_fraction_rref(vectors, probe):
 @given(st.lists(vec, max_size=7))
 def test_echelon_rows_are_primitive_integer_vectors(vectors):
     ech = Echelon(vectors)
-    pivots = ech.pivots()
+    pivots = [pivot for pivot, _ in ech.rows]
     assert pivots == sorted(pivots)
     for pivot, row in ech.rows:
         assert all(type(x) is int for x in row.values())

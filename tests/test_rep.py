@@ -9,7 +9,6 @@ import pytest
 from repstab.e2 import E2Page
 from repstab.linalg import Echelon, kernel_basis
 from repstab.manifolds import load_manifold
-from repstab.partitions import partitions_of
 from repstab.perms import all_perms, compose, from_cycles, identity
 from repstab.rep import LinearIndex, Rep
 from repstab.specht import act_vec, specht_module, tabloid_index
@@ -17,7 +16,6 @@ from repstab.stability import (
     InducedModuleSequence,
     InducedSpechtSequence,
     QuotientSequence,
-    SumSequence,
 )
 from repstab.tabloids import act_tabloid
 
@@ -53,8 +51,8 @@ def test_indexed_rep_agrees_with_generic_action(seq):
         slow = Rep(n, act_vec, fast.basis(), modulus=Echelon(modulus) if modulus else None)
         assert slow.basis() == fast.basis()
         assert slow.character() == fast.character()
-        for mu in partitions_of(n):
-            assert slow.isotypic(mu) == fast.isotypic(mu)
+        counts = fast.decompose().counts
+        assert slow.isotypic(counts) == fast.isotypic(counts)
         seeds = fast.basis()[:1]
         assert slow.sn_span(seeds).basis() == fast.sn_span(seeds).basis()
 
@@ -69,40 +67,22 @@ def test_quotient_traces_act_and_reduce():
         assert rep.character() == quot.character_hint(n)
 
 
-def test_isotypic_reuses_jucys_murphy_images(monkeypatch):
-    rep = InducedModuleSequence((1, 1, 1)).rep(6)
-    fresh = {mu: InducedModuleSequence((1, 1, 1)).rep(6).isotypic(mu) for mu in ((5, 1), (4, 1, 1))}
-    assert rep.isotypic((5, 1)) == fresh[(5, 1)]  # separating degree 1
-    assert rep.isotypic((4, 1, 1)) == fresh[(4, 1, 1)]  # degree 2: computed again
-    applied = []
-    table = rep.index.table
-    monkeypatch.setattr(rep.index, "table", lambda sigma: applied.append(sigma) or table(sigma))
-    assert rep.isotypic((5, 1)) == fresh[(5, 1)]
-    assert rep.isotypic((3, 3))
-    assert not applied
+def test_isotypic_rejects_counts_that_miss_the_dimension():
+    rep = specht_module((2, 1), 4)
+    counts = rep.decompose().counts
+    for bad in ({nu: m for nu, m in counts.items() if nu != (3, 1)}, {**counts, (4,): 1}):
+        with pytest.raises(ValueError):
+            rep.isotypic(bad)
 
 
-def test_generic_isotypic_reuses_jucys_murphy_images():
-    summed = SumSequence(InducedSpechtSequence((1,)), InducedSpechtSequence((2,))).rep(4)
-    applied = []
-    act = summed.act
-    summed.act = lambda sigma, v: applied.append(sigma) or act(sigma, v)
-    summed.isotypic((4,))
-    assert applied
-    applied.clear()
-    assert summed.isotypic((3, 1))
-    assert not applied
-
-
-def test_only_spans_closed_by_sn_span_skip_the_invariance_check():
-    sub = specht_module((2, 1), 4)
-    assert not sub.closed
-    span = sub.sn_span(sub.basis()[:1])
-    assert span.closed and span.dim == sub.dim
-    assert span.character() == sub.character()
-    t = next(iter(sub.basis()[0]))
-    with pytest.raises(ValueError):
-        Rep(4, act_vec, [{t: 1}], index=sub.index).character()
+def test_isotypic_returns_only_the_requested_partitions():
+    rep = InducedModuleSequence((1, 1)).rep(4)
+    counts = rep.decompose().counts
+    whole = rep.isotypic(counts)
+    assert whole.keys() == set(counts)
+    assert sum(map(len, whole.values())) == rep.dim
+    part = rep.isotypic(counts, [(3, 1), (1, 1, 1, 1)])
+    assert part == {(3, 1): whole[(3, 1)], (1, 1, 1, 1): []}
 
 
 def test_span_multiplicities_survive_seeds_that_cancel():

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from repstab.characters import content_power_sums, decompose, irreducible_character, separating_degree
+from repstab.characters import content_power_sums, decompose, irreducible_character
 from repstab.linalg import Echelon, add_into, span_dim
 from repstab.partitions import contents, curly_pad, dim_irrep, pad
 from repstab.perms import from_cycles, generators
@@ -213,8 +213,11 @@ def test_range_params_validation():
 def test_rep_isotypic_matches_group_sum_oracle(seq):
     for n in (4, 5):
         rep = seq.rep(n)
-        for mu in decompose(rep.character()).counts:
-            assert rep.isotypic(mu) == oracle_isotypic(rep, mu)
+        counts = decompose(rep.character()).counts
+        parts = rep.isotypic(counts)
+        assert parts.keys() == set(counts)
+        for mu in counts:
+            assert parts[mu] == oracle_isotypic(rep, mu)
 
 
 def test_rep_isotypic_separates_equal_content_sums():
@@ -222,11 +225,12 @@ def test_rep_isotypic_separates_equal_content_sums():
     # elements is needed to tell their isotypic components apart
     rep = InducedModuleSequence((1, 1, 1)).rep(6)
     counts = decompose(rep.character()).counts
+    parts = rep.isotypic(counts, [(4, 1, 1), (3, 3)])
     for mu in ((4, 1, 1), (3, 3)):
         assert counts[mu] > 0
-        assert separating_degree(mu) == 2
-        assert rep.isotypic(mu) == oracle_isotypic(rep, mu)
-    assert content_power_sums((4, 1, 1), 1) == content_power_sums((3, 3), 1)
+        assert parts[mu] == oracle_isotypic(rep, mu)
+    p1, p2 = content_power_sums((4, 1, 1), 2), content_power_sums((3, 3), 2)
+    assert p1[0] == p2[0] and p1[1] != p2[1]
 
 
 def test_rep_character_rejects_non_invariant_span():
@@ -278,8 +282,10 @@ def closure_monotone(seq, n_start, n_max):
     for n in range(n_start, n_max):
         source, target = seq.rep(n), seq.rep(n + 1)
         monotone[n] = True
-        for mu, k in sorted(decompose(source.character()).counts.items(), reverse=True):
-            span = target.sn_span([seq.phi(n, v) for v in source.isotypic(mu)])
+        counts = decompose(source.character()).counts
+        components = source.isotypic(counts)
+        for mu, k in sorted(counts.items(), reverse=True):
+            span = target.sn_span([seq.phi(n, v) for v in components[mu]])
             achieved = span.decompose()[curly_pad(mu)]
             if achieved < k:
                 monotone[n] = False
@@ -332,8 +338,8 @@ def test_span_multiplicities_match_closure_oracle(seq):
     for n in range(max(seq.n_min(), 1), 5):
         source, target = seq.rep(n), seq.rep(n + 1)
         counts = decompose(target.character()).counts
-        for mu in decompose(source.character()).counts:
-            component = [seq.phi(n, v) for v in source.isotypic(mu)]
+        for part in source.isotypic(decompose(source.character()).counts).values():
+            component = [seq.phi(n, v) for v in part]
             for seeds in (component[:1], component):
                 got = target.span_multiplicities(seeds, counts)
                 assert {nu: m for nu, m in got.items() if m} == target.sn_span(seeds).decompose().counts
@@ -344,7 +350,7 @@ def test_span_multiplicities_tell_tied_constituents_apart():
     # in its span
     level = InducedSpechtSequence((3, 1)).rep(6)
     counts = decompose(level.character()).counts
-    seeds = level.isotypic((3, 3))[:1]
+    seeds = level.isotypic(counts, [(3, 3)])[(3, 3)][:1]
     got = level.span_multiplicities(seeds, counts)
     assert got[(3, 3)] == 1 and got[(4, 1, 1)] == 0
     assert {nu: m for nu, m in got.items() if m} == level.sn_span(seeds).decompose().counts
@@ -362,6 +368,56 @@ def test_check_monotone_splits_content_sum_ties_without_closure(monkeypatch):
     report = check_monotone(seq, 4, 6)
     assert (report.monotone, report.witnesses) == expected
     assert report.ok
+
+
+def test_check_monotone_takes_isotypic_parts_once_per_level(monkeypatch):
+    seq = InducedSpechtSequence((2, 1))
+    expected = check_monotone(seq, 3, 6)
+    calls = []
+    isotypic = Rep.isotypic
+
+    def counted(self, *args):
+        calls.append(self.n)
+        return isotypic(self, *args)
+
+    monkeypatch.setattr(Rep, "isotypic", counted)
+    report = check_monotone(seq, 3, 6)
+    assert (report.monotone, report.witnesses) == (expected.monotone, expected.witnesses)
+    assert calls == [3, 4, 5]
+
+
+def equivariance_failures(seq, n_max):
+    """(n, g, v) where nf(phi_n(g . v)) != g . nf(phi_n(v)), for the
+    generators g of S_n acting on level n + 1 with n + 1 fixed, over a basis
+    of each level n_min .. n_max."""
+    failures = []
+    for n in range(max(seq.n_min(), 1), n_max + 1):
+        source, target = seq.rep(n), seq.rep(n + 1)
+        for g in generators(n):
+            lifted = g + (n + 1,)
+            for v in source.basis():
+                if target.nf(seq.phi(n, source.act_vec(g, v))) != target.act_vec(lifted, target.nf(seq.phi(n, v))):
+                    failures.append((n, g, v))
+    return failures
+
+
+class TwistedPhiSequence(InducedSpechtSequence):
+    """A deliberately broken sequence: phi_n is iota followed by the
+    transposition (1 2) of S_{n+1}, which does not commute with S_n."""
+
+    def phi(self, n: int, v: dict) -> dict:
+        return act_vec(from_cycles(n + 1, [(1, 2)]), super().phi(n, v))
+
+
+@pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
+def test_phi_is_equivariant_on_default_seeds(seq):
+    # check_monotone seeds a multiplicity-one component with one vector,
+    # which stands for the component only if phi_n is S_n-equivariant
+    assert equivariance_failures(seq, 4) == []
+
+
+def test_equivariance_check_catches_a_twisted_phi():
+    assert equivariance_failures(TwistedPhiSequence((1,)), 3)
 
 
 class KillTargetSequence(InducedSpechtSequence):
