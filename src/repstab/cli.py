@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arnold import arnold_report, format_polynomial
 from .characters import format_table
-from .e2 import BudgetExceeded, MissingDiagonal
+from .e2 import DEFAULT_BUDGET, BudgetExceeded, MissingDiagonal
 from .configspaces import (
     NotComputable,
     betti_unordered,
@@ -40,9 +40,6 @@ from .stability import (
     check_uniform_stability,
     propagate_ranges,
 )
-
-DEFAULT_BUDGET = 200_000
-
 
 def _budget() -> int:
     raw = os.environ.get("REPSTAB_BUDGET")
@@ -95,7 +92,7 @@ def cmd_branch(args) -> tuple[int, str]:
     lam = parse_partition(getattr(args, "lambda"))
     n = args.n
     if args.verify:
-        check_claims_level(n)  # monotonicity_witness has the same cap, n = 8
+        check_claims_level(n)  # monotonicity_witness has the same cap (MAX_VERIFY_N)
     # --verify runs monotonicity_witness, which builds level n + 1
     _check_module_budget(lam, n + 1 if args.verify else n)
     sub = specht_module(lam, n)

@@ -22,10 +22,12 @@ from math import comb
 
 from .characters import decompose, young_invariants_dim
 from .e2 import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     E2Page,
     InvariantComplex,
     NotComputable,
+    _cycle_trace,
     _poly_mul,
     block_rows,
     e2_cell_character,
@@ -77,7 +79,7 @@ _PAGES = BoundedCache(16)
 _INVARIANT = BoundedCache(64)
 
 
-def e2_page(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> E2Page:
+def e2_page(desc: ManifoldDescriptor, n: int, budget: int = DEFAULT_BUDGET) -> E2Page:
     """The cached explicit page; a cached page still has to fit the budget."""
     # no cells yet: the check below comes first
     page = _PAGES.fetch((desc.name, id(desc), n), lambda: E2Page(desc, n))
@@ -96,10 +98,7 @@ def tensor_power_invariants_dim(poincare: dict[int, int], n: int, p: int) -> int
     for rho in partitions_of(n):
         poly = {0: 1}
         for t in rho:
-            g_t: dict[int, int] = {}
-            for deg, dim in poincare.items():
-                g_t[deg * t] = g_t.get(deg * t, 0) + (-1) ** (deg * (t - 1)) * dim
-            poly = _poly_mul(poly, g_t)
+            poly = _poly_mul(poly, _cycle_trace(poincare, t))
         total += Fraction(poly.get(p, 0), centralizer_order(rho))
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral invariant dimension {total}")
@@ -164,14 +163,14 @@ def _invariant_complex(desc: ManifoldDescriptor, n: int) -> InvariantComplex:
     return _INVARIANT.fetch((desc.name, id(desc), n), lambda: InvariantComplex(E2Page(desc, n)))
 
 
-def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = 200_000) -> int:
+def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = DEFAULT_BUDGET) -> int:
     """dim H^i(C_n(M); Q) from the degenerate explicit page."""
     if desc.diagonal is None or "single_differential" not in desc.flags:
         raise NotComputable(f"{desc.name}: ordered Betti needs the explicit complex")
     return e2_page(desc, n, budget).betti_ordered(i)
 
 
-def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budget: int = 200_000) -> int:
+def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budget: int = DEFAULT_BUDGET) -> int:
     """dim H^i(B_{n,mu}(M); Q): invariants under the Young subgroup S_{n,mu}.
 
     mu = () is the unordered case; otherwise the surviving page is decomposed
@@ -236,7 +235,7 @@ def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int) -> bool:
     return all(check.insert(inv_m.classes(v)) for v in lifted)
 
 
-def euler_characteristic_consistency(desc: ManifoldDescriptor, n: int, budget: int = 200_000) -> bool:
+def euler_characteristic_consistency(desc: ManifoldDescriptor, n: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Alternating sums agree before and after taking cohomology."""
     page = e2_page(desc, n, budget)
     from_cells = page.euler_characteristic()

@@ -38,6 +38,11 @@ Monomial = tuple[tuple[int, int], ...]
 Key = tuple[Monomial, tuple[int, ...]]
 
 
+# the element budget of an explicit page, and in the CLI of a tabloid module,
+# when none is given
+DEFAULT_BUDGET = 200_000
+
+
 class BudgetExceeded(Exception):
     pass
 
@@ -117,9 +122,6 @@ class E2Page:
         """Dims keyed by (p, q(d-1)): the bigrading of the spectral sequence."""
         d = self.desc.d
         return {(p, q * (d - 1)): len(keys) for (p, q), keys in self.cells.items()}
-
-    def total_degree(self, p: int, q: int) -> int:
-        return p + q * (self.desc.d - 1)
 
     # -- the S_n action ----------------------------------------------------
 
@@ -497,6 +499,11 @@ def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _cycle_trace(poincare: dict[int, int], t: int) -> dict[int, int]:
+    """Graded trace of a t-cycle on H^(x t): sum_j (-1)^(j(t-1)) b_j x^(jt)."""
+    return {j * t: (-1) ** (j * (t - 1)) * b for j, b in poincare.items()}
+
+
 def _block_orbit_factor(desc: ManifoldDescriptor, sigma: Perm, orbit, blocks) -> tuple[int, dict[int, int]]:
     """(scalar factor, graded polynomial in the M-degree) for one block-orbit."""
     d = desc.d
@@ -507,10 +514,7 @@ def _block_orbit_factor(desc: ManifoldDescriptor, sigma: Perm, orbit, blocks) ->
     tau_type = _restricted_cycle_type(sigma_t, block)
     top_deg = (s - 1) * (d - 1)
     scalar = (-1) ** (top_deg * (t - 1)) * top_character(s, d).value(tau_type)
-    poly = {}
-    for deg, dim in desc.poincare().items():
-        poly[deg * t] = poly.get(deg * t, 0) + (-1) ** (deg * (t - 1)) * dim
-    return scalar, poly
+    return scalar, _cycle_trace(desc.poincare(), t)
 
 
 def _row(desc: ManifoldDescriptor, qd1: int) -> int | None:
@@ -660,14 +664,14 @@ def _single_orbit_sum(desc, orbits, alpha):
         if idx == len(orbits):
             return 1 if not remaining else 0
         t = len(orbits[idx])
+        trace = _cycle_trace(betti, t)
         total = 0
         for v in sorted(set(remaining), reverse=True):
             if remaining.count(v) >= t and betti.get(v, 0):
                 new_remaining = list(remaining)
                 for _ in range(t):
                     new_remaining.remove(v)
-                factor = (-1) ** (v * (t - 1)) * betti[v]
-                total += factor * rec(idx + 1, tuple(new_remaining))
+                total += trace[v * t] * rec(idx + 1, tuple(new_remaining))
         return total
 
     return rec(0, alpha)

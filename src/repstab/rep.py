@@ -7,10 +7,11 @@ E2 page (e2).  It keeps the span as a reduced Echelon and takes a vector
 action act(sigma, v).  Traces come from characters.explicit_character.
 Isotypic components and the constituents of span(S_n . seeds) both come
 from central projections, products of Jucys-Murphy power sums read off one
-Krylov sequence per vector: isotypic projects every echelon row, and
-span_multiplicities projects the seeds without closing their span.  sn_span,
-the span-closure loop, closes only projected vectors of constituents that
-occur more than once, and is the oracle the tests compare
+Krylov sequence per vector.  One loop (_projections) feeds them into one
+Echelon per constituent until it is full: isotypic projects the echelon
+rows, central_projections a combination of the seeds and then the seeds,
+and span_multiplicities the seeds, whose span is not closed.  sn_span, the span-closure loop, closes only projected vectors of
+constituents that occur more than once, and is the oracle the tests compare
 span_multiplicities against.
 
 An index over the keys of a finite basis lets a Rep act by table lookups:
@@ -261,29 +262,37 @@ class Rep:
             raise ValueError("counts is not the decomposition of this level")
         return sorted(nu for nu, m in counts.items() if m)
 
-    def isotypic(self, counts: dict, nus=None) -> dict:
-        """{nu: echelon basis of the V_nu-isotypic part} for the constituents
-        nu of this level, counts = {nu: m_nu} being its decomposition; nus
-        restricts the answer to some partitions (empty for one that is not a
-        constituent).
-
-        The isotypic part is e_nu V, spanned by the projections e_nu b of the
-        echelon rows b.  Each row is projected once, for every wanted nu at
-        a time (_project), and a part stops taking projections once it holds
-        m_nu f^nu dimensions.
-        """
+    def _projections(self, xs: list, counts: dict, full: dict) -> dict:
+        """{nu: Echelon of the central projections e_nu x} for the nu of
+        full, xs being integer vectors in internal normal form and counts the
+        level's decomposition (_check_counts).  Each x is projected for every
+        open part at once (_project); a part takes _nf(e_nu x) until it holds
+        full[nu] dimensions (none if 0), and the loop stops when none is open."""
         constituents = self._check_counts(counts)
-        nus = constituents if nus is None else nus
-        parts = {nu: Echelon() for nu in nus}
-        full = {nu: counts.get(nu, 0) * dim_irrep(nu) for nu in nus}
-        open_parts = {nu for nu in nus if full[nu]}
+        parts = {nu: Echelon() for nu in full}
+        open_parts = {nu for nu, d in full.items() if d}
         action = _CentralAction(self)
-        for _, b in self.echelon.rows:
+        for x in xs:
             if not open_parts:
                 break
-            for nu, y in self._project(action, b, constituents, open_parts).items():
+            for nu, y in self._project(action, x, constituents, open_parts).items():
                 if parts[nu].insert(self._nf(y)) and parts[nu].dim == full[nu]:
                     open_parts.discard(nu)
+        return parts
+
+    def _seeds(self, seeds) -> list:
+        """The nonzero normal forms of the seeds, integral, internal."""
+        return [_integral(x)[0] for x in (self._nf(self._encode(s)) for s in seeds) if x]
+
+    def isotypic(self, counts: dict, nus=None) -> dict:
+        """{nu: echelon basis of the V_nu-isotypic part e_nu V} for the
+        constituents nu of this level, counts = {nu: m_nu} being its
+        decomposition; nus restricts the answer to some partitions (empty for
+        one that is not a constituent).  The echelon rows are projected until
+        each part holds m_nu f^nu dimensions."""
+        nus = self._check_counts(counts) if nus is None else nus
+        full = {nu: counts.get(nu, 0) * dim_irrep(nu) for nu in nus}
+        parts = self._projections([row for _, row in self.echelon.rows], counts, full)
         return {nu: [self._decode(v) for v in part.basis()] for nu, part in parts.items()}
 
     def central_projections(self, seeds, counts: dict, nus=None) -> dict:
@@ -298,33 +307,18 @@ class Rep:
         multiple of the central idempotent onto the constituents of content
         sum c; P_c x is read off one Krylov sequence x, p_1(J) x, ... shared by
         every c, with integer coefficients.  Constituents that tie on p_1 are
-        split by p_2(J), p_3(J), ... the same way.  The seeds are combined
-        into one vector first, and projected one by one only for the
-        constituents whose projection the combination cancels.  counts must
-        add up to this level's dimension (ValueError otherwise).
+        split by p_2(J), p_3(J), ... the same way.  Each part needs one
+        nonzero projection: the combination sum (i+1) x_i of the seeds is
+        projected first, and the seeds one by one only for the parts it
+        cancels.
         """
-        constituents = self._check_counts(counts)
-        missing = {nu for nu in (constituents if nus is None else nus) if counts.get(nu)}
-        action = _CentralAction(self)
-        xs = [_integral(x)[0] for x in (self._nf(self._encode(s)) for s in seeds) if x]
-        found: dict = {}
-
-        def absorb(x: dict) -> None:
-            for nu, y in self._project(action, x, constituents, missing).items():
-                y = self._nf(y)
-                if y:
-                    found[nu] = self._decode(y)
-            missing.difference_update(found)
-
+        xs = self._seeds(seeds)
         combined: dict = {}
         for i, x in enumerate(xs):
             add_into(combined, x, i + 1)
-        absorb(combined)
-        for x in xs if missing and len(xs) > 1 else ():
-            absorb(x)
-            if not missing:
-                break
-        return found
+        full = {nu: min(counts.get(nu, 0), 1) for nu in (counts if nus is None else nus)}
+        parts = self._projections([combined, *xs] if len(xs) > 1 else xs, counts, full)
+        return {nu: self._decode(part.rows[0][1]) for nu, part in parts.items() if part.dim}
 
     def span_multiplicities(self, seeds, counts: dict, nus=None) -> dict:
         """{nu: multiplicity of V_nu in span(S_n . seeds)} for the constituents
@@ -333,24 +327,21 @@ class Rep:
 
         e_nu span(S_n . X) = span(S_n . e_nu X), so a constituent with
         m_nu = 1 is in the span exactly when central_projections finds it.
-        For m_nu > 1 only projected vectors are closed (sn_span), a span of
-        at most m_nu f^nu dimensions: the projection of the combined seeds
-        first, and the projection of every seed if that falls short.
+        For m_nu > 1 the projection found is closed (sn_span); if that falls
+        short, the seeds are projected until the part holds m_nu f^nu
+        dimensions, and a part that stays short is closed.
         """
         mult = dict.fromkeys(counts if nus is None else nus, 0)
-        found = self.central_projections(seeds, counts, nus)
-        short = []
-        for nu, w in found.items():
+        full = {}
+        for nu, w in self.central_projections(seeds, counts, nus).items():
             mult[nu] = 1 if counts[nu] == 1 else self.sn_span([w]).dim // dim_irrep(nu)
             if mult[nu] < counts[nu]:
-                short.append(nu)
-        if short:
-            projected: dict = {nu: [] for nu in short}
-            for s in seeds:
-                for nu, w in self.central_projections([s], counts, short).items():
-                    projected[nu].append(w)
-            for nu in short:
-                mult[nu] = self.sn_span(projected[nu]).dim // dim_irrep(nu)
+                full[nu] = counts[nu] * dim_irrep(nu)
+        if full:
+            for nu, part in self._projections(self._seeds(seeds), counts, full).items():
+                if part.dim < full[nu]:
+                    part = self.sn_span([self._decode(row) for _, row in part.rows]).echelon
+                mult[nu] = part.dim // dim_irrep(nu)
         return mult
 
     def _project(self, action: _CentralAction, x, constituents: list, wanted: set, j: int = 1) -> dict:

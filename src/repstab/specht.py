@@ -24,7 +24,7 @@ project_tabloid is kept only as the oracle the tests compare against.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -74,7 +74,9 @@ def polytabloid(t: PseudoTableau) -> Vec:
 Subspace = Rep
 
 
-@cache
+# One pass of the acceptance gate's calls builds 49 modules; every lam with
+# |lam| <= 3 at n <= 9 is 63.
+@lru_cache(maxsize=64)
 def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
     """I_n(V_lam): the span of all polytabloids of shape lam in ambient n.
 
@@ -187,6 +189,8 @@ def w_element(t: PseudoTableau, lam: Partition) -> Vec:
 
 @dataclass
 class ClaimsReport:
+    """Per-mu entries and failures of verify_claims or monotonicity_witness."""
+
     lam: Partition
     n: int
     entries: list = field(default_factory=list)  # per-mu dicts
@@ -197,10 +201,14 @@ class ClaimsReport:
         return not self.failures
 
 
+# the largest n that verify_claims and monotonicity_witness accept
+MAX_VERIFY_N = 8
+
+
 def check_claims_level(n: int) -> None:
-    """verify_claims is capped at n = 8; the CLI refuses before building."""
-    if n > 8:
-        raise ValueError("verify_claims capped at n = 8")
+    """verify_claims is capped at MAX_VERIFY_N; the CLI refuses before building."""
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"verify_claims capped at n = {MAX_VERIFY_N}")
 
 
 def verify_claims(lam: Partition, n: int) -> ClaimsReport:
@@ -353,19 +361,7 @@ def sn_span(seeds: list[Vec], n: int) -> Rep:
     return Rep(n, act_vec, index=index).sn_span(seeds)
 
 
-@dataclass
-class MonotonicityReport:
-    lam: Partition
-    n: int
-    entries: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def monotonicity_witness(lam: Partition, n: int) -> MonotonicityReport:
+def monotonicity_witness(lam: Partition, n: int) -> ClaimsReport:
     """For each mu in leadsto(lam, n): take a vector w of the V_mu isotypic
     piece W of I_n(V_lam), push it through iota, and confirm that its
     S_{n+1}-span contains V_{mu{n+1}}.
@@ -382,9 +378,9 @@ def monotonicity_witness(lam: Partition, n: int) -> MonotonicityReport:
     computed, and a span is closed only where I_{n+1}(V_lam) holds a
     constituent more than once, which Pieri's rule rules out.
     """
-    if n > 8:
-        raise ValueError("monotonicity_witness capped at n = 8")
-    report = MonotonicityReport(lam, n)
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"monotonicity_witness capped at n = {MAX_VERIFY_N}")
+    report = ClaimsReport(lam, n)
     sub = specht_module(lam, n)
     sub_counts = sub.decompose().counts
     components = sub.central_projections(sub.basis(), sub_counts, leadsto(lam, n))

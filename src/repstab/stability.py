@@ -275,7 +275,7 @@ def _sequence_character(seq, n: int, level: Rep) -> ClassFunction:
     """The character of level n: the sequence's hint, or the trace on level,
     which is seq.rep(n) built by the caller.  A hint whose degree is not
     level's dimension (one that drops or adds a constituent) is not used."""
-    hinted = seq.character_hint(n) if hasattr(seq, "character_hint") else None
+    hinted = seq.character_hint(n)
     if hinted is not None and hinted.degree() == level.dim:
         return hinted
     return level.character()

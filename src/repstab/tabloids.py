@@ -71,9 +71,6 @@ class PseudoTabloid:
     def supp(self) -> frozenset:
         return frozenset(x for row in self.rows for x in row)
 
-    def reading_word(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
-
     def render(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.rows)
 

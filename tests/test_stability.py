@@ -416,6 +416,19 @@ def test_phi_is_equivariant_on_default_seeds(seq):
     assert equivariance_failures(seq, 4) == []
 
 
+@pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
+def test_central_projections_lie_in_their_isotypic_parts(seq):
+    # one nonzero vector per constituent, inside that constituent's part
+    for n in range(max(seq.n_min(), 1), 5):
+        level = seq.rep(n)
+        counts = level.decompose().counts
+        parts = level.isotypic(counts)
+        found = level.central_projections(level.basis(), counts)
+        assert found.keys() == {nu for nu, m in counts.items() if m}
+        for nu, w in found.items():
+            assert w and Echelon(parts[nu]).contains(w)
+
+
 def test_equivariance_check_catches_a_twisted_phi():
     assert equivariance_failures(TwistedPhiSequence((1,)), 3)
 
