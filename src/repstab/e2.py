@@ -252,8 +252,8 @@ class E2Page:
         index = LinearIndex(keys, self.act_key)
         cycles = kernel_basis([self.diff_key(key) for key in keys], [{key: 1} for key in keys])
         boundaries = [self.diff_key(key) for key in self.cell(p - self.desc.d, q + 1)]
-        kernel = Rep(self.n, self.act_vec, cycles, index=index).character()
-        return kernel - Rep(self.n, self.act_vec, boundaries, index=index).character()
+        kernel = Rep(self.n, index, cycles).character()
+        return kernel - Rep(self.n, index, boundaries).character()
 
 
 # ---------------------------------------------------------------------------

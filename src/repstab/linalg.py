@@ -22,7 +22,10 @@ def add_into(dst: dict, src: dict, coeff=1) -> None:
 
 def _integral(v: dict) -> tuple[dict, int]:
     """(w, den) with w an int vector and v = w / den, den the lcm of the
-    denominators of v's entries."""
+    denominators of v's entries; a new dict even when every entry is an
+    int, since callers modify w."""
+    if all(type(x) is int for x in v.values()):
+        return dict(v), 1
     den = lcm(*[x.denominator for x in v.values()])
     return {k: x.numerator * (den // x.denominator) for k, x in v.items()}, den
 

@@ -3,34 +3,30 @@ linear action, optionally modulo an invariant subspace.
 
 Rep is the one class behind Specht spans (specht.specht_module), the levels
 of consistent sequences (stability) and the cohomology cells of the explicit
-E2 page (e2).  It keeps the span as a reduced Echelon and takes a vector
-action act(sigma, v).  Traces come from characters.explicit_character.
-Isotypic components and the constituents of span(S_n . seeds) both come
-from central projections, products of Jucys-Murphy power sums read off one
-Krylov sequence per vector.  One loop (_projections) feeds them into one
-Echelon per constituent until it is full: isotypic projects the echelon
-rows, central_projections a combination of the seeds and then the seeds,
-and span_multiplicities the seeds, whose span is not closed.  sn_span, the span-closure loop, closes only projected vectors of
-constituents that occur more than once, and is the oracle the tests compare
-span_multiplicities against.
-
-An index over the keys of a finite basis lets a Rep act by table lookups:
-the echelon is kept over integer positions in sorted key order, and sigma
-acts on a vector through one table per permutation.  Every public method
-still takes and returns key-keyed vectors, and since positions follow the
-key order, pivots and bases are those of the keyed computation.
+E2 page (e2).  Every Rep acts through an index over the keys of a finite
+basis: the span is a reduced Echelon over integer positions in sorted key
+order, and sigma acts on a vector through one table per permutation.  Every
+public method still takes and returns key-keyed vectors, and since positions
+follow the key order, pivots and bases are those of the keyed computation.
 
 * KeyIndex serves monomial actions, where S_n permutes the keys (the tabloid
-  modules).  Without a modulus, traces are read as row[g^-1 . pivot] without
-  acting on any row; a quotient still acts and reduces.
+  modules, and the tagged keys of their sums).  Without a modulus, traces are
+  read as row[g^-1 . pivot] without acting on any row; a quotient still acts
+  and reduces.
 * LinearIndex serves linear actions, where sigma sends a key to a
   combination of keys (the E2 page, whose Arnold straightening is not
   monomial).  Each table entry is the tuple of (position, coefficient) terms
   of one key's image, so the key action runs once per (sigma, key); traces
   act on the rows.
 
-The generic act(sigma, v) path without an index serves sums of
-representations, and is the oracle the tests compare both indices against.
+Traces come from characters.explicit_character.  Isotypic components and the
+constituents of span(S_n . seeds) both come from central projections,
+products of Jucys-Murphy power sums read off one Krylov sequence per vector.
+One loop (_projections) feeds them into one Echelon per constituent until it
+is full: isotypic projects the echelon rows, central_projections a
+combination of the seeds and then the seeds, and span_multiplicities the
+seeds, whose span is not closed.  sn_span, the span-closure loop, closes only
+the parts of constituents that occur more than once and stay short of full.
 """
 
 from functools import lru_cache
@@ -151,8 +147,8 @@ def _combine(coeffs, vectors) -> dict:
 
 class _CentralAction:
     """The Jucys-Murphy power sums p_j(J) = sum_i J_i^j, J_i = sum_{a<i} (a i),
-    on the vectors of one Rep in internal coordinates, through its index's
-    action (integer vectors stay integer) or its own.
+    on the vectors of one Rep in index positions, through its index's action
+    (integer vectors stay integer).
 
     The vectors are not reduced by the modulus on the way: W is invariant,
     so reducing once at the end gives the same normal form."""
@@ -160,7 +156,7 @@ class _CentralAction:
     def __init__(self, rep: "Rep"):
         n = rep.n
         self.jm = [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
-        self.act = rep.act if rep.index is None else rep.index.act
+        self.act = rep.index.act
 
     def _transpositions(self, taus, w: dict) -> dict:
         """sum of tau . w over the transpositions taus."""
@@ -184,63 +180,48 @@ class _CentralAction:
 
 class Rep:
     """S/W for a span S of vectors and an optional invariant modulus W, with
-    S_n acting by act(sigma, v).
+    S_n acting through index (a KeyIndex or a LinearIndex); the echelon and
+    the modulus are over the index's positions."""
 
-    With an index (a KeyIndex or a LinearIndex), act must agree with the
-    index's key action; the echelon and the modulus are then over the
-    index's positions, and the Rep acts through its tables."""
-
-    def __init__(
-        self, n: int, act, vectors=(), modulus: Echelon | None = None, index: KeyIndex | LinearIndex | None = None
-    ):
+    def __init__(self, n: int, index: KeyIndex | LinearIndex, vectors=(), modulus: Echelon | None = None):
         self.n = n
-        self.act = act
-        self.modulus = modulus
         self.index = index
+        self.modulus = modulus
         self.echelon = Echelon()
         for v in vectors:
-            self.echelon.insert(self._nf(self._encode(v)))
+            self.echelon.insert(self._nf(index.encode(v)))
 
     @property
     def dim(self) -> int:
         return self.echelon.dim
 
-    # internal coordinates: positions with an index, keys without
-
-    def _encode(self, v: dict) -> dict:
-        return v if self.index is None else self.index.encode(v)
-
-    def _decode(self, v: dict) -> dict:
-        return v if self.index is None else self.index.decode(v)
+    # internal coordinates: the index's positions
 
     def _nf(self, v: dict) -> dict:
         return v if self.modulus is None else self.modulus.reduce(v)
 
     def _act(self, sigma, v: dict) -> dict:
-        """Normal form of sigma . v, in internal coordinates."""
-        if self.index is None:
-            return self._nf(self.act(sigma, v))
+        """Normal form of sigma . v, in positions."""
         return self._nf(self.index.act(sigma, v))
 
     # key-keyed interface
 
     def nf(self, v: dict) -> dict:
-        """Normal form modulo W; v itself when there is neither a modulus
-        nor an index."""
-        return self._decode(self._nf(self._encode(v)))
+        """Normal form modulo W."""
+        return self.index.decode(self._nf(self.index.encode(v)))
 
     def act_vec(self, sigma, v: dict) -> dict:
-        return self._decode(self._act(sigma, self._encode(v)))
+        return self.index.decode(self._act(sigma, self.index.encode(v)))
 
     def contains(self, v: dict) -> bool:
-        return self.echelon.contains(self._nf(self._encode(v)))
+        return self.echelon.contains(self._nf(self.index.encode(v)))
 
     def basis(self) -> list[dict]:
-        return [self._decode(v) for v in self.echelon.basis()]
+        return [self.index.decode(v) for v in self.echelon.basis()]
 
     def modulus_basis(self) -> list[dict]:
         """Basis of W (empty without a modulus)."""
-        return [] if self.modulus is None else [self._decode(w) for w in self.modulus.basis()]
+        return [] if self.modulus is None else [self.index.decode(w) for w in self.modulus.basis()]
 
     def character(self) -> ClassFunction:
         """Traces read off the echelon pivots; raises ValueError unless the
@@ -282,7 +263,7 @@ class Rep:
 
     def _seeds(self, seeds) -> list:
         """The nonzero normal forms of the seeds, integral, internal."""
-        return [_integral(x)[0] for x in (self._nf(self._encode(s)) for s in seeds) if x]
+        return [_integral(x)[0] for x in (self._nf(self.index.encode(s)) for s in seeds) if x]
 
     def isotypic(self, counts: dict, nus=None) -> dict:
         """{nu: echelon basis of the V_nu-isotypic part e_nu V} for the
@@ -293,7 +274,7 @@ class Rep:
         nus = self._check_counts(counts) if nus is None else nus
         full = {nu: counts.get(nu, 0) * dim_irrep(nu) for nu in nus}
         parts = self._projections([row for _, row in self.echelon.rows], counts, full)
-        return {nu: [self._decode(v) for v in part.basis()] for nu, part in parts.items()}
+        return {nu: [self.index.decode(v) for v in part.basis()] for nu, part in parts.items()}
 
     def central_projections(self, seeds, counts: dict, nus=None) -> dict:
         """{nu: a nonzero multiple of e_nu x, for some x in the span of the
@@ -318,29 +299,30 @@ class Rep:
             add_into(combined, x, i + 1)
         full = {nu: min(counts.get(nu, 0), 1) for nu in (counts if nus is None else nus)}
         parts = self._projections([combined, *xs] if len(xs) > 1 else xs, counts, full)
-        return {nu: self._decode(part.rows[0][1]) for nu, part in parts.items() if part.dim}
+        return {nu: self.index.decode(part.rows[0][1]) for nu, part in parts.items() if part.dim}
 
     def span_multiplicities(self, seeds, counts: dict, nus=None) -> dict:
         """{nu: multiplicity of V_nu in span(S_n . seeds)} for the constituents
         nu of this level, counts = {nu: m_nu} being its decomposition; nus
         restricts the answer to some partitions.
 
-        e_nu span(S_n . X) = span(S_n . e_nu X), so a constituent with
-        m_nu = 1 is in the span exactly when central_projections finds it.
-        For m_nu > 1 the projection found is closed (sn_span); if that falls
-        short, the seeds are projected until the part holds m_nu f^nu
-        dimensions, and a part that stays short is closed.
+        e_nu span(S_n . X) = span(S_n . e_nu X), so a constituent is in the
+        span exactly when central_projections finds it, once if m_nu = 1.
+        For each one found with m_nu > 1, the seeds are projected until its
+        part holds m_nu f^nu dimensions, and a part that stays short is
+        closed (sn_span).
         """
         mult = dict.fromkeys(counts if nus is None else nus, 0)
         full = {}
-        for nu, w in self.central_projections(seeds, counts, nus).items():
-            mult[nu] = 1 if counts[nu] == 1 else self.sn_span([w]).dim // dim_irrep(nu)
-            if mult[nu] < counts[nu]:
+        for nu in self.central_projections(seeds, counts, nus):
+            if counts[nu] == 1:
+                mult[nu] = 1
+            else:
                 full[nu] = counts[nu] * dim_irrep(nu)
         if full:
             for nu, part in self._projections(self._seeds(seeds), counts, full).items():
                 if part.dim < full[nu]:
-                    part = self.sn_span([self._decode(row) for _, row in part.rows]).echelon
+                    part = self.sn_span([self.index.decode(row) for _, row in part.rows]).echelon
                 mult[nu] = part.dim // dim_irrep(nu)
         return mult
 
@@ -370,8 +352,8 @@ class Rep:
     def sn_span(self, seeds) -> "Rep":
         """Smallest invariant subspace containing the seeds (same level,
         modulus and index); the seeds are normalised here."""
-        span = Rep(self.n, self.act, modulus=self.modulus, index=self.index)
-        queue = [v for v in (self._nf(self._encode(s)) for s in seeds) if span.echelon.insert(v)]
+        span = Rep(self.n, self.index, modulus=self.modulus)
+        queue = [v for v in (self._nf(self.index.encode(s)) for s in seeds) if span.echelon.insert(v)]
         gens = generators(self.n)
         while queue:
             v = queue.pop()

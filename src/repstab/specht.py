@@ -11,11 +11,10 @@ verify_claims are grouped by row assignment, since a tabloid depends only on
 the row each label lands in, so they cost the number of row assignments
 rather than (n-k)! fillings or bijections.
 verify_claims / monotonicity_witness re-derive the structural facts about
-them at desk scale.  A Specht span is a rep.Rep under the tabloid action
-act_vec, so its traces, isotypic components, central projections and span
-closures are Rep's.  Those Reps carry
-tabloid_index(lam, n), so they compute on integer positions and act by
-permutation tables, and read each trace off a pivot without acting on a row.
+them at desk scale.  A Specht span is a rep.Rep on tabloid_index(lam, n), so
+its traces, isotypic components, central projections and span closures are
+Rep's: it computes on integer positions, acts by permutation tables, and
+reads each trace off a pivot without acting on a row.
 monotonicity_witness closes no span: the constituents of I_{n+1}(V_lam),
 read off its trace, are Pieri's, each once, so Rep.span_multiplicities
 reads the ones an S_{n+1}-span holds off central projections.  The n! group-sum projector
@@ -97,7 +96,7 @@ def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
     if n < k:
         raise ValueError(f"ambient {n} too small for {lam}")
     index = tabloid_index(lam, n)
-    sub = Rep(n, act_vec, index=index)
+    sub = Rep(n, index)
     if n > k and not full:
         base = specht_module(lam, k)
         rows = []
@@ -354,11 +353,13 @@ def isotypic_component(sub: Rep, mu: Partition) -> list[Vec]:
 
 
 def sn_span(seeds: list[Vec], n: int) -> Rep:
-    """Closure of the span of the seeds under the S_n action on tabloids,
-    indexed when the seeds' tabloids all have one shape."""
+    """Closure of the span of the seeds under the S_n action on tabloids, on
+    the tabloid_index of their one shape (ValueError unless the seeds'
+    tabloids have exactly one shape)."""
     shapes = {t.shape for v in seeds for t in v}
-    index = tabloid_index(shapes.pop(), n) if len(shapes) == 1 else None
-    return Rep(n, act_vec, index=index).sn_span(seeds)
+    if len(shapes) != 1:
+        raise ValueError(f"sn_span needs seeds of one shape, got {sorted(shapes)}")
+    return Rep(n, tabloid_index(shapes.pop(), n)).sn_span(seeds)
 
 
 def monotonicity_witness(lam: Partition, n: int) -> ClaimsReport:

@@ -1,7 +1,7 @@
 """Consistent sequences of S_n-representations and their stability checkers.
 
 A sequence provides, per level n, an explicit representation (a rep.Rep: a
-span inside a free module with a vector action, possibly as a quotient),
+span inside a free module acting through an index, possibly as a quotient),
 plus the connecting maps phi_n.  The checkers verify, on a finite window,
 the three uniform-stability conditions and the monotonicity condition; the
 latter quantifies over isotypic components, which suffices by
@@ -14,14 +14,15 @@ On the explicit side, Rep.character reads traces off the pivots of the
 reduced echelon basis, and central projection (products of Jucys-Murphy
 power sums) gives both the isotypic components (Rep.isotypic projects every
 echelon row) and the constituents an S_{n+1}-span holds (monotonicity, and
-spanning: Rep.span_multiplicities projects the seeds, closing only the
-projections of constituents that occur more than once with Rep.sn_span);
-none sums over S_n.  Levels inside a tabloid module
-(induced modules and Specht spans, and the quotients, kernels and images
-built from them, which reuse their source's index) take the monomial fast
-path of specht.tabloid_index; without a modulus their traces are read off
-the pivots with no action, while quotients act and reduce.  Sums stay on the
-generic vector action.
+spanning: Rep.span_multiplicities projects the seeds, and closes with
+Rep.sn_span only a part, of a constituent that occurs more than once, that
+the projected seeds leave short); none sums over S_n.  Every level acts
+through a KeyIndex: levels inside a tabloid module (induced modules and
+Specht spans, and the quotients, kernels and images built from them, which
+reuse their source's index) through specht.tabloid_index, and a sum through
+one index over its tagged keys whose key action is its summands'.  Without a
+modulus traces are read off the pivots with no action, while quotients act
+and reduce.
 All verdicts are statements about the tested window only.
 """
 
@@ -37,8 +38,8 @@ from .characters import (
 )
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .partitions import Partition, curly_pad, dim_irrep, partitions_of, unpad
-from .rep import Rep
-from .specht import act_vec, specht_module, tabloid_index
+from .rep import KeyIndex, Rep
+from .specht import specht_module, tabloid_index
 from .tabloids import PseudoTabloid
 
 
@@ -69,7 +70,7 @@ class InducedModuleSequence:
 
     def rep(self, n: int) -> Rep:
         index = tabloid_index(self.lam, n)
-        return Rep(n, act_vec, [{t: 1} for t in index.keys], index=index)
+        return Rep(n, index, [{t: 1} for t in index.keys])
 
     def character_hint(self, n: int) -> ClassFunction:
         k = sum(self.lam)
@@ -109,23 +110,22 @@ class SumSequence:
         return max(self.left.stable_start(), self.right.stable_start())
 
     def rep(self, n: int) -> Rep:
-        """Keys tagged ("L" | "R", key); each tag is acted on by its own
-        summand, and the summands' moduli become one tagged modulus."""
+        """Keys tagged ("L" | "R", key) on one KeyIndex, whose key action
+        hands each key to its summand's index; the summands' moduli become
+        one modulus over its positions."""
         parts = {"L": self.left.rep(n), "R": self.right.rep(n)}
+
+        def act_key(sigma, key):
+            t, k = key
+            return t, parts[t].index.act_key(sigma, k)
 
         def tag(t, v: dict) -> dict:
             return {(t, k): c for k, c in v.items()}
 
-        def act(sigma, v: dict) -> dict:
-            out = {}
-            for t, part in parts.items():
-                piece = {k: c for (s, k), c in v.items() if s == t}
-                out.update(tag(t, part.act_vec(sigma, piece)))
-            return out
-
-        moduli = [tag(t, w) for t, part in parts.items() for w in part.modulus_basis()]
+        index = KeyIndex([(t, k) for t, part in parts.items() for k in part.index.keys], act_key)
+        moduli = [index.encode(tag(t, w)) for t, part in parts.items() for w in part.modulus_basis()]
         vectors = [tag(t, v) for t, part in parts.items() for v in part.basis()]
-        return Rep(n, act, vectors, modulus=Echelon(moduli) if moduli else None)
+        return Rep(n, index, vectors, modulus=Echelon(moduli) if moduli else None)
 
     def character_hint(self, n: int) -> ClassFunction:
         return self.left.character_hint(n) + self.right.character_hint(n)
@@ -159,7 +159,7 @@ class QuotientSequence:
     def rep(self, n: int) -> Rep:
         w_rep = self.small.rep(n)
         v_rep = self.big.rep(n)
-        return Rep(n, v_rep.act, v_rep.basis(), modulus=w_rep.echelon, index=w_rep.index)
+        return Rep(n, w_rep.index, v_rep.basis(), modulus=w_rep.echelon)
 
     def character_hint(self, n: int) -> ClassFunction:
         return self.big.character_hint(n) - self.small.character_hint(n)
@@ -203,7 +203,7 @@ class KernelSequence:
         domain = self.fmap.domain.rep(n)
         basis = domain.basis()
         kernel = kernel_basis([self.fmap.apply(v) for v in basis], basis)
-        return Rep(n, domain.act, kernel, index=domain.index)
+        return Rep(n, domain.index, kernel)
 
     def character_hint(self, n: int):
         return None
@@ -230,7 +230,7 @@ class ImageSequence:
         domain = self.fmap.domain.rep(n)
         codomain = self.fmap.codomain.rep(n)
         images = [self.fmap.apply(v) for v in domain.basis()]
-        return Rep(n, codomain.act, images, index=codomain.index)
+        return Rep(n, codomain.index, images)
 
     def character_hint(self, n: int):
         return None

@@ -21,7 +21,7 @@ from repstab.characters import (
 from repstab.linalg import Echelon
 from repstab.partitions import dim_irrep, leadsto, pad, partitions_of
 from repstab.perms import all_perms, class_size, cycle_type, sign
-from repstab.rep import Rep
+from repstab.rep import KeyIndex, Rep
 
 
 def test_trivial_and_sign_rows():
@@ -290,14 +290,21 @@ def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one
     # S_3 permutes i in the keys (i, tag).  The vectors 2(i,x) + (i,y) span a
     # copy of the permutation module whose integer echelon rows have pivot
     # entry 2, so coordinates in those rows carry a denominator.
-    def act(g, v):
-        return {(g[i - 1], tag): c for (i, tag), c in v.items()}
+    def act_key(g, key):
+        i, tag = key
+        return g[i - 1], tag
 
-    ech = Echelon([{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)])
+    def act(g, v):
+        return {act_key(g, key): c for key, c in v.items()}
+
+    vectors = [{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)]
+    ech = Echelon(vectors)
     assert [row[pivot] for pivot, row in ech.rows] == [2, 2, 2]
     assert explicit_character(ech, 3, act) == induced_character(irreducible_character((1,)), 3)
     trivial = {(i, tag): c for i in (1, 2, 3) for tag, c in (("x", 1), ("y", Fraction(1, 2)))}
-    rep = Rep(3, act, [{(i, "x"): 2, (i, "y"): 1} for i in (1, 2, 3)])
+    rep = Rep(3, KeyIndex([(i, tag) for i in (1, 2, 3) for tag in "xy"], act_key), vectors)
+    assert [row[pivot] for pivot, row in rep.echelon.rows] == [2, 2, 2]
+    assert rep.character() == explicit_character(ech, 3, act)
     parts = rep.isotypic(rep.decompose().counts)
     assert parts.keys() == {(3,), (2, 1)}
     assert parts[(3,)] == [trivial]

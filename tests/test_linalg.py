@@ -3,7 +3,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from repstab.linalg import Echelon, add_into, kernel_basis, span_dim
+from repstab.linalg import Echelon, _integral, add_into, kernel_basis, span_dim
 
 coeff = st.one_of(
     st.integers(min_value=-4, max_value=4),
@@ -105,3 +105,13 @@ def test_kernel_basis_recombines_over_the_domain():
     images = [{0: 1}, {0: 2}, {1: 1}]
     domain = [{"a": 1}, {"a": 1, "b": 1}, {"c": 5}]
     assert kernel_basis(images, domain) == [{"a": -1, "b": 1}]
+
+
+def test_integral_returns_a_new_dict():
+    # callers modify the result in place, so an all-int vector is copied
+    v = {1: 3, 4: -2}
+    w, den = _integral(v)
+    assert (w, den) == (v, 1) and w is not v
+    w, den = _integral({1: Fraction(1, 2), 2: 3})
+    assert (w, den) == ({1: 1, 2: 6}, 2)
+    assert all(type(x) is int for x in w.values())

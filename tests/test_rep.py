@@ -1,15 +1,16 @@
-"""The indexed paths of rep.Rep: index tables, and agreement with the
-generic vector action on the same vectors, for the tabloid modules
+"""The indexed paths of rep.Rep: index tables, and agreement with oracles
+that act on keyed vectors and build no Rep, for the tabloid modules
 (KeyIndex) and the cells of the explicit E2 page (LinearIndex)."""
 
 from math import lcm
 
 import pytest
 
+from repstab.characters import decompose, explicit_character
 from repstab.e2 import E2Page
 from repstab.linalg import Echelon, kernel_basis
 from repstab.manifolds import load_manifold
-from repstab.perms import all_perms, compose, from_cycles, identity
+from repstab.perms import all_perms, compose, from_cycles, generators, identity
 from repstab.rep import LinearIndex, Rep
 from repstab.specht import act_vec, specht_module, tabloid_index
 from repstab.stability import (
@@ -18,6 +19,27 @@ from repstab.stability import (
     QuotientSequence,
 )
 from repstab.tabloids import act_tabloid
+
+from test_stability import oracle_isotypic
+
+
+def keyed_closure(seeds, n, act, modulus=None) -> Echelon:
+    """Smallest invariant subspace containing the seeds, under the keyed
+    action act(sigma, v) followed by reduction modulo the modulus Echelon:
+    the span-closure oracle."""
+
+    def nf(v):
+        return v if modulus is None else modulus.reduce(v)
+
+    span = Echelon()
+    queue = [v for v in map(nf, seeds) if span.insert(v)]
+    while queue:
+        v = queue.pop()
+        for g in generators(n):
+            image = nf(act(g, v))
+            if span.insert(image):
+                queue.append(image)
+    return span
 
 
 def test_index_tables_are_the_tabloid_action():
@@ -44,17 +66,21 @@ def _sequences():
 
 @pytest.mark.parametrize("seq", _sequences(), ids=lambda seq: seq.label)
 def test_indexed_rep_agrees_with_generic_action(seq):
+    # the keyed tabloid action, reduced by the keyed modulus, is the oracle
     for n in range(max(seq.n_min(), 2), 6):
         fast = seq.rep(n)
-        assert fast.index is not None
-        modulus = fast.modulus_basis()
-        slow = Rep(n, act_vec, fast.basis(), modulus=Echelon(modulus) if modulus else None)
+        modulus = Echelon(fast.modulus_basis())
+
+        def act(g, v):
+            return modulus.reduce(act_vec(g, v))
+
+        slow = Echelon(fast.basis())
         assert slow.basis() == fast.basis()
-        assert slow.character() == fast.character()
+        assert explicit_character(slow, n, act) == fast.character()
         counts = fast.decompose().counts
-        assert slow.isotypic(counts) == fast.isotypic(counts)
+        assert fast.isotypic(counts) == {mu: oracle_isotypic(fast, mu) for mu in counts}
         seeds = fast.basis()[:1]
-        assert slow.sn_span(seeds).basis() == fast.sn_span(seeds).basis()
+        assert keyed_closure(seeds, n, act, modulus).basis() == fast.sn_span(seeds).basis()
 
 
 def test_quotient_traces_act_and_reduce():
@@ -102,16 +128,17 @@ def test_span_multiplicities_survive_seeds_that_cancel():
 
 @pytest.mark.parametrize("name", ["torus", "s2"])
 def test_span_multiplicities_on_page_cells(name):
-    # the linear index and the generic action, against the closed span
+    # the linear index against the closed span, by Rep and by the keyed oracle
     page = E2Page(load_manifold(name), 4)
     for keys in page.cells.values():
         basis = [{k: 1} for k in keys]
-        for index in (LinearIndex(keys, page.act_key), None):
-            rep = Rep(4, page.act_vec, basis, index=index)
-            counts = rep.decompose().counts
-            for seeds in (basis[:1], [basis[-1], {keys[0]: 2}]):
-                got = rep.span_multiplicities(seeds, counts)
-                assert {nu: m for nu, m in got.items() if m} == rep.sn_span(seeds).decompose().counts
+        rep = Rep(4, LinearIndex(keys, page.act_key), basis)
+        counts = rep.decompose().counts
+        for seeds in (basis[:1], [basis[-1], {keys[0]: 2}]):
+            got = {nu: m for nu, m in rep.span_multiplicities(seeds, counts).items() if m}
+            assert got == rep.sn_span(seeds).decompose().counts
+            closure = keyed_closure(seeds, 4, page.act_vec)
+            assert got == decompose(explicit_character(closure, 4, page.act_vec)).counts
 
 
 def _pages(names, n_max):
@@ -133,12 +160,12 @@ def test_linear_index_tables_are_the_page_action(name):
 
 
 def generic_cell_character(page, p, q):
-    """cohomology_cell_character on the generic vector action: the oracle."""
+    """cohomology_cell_character on the keyed page action: the oracle."""
     keys = page.cell(p, q)
     cycles = kernel_basis([page.diff_key(key) for key in keys], [{key: 1} for key in keys])
     boundaries = [page.diff_key(key) for key in page.cell(p - page.desc.d, q + 1)]
-    kernel = Rep(page.n, page.act_vec, cycles).character()
-    return kernel - Rep(page.n, page.act_vec, boundaries).character()
+    kernel = explicit_character(Echelon(cycles), page.n, page.act_vec)
+    return kernel - explicit_character(Echelon(boundaries), page.n, page.act_vec)
 
 
 @pytest.mark.parametrize("page", _pages(["torus", "s2", "cp1"], 4), ids=lambda page: f"{page.desc.name}-n{page.n}")
@@ -164,5 +191,7 @@ def test_linear_index_keeps_the_invariance_check():
     keys = page.cell(1, 1)
     index = LinearIndex(keys, page.act_key)
     with pytest.raises(ValueError):
-        Rep(3, page.act_vec, [{keys[0]: 1}], index=index).character()
-    assert Rep(3, page.act_vec, [{k: 1} for k in keys], index=index).character().degree() == len(keys)
+        Rep(3, index, [{keys[0]: 1}]).character()
+    with pytest.raises(ValueError):
+        explicit_character(Echelon([{keys[0]: 1}]), 3, page.act_vec)
+    assert Rep(3, index, [{k: 1} for k in keys]).character().degree() == len(keys)

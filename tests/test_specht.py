@@ -5,7 +5,13 @@ from math import comb, factorial
 import pytest
 
 import repstab.specht as specht
-from repstab.characters import content_power_sums, decompose, induced_character, irreducible_character
+from repstab.characters import (
+    content_power_sums,
+    decompose,
+    explicit_character,
+    induced_character,
+    irreducible_character,
+)
 from repstab.linalg import Echelon, add_into
 from repstab.partitions import curly_pad, dim_irrep, leadsto, lex_compare, partitions_of
 from repstab.perms import all_perms, generators
@@ -21,6 +27,7 @@ from repstab.specht import (
     project_tabloid,
     sn_span,
     specht_module,
+    tabloid_index,
     verify_claims,
     w_element,
 )
@@ -427,7 +434,9 @@ def test_isotypic_component_matches_group_sum_oracle(lam):
 def test_character_rejects_non_invariant_span():
     t = next(iter(specht_module((1,), 3).basis()[0]))
     with pytest.raises(ValueError):
-        Rep(3, act_vec, [{t: 1}]).character()
+        Rep(3, tabloid_index(t.shape, 3), [{t: 1}]).character()
+    with pytest.raises(ValueError):
+        explicit_character(Echelon([{t: 1}]), 3, act_vec)
 
 
 def test_character_reduces_once_per_generator_and_row(monkeypatch):
@@ -450,6 +459,14 @@ def test_sn_span_is_whole_module_for_cyclic_vector():
     sub = specht_module((1,), 3)
     span = sn_span([sub.basis()[0]], 3)
     assert span.dim == 3
+
+
+def test_sn_span_needs_seeds_of_one_shape():
+    seeds = [specht_module((1,), 3).basis()[0], specht_module((2,), 3).basis()[0]]
+    for bad in (seeds, []):
+        with pytest.raises(ValueError):
+            sn_span(bad, 3)
+    assert sn_span(seeds[1:], 3).index is tabloid_index((2,), 3)
 
 
 def test_monotonicity_witness_examples():

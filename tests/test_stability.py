@@ -3,10 +3,11 @@ from math import factorial
 
 import pytest
 
-from repstab.characters import content_power_sums, decompose, irreducible_character
+from repstab.characters import content_power_sums, decompose, explicit_character, irreducible_character
 from repstab.linalg import Echelon, add_into, span_dim
 from repstab.partitions import contents, curly_pad, dim_irrep, pad
 from repstab.perms import from_cycles, generators
+from repstab.rep import KeyIndex
 from repstab.specht import act_vec, project_tabloid
 from repstab.stability import (
     ImageSequence,
@@ -236,7 +237,9 @@ def test_rep_isotypic_separates_equal_content_sums():
 def test_rep_character_rejects_non_invariant_span():
     rep = InducedModuleSequence((1,)).rep(3)
     with pytest.raises(ValueError):
-        Rep(3, rep.act, [rep.basis()[0]]).character()
+        Rep(3, rep.index, [rep.basis()[0]]).character()
+    with pytest.raises(ValueError):
+        explicit_character(Echelon([rep.basis()[0]]), 3, act_vec)
 
 
 def test_rep_character_reduces_once_per_generator_and_row(monkeypatch):
@@ -427,6 +430,18 @@ def test_central_projections_lie_in_their_isotypic_parts(seq):
         assert found.keys() == {nu for nu, m in counts.items() if m}
         for nu, w in found.items():
             assert w and Echelon(parts[nu]).contains(w)
+
+
+@pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
+def test_every_default_seed_level_acts_through_a_key_index(seq):
+    # a sum's index is over its tagged keys ("L" | "R", key), acted on by the
+    # summands' own indices
+    for n in range(max(seq.n_min(), 1), 5):
+        level = seq.rep(n)
+        assert isinstance(level.index, KeyIndex) and not hasattr(level, "act")
+        if isinstance(seq, SumSequence):
+            assert {tag for tag, _ in level.index.keys} == {"L", "R"}
+            assert level.character() == seq.character_hint(n)
 
 
 def test_equivariance_check_catches_a_twisted_phi():
