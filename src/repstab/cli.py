@@ -18,6 +18,7 @@ from .configspaces import (
     NotComputable,
     betti_unordered,
     colored_betti,
+    colored_pattern_bound,
     e2_cell_dim,
     e2_page,
     load_manifold,
@@ -219,7 +220,15 @@ def cmd_betti(args) -> tuple[int, str]:
 def cmd_color_betti(args) -> tuple[int, str]:
     desc = load_manifold(args.manifold)
     mu = parse_partition(args.mu)
-    value = colored_betti(desc, args.n, args.i, mu, budget=_budget())
+    budget = _budget()
+    # mu = () is the unordered case, which solves no pattern
+    size = colored_pattern_bound(desc, args.n, args.i)
+    if mu and size > budget:
+        raise BudgetExceeded(
+            f"colored pattern spaces for n = {args.n}, i = {args.i} reach {size} keys, "
+            f"over the {budget}-element budget"
+        )
+    value = colored_betti(desc, args.n, args.i, mu)
     return 0, str(value)
 
 

@@ -11,22 +11,23 @@ Two computable regimes, with the transfer isomorphism doing the work:
   computed on orbit representatives (e2.InvariantComplex) without building
   a page cell, so this path has no budget.
 
-Colored configurations quotient by a Young subgroup instead of all of S_n
-and are computed from the decomposition of the surviving page into
-irreducibles.
+Colored configurations quotient by a Young subgroup S_{n-k} x S_mu instead
+of all of S_n, by the same transfer, and are computed on the page's
+Young-subgroup coinvariants (e2.YoungComplex): one small relation solve per
+orbit pattern of keys, again without building a page cell.
 """
 
 from collections import OrderedDict
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from .characters import decompose, young_invariants_dim
 from .e2 import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     E2Page,
     InvariantComplex,
     NotComputable,
+    YoungComplex,
     _cycle_trace,
     _poly_mul,
     block_rows,
@@ -45,6 +46,7 @@ __all__ = [
     "e2_cell_dim",
     "betti_unordered",
     "colored_betti",
+    "colored_pattern_bound",
     "graded_invariants_dim",
     "tensor_power_invariants_dim",
     "stable_range_report",
@@ -72,9 +74,9 @@ class BoundedCache(OrderedDict):
         return value
 
 
-# Keyed by (name, id(desc), n); a cached value holds desc, so its id stays
-# unique.  One pass of the acceptance gate's calls builds no explicit page
-# and 8 invariant complexes.
+# Keyed by (name, id(desc), n), and _INVARIANT also by mu; a cached value
+# holds desc, so its id stays unique.  One pass of the acceptance gate's
+# calls builds no explicit page and 8 invariant complexes.
 _PAGES = BoundedCache(16)
 _INVARIANT = BoundedCache(64)
 
@@ -159,8 +161,13 @@ def betti_unordered(desc: ManifoldDescriptor, n: int, i: int) -> int:
     )
 
 
-def _invariant_complex(desc: ManifoldDescriptor, n: int) -> InvariantComplex:
-    return _INVARIANT.fetch((desc.name, id(desc), n), lambda: InvariantComplex(E2Page(desc, n)))
+def _invariant_complex(desc: ManifoldDescriptor, n: int, mu: Partition = ()) -> InvariantComplex:
+    """The S_n-orbit complex for mu = (), else the Young-subgroup complex."""
+    def build() -> InvariantComplex:
+        page = E2Page(desc, n)
+        return YoungComplex(page, mu) if mu else InvariantComplex(page)
+
+    return _INVARIANT.fetch((desc.name, id(desc), n, mu), build)
 
 
 def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -170,11 +177,11 @@ def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = DEFAUL
     return e2_page(desc, n, budget).betti_ordered(i)
 
 
-def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budget: int = DEFAULT_BUDGET) -> int:
+def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition) -> int:
     """dim H^i(B_{n,mu}(M); Q): invariants under the Young subgroup S_{n,mu}.
 
-    mu = () is the unordered case; otherwise the surviving page is decomposed
-    into irreducibles and each contributes its Young-invariant dimension.
+    mu = () is the unordered case; otherwise the cohomology of the page's
+    Young-subgroup coinvariants (e2.YoungComplex).
     """
     if n < 0 or i < 0:
         raise ValueError("need n, i >= 0")
@@ -185,23 +192,22 @@ def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budge
         return betti_unordered(desc, n, i)
     if desc.diagonal is None or "single_differential" not in desc.flags:
         raise NotComputable(
-            f"{desc.name}: colored Betti numbers need the explicit complex"
+            f"{desc.name}: colored Betti numbers need a diagonal class and the "
+            "single_differential flag"
         )
-    return _colored_via_characters(desc, n, i, mu, budget)
+    if desc.d < 2:
+        raise NotComputable(f"{desc.name}: the E2 bigrading (p, q(d-1)) needs dim >= 2, got {desc.d}")
+    return _invariant_complex(desc, n, mu).betti(i)
 
 
-def _colored_via_characters(desc: ManifoldDescriptor, n: int, i: int, mu: Partition, budget: int) -> int:
-    page = e2_page(desc, n, budget)
-    total = 0
-    d = desc.d
-    for q in range(n // 2 + 1):
-        p = i - q * (d - 1)
-        if p < 0 or not page.cell(p, q):
-            continue
-        chi = page.cohomology_cell_character(p, q)
-        for lam, mult in decompose(chi).counts.items():
-            total += mult * young_invariants_dim(lam, mu)
-    return total
+def colored_pattern_bound(desc: ManifoldDescriptor, n: int, i: int) -> int:
+    """A bound on the largest pattern space W that colored_betti solves in
+    degree i: W has prod (s_b - 1)! <= q! keys, and a key of total degree i
+    has q <= min(n - 1, i // (d - 1)) edges.  1 where colored_betti refuses
+    before solving anything (d < 2, negative n or i)."""
+    if desc.d < 2:
+        return 1
+    return factorial(max(0, min(n - 1, i // (desc.d - 1))))
 
 
 def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int) -> bool:

@@ -15,6 +15,12 @@ cell's keys, built per call: each (sigma, key) is straightened once.
 Orbit-representative backend: InvariantComplex computes H^*(B_n(M)) on one
 disjoint-pair key per S_n-orbit and never enumerates a page cell.
 
+Coinvariant backend: YoungComplex computes the invariants of H^*(C_n(M))
+under a Young subgroup S_{n-k} x S_mu (colored configurations) on the
+page's coinvariants under that subgroup: one representative partition per
+orbit pattern of keys, whose keys are reduced modulo the relations of its
+stabiliser by one small Echelon.  It never enumerates a page cell either.
+
 Character backend: cell characters are assembled independently, from
 sigma-fixed set partitions, the top characters of the Euclidean blocks, and
 a graded trace over cyclic block-orbits.  Agreement of the two backends is a
@@ -26,9 +32,9 @@ from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
-from .arnold import act_monomial, all_monomials, top_character
+from .arnold import act_monomial, all_monomials, top_basis, top_character
 from .characters import ClassFunction, induced_character
-from .linalg import add_into, kernel_basis, span_dim
+from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
 from .perms import Perm, class_representative, compose, from_cycles, identity
@@ -316,6 +322,8 @@ class InvariantComplex:
 
     def __init__(self, page: E2Page):
         self.page = page
+        # the highest row with a surviving orbit: q disjoint pairs
+        self.max_edges = page.n // 2
         self._bases: dict[tuple[int, int], list[Key]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
@@ -383,16 +391,20 @@ class InvariantComplex:
         return self.classes(self.page.diff_key(key))
 
     def basis(self, p: int, q: int) -> list[Key]:
-        """The seeds of cell (p, q) whose class survives."""
+        """The keys of cell (p, q) whose classes are a basis; computed once per cell."""
         if (p, q) not in self._bases:
-            basis = [seed for seed in self.seeds(p, q) if self.canonical(seed)]
-            expected = invariant_cell_dim(self.page.desc, self.page.n, p, q)
-            if len(basis) != expected:
-                raise AssertionError(
-                    f"invariant cell ({p},{q}) has dim {len(basis)}, closed form {expected}"
-                )
-            self._bases[(p, q)] = basis
+            self._bases[(p, q)] = self._cell_basis(p, q)
         return self._bases[(p, q)]
+
+    def _cell_basis(self, p: int, q: int) -> list[Key]:
+        """The seeds whose class survives, checked against the closed form."""
+        basis = [seed for seed in self.seeds(p, q) if self.canonical(seed)]
+        expected = invariant_cell_dim(self.page.desc, self.page.n, p, q)
+        if len(basis) != expected:
+            raise AssertionError(
+                f"invariant cell ({p},{q}) has dim {len(basis)}, closed form {expected}"
+            )
+        return basis
 
     def differential_rank(self, p: int, q: int) -> int:
         """Rank of d out of invariant cell (p, q); computed once per cell."""
@@ -409,11 +421,165 @@ class InvariantComplex:
     def betti(self, i: int) -> int:
         d = self.page.desc.d
         total = 0
-        for q in range(self.page.n // 2 + 1):
+        for q in range(self.max_edges + 1):
             p = i - q * (d - 1)
             if p >= 0:
                 total += self.cohomology_dim(p, q)
         return total
+
+
+class YoungComplex(InvariantComplex):
+    """H^*(C_n(M))^G for the Young subgroup G = S_{n-k} x S_mu, k = |mu|, on
+    the G-coinvariants of the page.
+
+    Points 1..n-k are uncoloured; the next mu_1 points have colour 1, the
+    next mu_2 colour 2, and so on.  A key's G-orbit is fixed by its pattern,
+    the sorted multiset of block signatures (size, colour counts, class of
+    M).  Each pattern has one representative labelled partition, filled
+    block by block with the lowest free points of each colour, and the span
+    of the orbit is induced from W, the span of the representative's keys
+    (prod top_basis(s_b) over its blocks).  So the orbit's coinvariants are
+    W modulo h.w - w for the generators h of the representative's
+    stabiliser: adjacent same-colour transpositions inside a block and swaps
+    of adjacent identical blocks.  One Echelon of these relations is solved
+    per pattern, and the keys of W that are not its pivots are the basis.
+    Blocks of three or more points act non-monomially, so the class of a key
+    is a reduced vector, not a signed key.  Rows run to q = n - 1: blocks of
+    any size survive once points are coloured.
+    """
+
+    def __init__(self, page: E2Page, mu: Partition):
+        super().__init__(page)
+        self.max_edges = max(page.n - 1, 0)
+        self.colour_counts = (page.n - sum(mu),) + tuple(mu)
+        # colour of point x at x - 1; each colour is a run of consecutive points
+        self.colours = tuple(c for c, m in enumerate(self.colour_counts) for _ in range(m))
+        self._patterns: dict[tuple, tuple[list[tuple[int, ...]], list[Key], Echelon]] = {}
+
+    def _composition(self, block: tuple[int, ...]) -> tuple[int, ...]:
+        counts = [0] * len(self.colour_counts)
+        for x in block:
+            counts[self.colours[x - 1]] += 1
+        return tuple(counts)
+
+    def patterns(self, p: int, q: int) -> list[tuple]:
+        """The patterns of cell (p, q): sorted (largest first) tuples of block
+        signatures (size, colour counts, class) that use every point once,
+        q edges and total class degree p."""
+        desc, n = self.page.desc, self.page.n
+        if not 0 <= q <= self.max_edges or p < 0:
+            return []
+        comps = [()]
+        for m in self.colour_counts:
+            comps = [c + (j,) for c in comps for j in range(m + 1)]
+        signatures = sorted(
+            ((sum(comp), comp, cls) for comp in comps if 0 < sum(comp) <= q + 1
+             for cls in range(desc.dim_total)),
+            reverse=True,
+        )
+        top = max(desc.degrees)
+        out = []
+
+        def extend(start: int, left: tuple[int, ...], points: int, edges: int, degree: int, acc: list):
+            if not points:
+                if not edges and not degree:
+                    out.append(tuple(acc))
+                return
+            # the blocks still to place number points - edges, each of degree <= top
+            if edges > points - 1 or degree > top * (points - edges):
+                return
+            for t in range(start, len(signatures)):
+                size, comp, cls = signatures[t]
+                deg = desc.degrees[cls]
+                if size - 1 > edges or deg > degree or any(c > m for c, m in zip(comp, left)):
+                    continue
+                acc.append(signatures[t])
+                rest = tuple(m - c for m, c in zip(left, comp))
+                extend(t, rest, points - size, edges - size + 1, degree - deg, acc)
+                acc.pop()
+
+        extend(0, self.colour_counts, n, q, p, [])
+        return out
+
+    def _pattern(self, pattern: tuple) -> tuple[list[tuple[int, ...]], list[Key], Echelon]:
+        """(representative blocks in pattern order, keys of W, Echelon of the
+        relations); solved once per pattern."""
+        if pattern not in self._patterns:
+            page = self.page
+            n = page.n
+            free = [sum(self.colour_counts[:c]) + 1 for c in range(len(self.colour_counts))]
+            blocks = []
+            for _, comp, _ in pattern:
+                block = []
+                for c, m in enumerate(comp):
+                    block.extend(range(free[c], free[c] + m))
+                    free[c] += m
+                blocks.append(tuple(block))
+            gens = []
+            for t, block in enumerate(blocks):
+                for x, y in zip(block, block[1:]):
+                    if self.colours[x - 1] == self.colours[y - 1]:
+                        gens.append(from_cycles(n, [(x, y)]))
+                if t + 1 < len(blocks) and pattern[t] == pattern[t + 1]:
+                    gens.append(from_cycles(n, list(zip(block, blocks[t + 1]))))
+            keys = self._keys(pattern, blocks)
+            relations = Echelon()
+            for key in keys:
+                for h in gens:
+                    v = page.act_key(h, key)
+                    add_into(v, {key: 1}, -1)
+                    relations.insert(v)
+            self._patterns[pattern] = blocks, keys, relations
+        return self._patterns[pattern]
+
+    def _keys(self, pattern: tuple, blocks: list[tuple[int, ...]]) -> list[Key]:
+        """The keys of W: one top-degree monomial per block, the classes in
+        block-minimum order."""
+        monos = [()]
+        for block in blocks:
+            monos = [
+                mono + tuple((block[a - 1], block[b - 1]) for a, b in top)
+                for mono in monos
+                for top in top_basis(len(block))
+            ]
+        word = tuple(cls for _, cls in sorted(zip(blocks, (cls for _, _, cls in pattern))))
+        return [(tuple(sorted(mono, key=lambda ab: (ab[1], ab[0]))), word) for mono in monos]
+
+    def _cell_basis(self, p: int, q: int) -> list[Key]:
+        """The keys of W that are not pivots of its relations, over the
+        patterns of cell (p, q)."""
+        basis = []
+        for pattern in self.patterns(p, q):
+            _, keys, relations = self._pattern(pattern)
+            pivots = {pivot for pivot, _ in relations.rows}
+            basis.extend(key for key in keys if key not in pivots)
+        return basis
+
+    def canonical(self, key: Key) -> dict:
+        """The coinvariant class of a key, in basis coordinates.
+
+        The colour-preserving relabelling sends the key's blocks, sorted by
+        signature, onto the representative's blocks; within a block the
+        points of each colour go in order, which is the order of the sorted
+        blocks since every colour is a run of consecutive points."""
+        page = self.page
+        mono, word = key
+        blocks = blocks_of(mono, page.n)
+        signatures = [(len(blk), self._composition(blk), cls) for blk, cls in zip(blocks, word)]
+        order = sorted(range(len(blocks)), key=signatures.__getitem__, reverse=True)
+        rep_blocks, _, relations = self._pattern(tuple(signatures[t] for t in order))
+        sigma = [0] * page.n
+        for t, rep in zip(order, rep_blocks):
+            for x, y in zip(blocks[t], rep):
+                sigma[x - 1] = y
+        return relations.reduce(page.act_key(tuple(sigma), key))
+
+    def classes(self, v: dict) -> dict:
+        """The coinvariant class of a page vector, in basis coordinates."""
+        out: dict = {}
+        for key, c in v.items():
+            add_into(out, self.canonical(key), c)
+        return out
 
 
 # ---------------------------------------------------------------------------

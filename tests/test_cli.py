@@ -1,6 +1,7 @@
 import pytest
 
 from repstab.cli import dispatch
+from repstab.e2 import YoungComplex
 
 
 def run(*argv):
@@ -92,11 +93,22 @@ def test_betti_golden():
 
 
 def test_betti_env_budget(monkeypatch):
-    # the budget covers the explicit page, which color-betti with mu != 0 builds
+    # color-betti with mu != 0 checks its largest pattern space, here 4! keys
+    # (a block of five points), before solving any pattern
+    def refuse(*args):
+        raise AssertionError("a pattern was solved before the budget was checked")
+
+    monkeypatch.setattr(YoungComplex, "_pattern", refuse)
     monkeypatch.setenv("REPSTAB_BUDGET", "10")
-    code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "4", "--i", "4")
-    assert code == 2
-    assert "budget" in text
+    code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "5", "--i", "4")
+    assert (code, text) == (
+        2,
+        "error: colored pattern spaces for n = 5, i = 4 reach 24 keys, over the "
+        "10-element budget (raise REPSTAB_BUDGET to override)",
+    )
+    monkeypatch.undo()
+    monkeypatch.setenv("REPSTAB_BUDGET", "24")
+    assert run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "5", "--i", "4") == (0, "17")
 
 
 def test_betti_bad_env_budget(monkeypatch):
@@ -112,6 +124,21 @@ def test_betti_builds_no_page(monkeypatch):
     monkeypatch.setenv("REPSTAB_BUDGET", "10")
     code, text = run("betti", "--manifold", "torus", "--n", "7", "--i", "4")
     assert (code, text) == (0, "7")
+
+
+def test_color_betti_builds_no_page(monkeypatch):
+    # the explicit torus page at n = 7 has 604800 elements; the largest
+    # pattern space in degree 3 has 3! keys
+    monkeypatch.setenv("REPSTAB_BUDGET", "10")
+    code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "7", "--i", "3")
+    assert (code, text) == (0, "15")
+
+
+def test_color_betti_dim_one_exits_2(tmp_path):
+    path = tmp_path / "s1.desc"
+    path.write_text("name s1\ndim 1\nflag single_differential\nclass 1 0\nclass t 1\ndiag 1 t 1\ndiag t 1 -1\n")
+    code, text = run("color-betti", "--manifold", str(path), "--mu", "1", "--n", "2", "--i", "1")
+    assert (code, text) == (2, "error: s1: the E2 bigrading (p, q(d-1)) needs dim >= 2, got 1")
 
 
 def test_color_betti():

@@ -10,6 +10,7 @@ from repstab.configspaces import (
     _invariant_complex,
     betti_unordered,
     colored_betti,
+    colored_pattern_bound,
     correspondence_injective,
     euler_characteristic_consistency,
     graded_invariants_dim,
@@ -18,8 +19,10 @@ from repstab.configspaces import (
     stable_range_report,
     tensor_power_invariants_dim,
 )
-from repstab.e2 import BudgetExceeded
+from repstab.characters import decompose, young_invariants_dim
+from repstab.e2 import BudgetExceeded, E2Page, YoungComplex
 from repstab.manifolds import load_manifold, parse_descriptor
+from repstab.partitions import partitions_of
 
 TORUS = load_manifold("torus")
 S2 = load_manifold("s2")
@@ -110,27 +113,94 @@ def test_colored_reduces_to_unordered():
             assert colored_betti(TORUS, n, i, ()) == betti_unordered(TORUS, n, i)
 
 
+_SURVIVING: dict = {}
+
+
+def _colored_via_characters(desc, n: int, i: int, mu) -> int:
+    """The character route, the oracle for colored_betti: decompose the
+    character of each surviving cell of total degree i on the explicit page
+    into irreducibles, each contributing its Young-invariant dimension.  Rows
+    run to q = n - 1.  The decompositions are kept per (desc, n, i)."""
+    if (desc.name, n, i) not in _SURVIVING:
+        page = E2Page(desc, n)
+        counts: dict = {}
+        for q in range(n):
+            p = i - q * (desc.d - 1)
+            if p < 0 or not page.cell(p, q):
+                continue
+            for lam, mult in decompose(page.cohomology_cell_character(p, q)).counts.items():
+                counts[lam] = counts.get(lam, 0) + mult
+        _SURVIVING[(desc.name, n, i)] = counts
+    return sum(mult * young_invariants_dim(lam, mu) for lam, mult in _SURVIVING[(desc.name, n, i)].items())
+
+
 def test_transfer_consistency_two_routes():
     # invariants-then-cohomology (orbit-representative complex) agrees with
     # cohomology-then-invariants (trivial part of the surviving page)
-    from repstab.configspaces import _colored_via_characters
-
     for desc, n_max in ((TORUS, 4), (S2, 5), (CP1, 5)):
         for n in range(2, n_max + 1):
             for i in range(0, 5):
-                via_characters = _colored_via_characters(desc, n, i, (), 200_000)
+                via_characters = _colored_via_characters(desc, n, i, ())
                 assert via_characters == betti_unordered(desc, n, i)
+
+
+@pytest.mark.parametrize("desc, n_max", ((TORUS, 4), (S2, 5), (CP1, 5)), ids=("torus", "s2", "cp1"))
+def test_colored_coinvariants_match_character_route(desc, n_max):
+    # every mu with 1 <= |mu| <= 2 and every degree of C_n(M)
+    for n in range(1, n_max + 1):
+        for mu in [mu for k in (1, 2) if k <= n for mu in partitions_of(k)]:
+            for i in range(n * desc.d + 1):
+                assert colored_betti(desc, n, i, mu) == _colored_via_characters(desc, n, i, mu), (n, mu, i)
+
+
+def test_young_complex_without_colours_is_unordered():
+    # at mu = () the generic relation solve is the S_n-orbit complex
+    for desc in (TORUS, S2, CP1):
+        for n in range(0, 7):
+            young = YoungComplex(E2Page(desc, n), ())
+            for i in range(n * desc.d + 1):
+                assert young.betti(i) == betti_unordered(desc, n, i), (desc.name, n, i)
 
 
 def test_colored_betti_pinned_values():
     assert [colored_betti(TORUS, n, 3, (1,)) for n in (3, 4, 5)] == [6, 14, 15]
     assert [colored_betti(S2, n, 3, (2,)) for n in (4, 5)] == [1, 1]
+    # the character route with rows cut at q = n // 2 gave 56
+    assert colored_betti(TORUS, 5, 4, (1, 1)) == 58
 
 
 def test_colored_full_coloring_is_ordered():
-    for n in (2, 3):
-        for i in range(0, 4):
+    for n in range(1, 6):
+        for i in range(0, 5):
             assert colored_betti(TORUS, n, i, (1,) * n) == ordered_betti(TORUS, n, i)
+
+
+def test_colored_betti_builds_no_page_cells(monkeypatch):
+    # the explicit torus page at n = 12 would have 4*5*...*15 elements
+    def refuse(*args):
+        raise AssertionError("colored_betti took a cell character")
+
+    monkeypatch.setattr(E2Page, "cohomology_cell_character", refuse)
+    assert colored_betti(TORUS, 12, 3, (1,)) == 15
+    assert "cells" not in _invariant_complex(TORUS, 12, (1,)).page.__dict__
+
+
+def test_colored_pattern_bound():
+    # q! for q = min(n - 1, i // (d - 1)) edges
+    assert colored_pattern_bound(TORUS, 12, 3) == 6
+    assert colored_pattern_bound(TORUS, 3, 5) == 2
+    assert colored_pattern_bound(S3, 9, 5) == 2
+    assert colored_pattern_bound(TORUS, 2, -1) == 1
+    for desc, n, i in ((TORUS, 5, 4), (S2, 5, 4), (S3, 5, 6)):
+        young = _invariant_complex(desc, n, (1,))
+        largest = max(
+            len(young._pattern(pattern)[1])
+            for q in range(n)
+            for p in range(i + 1)
+            for pattern in young.patterns(p, q)
+            if p + q * (desc.d - 1) <= i
+        )
+        assert largest == colored_pattern_bound(desc, n, i)
 
 
 def test_colored_s3_stabilization():
@@ -185,9 +255,9 @@ def test_homological_stability_corollary_on_sphere():
 
 def test_cached_pages_honour_budget():
     # a page cached under the default budget is refused under a smaller one
-    assert colored_betti(TORUS, 4, 2, (1,)) == 9
+    assert euler_characteristic_consistency(TORUS, 4)
     with pytest.raises(BudgetExceeded):
-        colored_betti(TORUS, 4, 2, (1,), budget=10)
+        euler_characteristic_consistency(TORUS, 4, budget=10)
     assert ordered_betti(TORUS, 4, 2) == 30
     with pytest.raises(BudgetExceeded):
         ordered_betti(TORUS, 4, 2, budget=10)

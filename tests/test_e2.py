@@ -2,10 +2,11 @@ from fractions import Fraction
 from math import factorial
 
 import repstab.e2 as e2_module
-from repstab.characters import ClassFunction
+from repstab.characters import ClassFunction, decompose, young_invariants_dim
 from repstab.e2 import (
     E2Page,
     InvariantComplex,
+    YoungComplex,
     block_character_at_n,
     block_rows,
     blocks_of,
@@ -313,3 +314,67 @@ def test_cyclic_trace_lemma_brute_force():
         for j, dim in ((0, 1), (1, 2), (2, 1)):
             expected[j * t] = expected.get(j * t, 0) + (-1) ** (j * (t - 1)) * dim
         assert brute(t) == {k: v for k, v in expected.items() if v}
+
+
+def young_subgroup(n: int, mu) -> list:
+    """S_{n-k} x S_mu as the permutations that keep every colour run."""
+    colours = [0] * (n - sum(mu)) + [c for c, m in enumerate(mu, 1) for _ in range(m)]
+    return [g for g in all_perms(n) if all(colours[g[x] - 1] == colours[x] for x in range(n))]
+
+
+def young_average(page, group, key):
+    """(1/|G|) * sum of g.key over G: the oracle for YoungComplex.canonical."""
+    total: dict = {}
+    for g in group:
+        add_into(total, page.act_key(g, key))
+    return {k: Fraction(c, len(group)) for k, c in total.items()}
+
+
+def test_young_classes_match_brute_average():
+    # averaging is an isomorphism from the G-coinvariants onto the
+    # G-invariants, so the averages of the basis keys are independent, and the
+    # average of any key is its class read in those averages
+    for desc in (TORUS, S2):
+        for n, mu in ((3, (1,)), (3, (2,)), (4, (1,)), (4, (1, 1)), (4, (2, 1))):
+            page = E2Page(desc, n)
+            young = YoungComplex(page, mu)
+            group = young_subgroup(n, mu)
+            for (p, q), keys in page.cells.items():
+                basis = young.basis(p, q)
+                averages = {b: young_average(page, group, b) for b in basis}
+                assert Echelon(averages.values()).dim == len(basis)
+                for key in keys:
+                    expected: dict = {}
+                    for b, c in young.canonical(key).items():
+                        add_into(expected, averages[b], c)
+                    assert young_average(page, group, key) == expected, (desc.name, mu, key)
+
+
+def test_young_cell_dims_match_character_backend():
+    # dim of the G-invariants of cell (p, q), from the decomposition of its
+    # character into irreducibles and their Young-invariant dimensions
+    for desc in (TORUS, S2, S3):
+        for n in (3, 4):
+            for mu in ((1,), (2,), (1, 1), (3,), (2, 1)):
+                if sum(mu) > n:
+                    continue
+                young = YoungComplex(E2Page(desc, n), mu)
+                for q in range(n):
+                    for p in range(n * desc.d + 1):
+                        chi = e2_cell_character(desc, n, p, q * (desc.d - 1))
+                        expected = sum(
+                            mult * young_invariants_dim(lam, mu)
+                            for lam, mult in decompose(chi).counts.items()
+                        )
+                        assert len(young.basis(p, q)) == expected, (desc.name, n, mu, p, q)
+
+
+def test_young_patterns_fill_colour_runs():
+    young = YoungComplex(E2Page(TORUS, 5), (2, 1))
+    # points 1, 2 uncoloured, 3, 4 colour 1, 5 colour 2
+    assert young.colours == (0, 0, 1, 1, 2)
+    pattern = ((3, (1, 1, 1), 0), (1, (1, 0, 0), 0), (1, (0, 1, 0), 0))
+    assert pattern in young.patterns(0, 2)
+    blocks, keys, _ = young._pattern(pattern)
+    assert blocks == [(1, 3, 5), (2,), (4,)]
+    assert keys == [(((1, 3), (1, 5)), (0, 0, 0)), (((1, 3), (3, 5)), (0, 0, 0))]
