@@ -6,6 +6,7 @@ stdout; every table is emitted in a fixed sorted order.
 """
 
 import argparse
+import io
 import os
 import sys
 import tempfile
@@ -240,76 +241,83 @@ def cmd_ranges_for(args) -> tuple[int, str]:
     return 0, _emit(rows, args.format)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int, "required": True}
+_STR = {"required": True}
+_FLAG = {"action": "store_true"}
+
+# name -> (function, help, options), in the order --help lists them
+_COMMANDS = {
+    "chartable": (cmd_chartable, "character table of S_n", {"--n": _INT}),
+    "branch": (
+        cmd_branch, "decomposition of I_n(V_lambda)",
+        {"--lambda": _STR, "--n": _INT, "--verify": _FLAG},
+    ),
+    "monotone": (
+        cmd_monotone, "monotonicity of the induced sequence", {"--lambda": _STR, "--n-max": _INT},
+    ),
+    "stable": (
+        cmd_stable, "uniform stability of the induced sequence", {"--lambda": _STR, "--n-max": _INT},
+    ),
+    "ranges": (
+        cmd_ranges, "stable/monotone range propagation table",
+        {"--m": _STR, "--ell": _INT, "--pages": {"type": int, "default": 5}},
+    ),
+    "arnold": (cmd_arnold, "Euclidean configuration algebra summary", {"--m": _INT, "--d": _INT}),
+    "e2": (
+        cmd_e2, "E2 page dimensions", {"--manifold": _STR, "--n": _INT, "--explicit": _FLAG},
+    ),
+    "betti": (
+        cmd_betti, "unordered configuration Betti number",
+        {"--manifold": _STR, "--n": _INT, "--i": _INT},
+    ),
+    "color-betti": (
+        cmd_color_betti, "colored configuration Betti number",
+        {"--manifold": _STR, "--mu": _STR, "--n": _INT, "--i": _INT},
+    ),
+    "ranges-for": (
+        cmd_ranges_for, "theoretical stable ranges for a manifold", {"--manifold": _STR, "--i": _INT},
+    ),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given an argv that names one (its
+    first token that is a subcommand), of that subcommand alone."""
     parser = argparse.ArgumentParser(
         prog="repstab",
         description="Exact symmetric-group stability and configuration-space Betti numbers",
     )
     parser.add_argument("--format", choices=("tsv", "pretty"), default="tsv")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chartable", help="character table of S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_chartable)
-
-    p = sub.add_parser("branch", help="decomposition of I_n(V_lambda)")
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("monotone", help="monotonicity of the induced sequence")
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_monotone)
-
-    p = sub.add_parser("stable", help="uniform stability of the induced sequence")
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_stable)
-
-    p = sub.add_parser("ranges", help="stable/monotone range propagation table")
-    p.add_argument("--m", required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--pages", type=int, default=5)
-    p.set_defaults(func=cmd_ranges)
-
-    p = sub.add_parser("arnold", help="Euclidean configuration algebra summary")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_arnold)
-
-    p = sub.add_parser("e2", help="E2 page dimensions")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--explicit", action="store_true")
-    p.set_defaults(func=cmd_e2)
-
-    p = sub.add_parser("betti", help="unordered configuration Betti number")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("color-betti", help="colored configuration Betti number")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_color_betti)
-
-    p = sub.add_parser("ranges-for", help="theoretical stable ranges for a manifold")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_ranges_for)
-
+    named = [arg for arg in argv or () if arg in _COMMANDS][:1]
+    for name in named or _COMMANDS:
+        func, help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the named subcommand alone.  Help and usage
+    errors exit, and the silenced attempt is redone by the full parser, so
+    what they print is the full parser's."""
+    if any(arg in _COMMANDS for arg in argv):
+        stdout, stderr = sys.stdout, sys.stderr
+        sys.stdout = sys.stderr = io.StringIO()
+        try:
+            return build_parser(argv).parse_args(argv)
+        except SystemExit:
+            pass
+        finally:
+            sys.stdout, sys.stderr = stdout, stderr
+    return build_parser().parse_args(argv)
+
+
 def dispatch(argv: list[str]) -> tuple[int, str]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return (0, "") if exc.code == 0 else (2, "usage error")
     try:

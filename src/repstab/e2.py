@@ -8,9 +8,17 @@ relation that identifies the two point-pullbacks along an edge is built into
 this basis.  The differential sends an edge generator to the diagonal class
 of its two endpoints and extends as a graded derivation; Koszul signs follow
 one rule: a transposition of adjacent odd-degree factors contributes -1.
+Normal-form monomials are increasing forests, so removing an edge (a, b)
+splits off a block with minimum b, and each term of d is one slice of the
+word with b's class inserted where b sorts among the block minima: a sign
+from prefix degrees, no sort.
 The S_n action is linear but not monomial (Arnold straightening), so the
 characters of the surviving cells act through a rep.LinearIndex over the
-cell's keys, built per call: each (sigma, key) is straightened once.
+cell's keys, built per call: each (sigma, key) is straightened once.  A
+sigma that keeps every edge increasing, as one increasing on every block
+does, sends a key to one signed key (E2Page.relabel): the relabellings onto
+orbit representatives and the swaps of identical blocks are sorts and
+signs, and only transpositions inside a block straighten.
 
 Orbit-representative backend: InvariantComplex computes H^*(B_n(M)) on one
 disjoint-pair key per S_n-orbit and never enumerates a page cell.
@@ -27,10 +35,12 @@ a graded trace over cyclic block-orbits.  Agreement of the two backends is a
 test, not an assumption.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
+from operator import itemgetter
 
 from .arnold import act_monomial, all_monomials, top_basis, top_character
 from .characters import ClassFunction, induced_character
@@ -61,7 +71,8 @@ class NotComputable(Exception):
     pass
 
 
-@cache
+# Bounded: the explicit page of s2 at n = 7 enumerates 5040 monomials, once each.
+@lru_cache(maxsize=4096)
 def blocks_of(mono: Monomial, n: int) -> tuple[tuple[int, ...], ...]:
     """Connected components of the edge graph, singletons included, by min."""
     parent = list(range(n + 1))
@@ -82,14 +93,15 @@ def blocks_of(mono: Monomial, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
 
 
-def _sort_sign(entries: list[tuple[int, int]]) -> int:
-    """Koszul sign for sorting (position_key, degree) pairs by position key."""
-    sign = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if entries[i][0] > entries[j][0] and entries[i][1] % 2 and entries[j][1] % 2:
-                sign = -sign
-    return sign
+def _inversion_sign(values) -> int:
+    """(-1)^(number of inversions) of a sequence of distinct values."""
+    seen: list = []
+    odd = 0
+    for v in values:
+        at = bisect_right(seen, v)
+        odd ^= (len(seen) - at) & 1
+        seen.insert(at, v)
+    return -1 if odd else 1
 
 
 class E2Page:
@@ -133,16 +145,33 @@ class E2Page:
 
     def act_key(self, sigma: Perm, key: Key) -> dict[Key, int]:
         mono, word = key
-        d = self.desc.d
-        relabeled = act_monomial(sigma, mono, d)
-        old_blocks = blocks_of(mono, self.n)
-        entries = []
-        for blk, cls in zip(old_blocks, word):
-            new_min = min(sigma[x - 1] for x in blk)
-            entries.append((new_min, self.desc.degrees[cls], cls))
-        koszul = _sort_sign([(e[0], e[1]) for e in entries])
-        new_word = tuple(cls for _, _, cls in sorted(entries, key=lambda e: e[0]))
+        relabeled = act_monomial(sigma, mono, self.desc.d)
+        mins = [min(sigma[x - 1] for x in blk) for blk in blocks_of(mono, self.n)]
+        new_word, koszul = self._move_word(mins, word)
         return {(m2, new_word): s * koszul for m2, s in relabeled.items()}
+
+    def relabel(self, sigma: Perm, key: Key) -> tuple[Key, int]:
+        """(key', sign) with sigma . key = sign * key', for a sigma that keeps
+        every edge (a, b) of the key increasing, as one increasing on every
+        block does.  The relabelled forest is then in normal form once its
+        edges are sorted, and each block's new minimum is the image of its
+        old one, so the action is a sort and a Koszul sign: no straightening."""
+        mono, word = key
+        edges = [(sigma[a - 1], sigma[b - 1]) for a, b in mono]
+        if any(a > b for a, b in edges):
+            raise AssertionError(f"{sigma} reverses an edge of {key}")
+        edge_sign = _inversion_sign([b for _, b in edges]) if self.desc.d % 2 == 0 else 1
+        mins = [sigma[blk[0] - 1] for blk in blocks_of(mono, self.n)]
+        new_word, koszul = self._move_word(mins, word)
+        return (tuple(sorted(edges, key=itemgetter(1))), new_word), edge_sign * koszul
+
+    def _move_word(self, mins: list[int], word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The word re-sorted by its blocks' new minima, and the Koszul sign:
+        (-1) for each pair of odd-degree classes that changes order."""
+        degrees = self.desc.degrees
+        order = sorted(range(len(word)), key=mins.__getitem__)
+        sign = _inversion_sign([m for m, cls in zip(mins, word) if degrees[cls] % 2])
+        return tuple(word[t] for t in order), sign
 
     def act_vec(self, sigma: Perm, v: dict) -> dict:
         out: dict = {}
@@ -154,51 +183,48 @@ class E2Page:
     # -- the differential ----------------------------------------------------
 
     def diff_key(self, key: Key) -> dict[Key, int | Fraction]:
+        """d of a key: the sum over its edges (a, b) of the edge replaced by
+        the diagonal class of a and b, in O(blocks) per output term.
+
+        Normal-form monomials are increasing forests, so removing (a, b)
+        splits off the subtree of b, whose minimum is b, and a's block keeps
+        its minimum.  For a diagonal term e1 x e2 and e1 * x = sum k, a's
+        factor x becomes k in place, and b's new factor e2 moves from just
+        after a's block to slot r, the number of blocks with minimum below b.
+        Its sign is (-1)^(deg e1 * pre_a + deg e2 * pre_r), with pre_t the
+        degree of the word before slot t: e2 passes the factors before a's
+        block, x, and the factors it crosses."""
         if self.desc.diagonal is None:
             raise MissingDiagonal(f"{self.desc.name} has no diagonal class")
         mono, word = key
         desc = self.desc
-        d = desc.d
+        degrees = desc.degrees
+        pre = [0]
+        for cls in word:
+            pre.append(pre[-1] + degrees[cls])
+        seconds = [b for _, b in mono]
+        root: dict[int, int] = {}  # the minimum of each non-minimal point's block
+        for a, b in mono:
+            root[b] = root.get(a, a)
         out: dict[Key, int | Fraction] = {}
-        old_blocks = blocks_of(mono, self.n)
         for i, (a, b) in enumerate(mono):
-            sign_i = (-1) ** ((d - 1) * i)
+            sign_i = -1 if (desc.d - 1) * i % 2 else 1
             mono2 = mono[:i] + mono[i + 1:]
-            new_blocks = blocks_of(mono2, self.n)
-            split_at = next(t for t, blk in enumerate(old_blocks) if a in blk)
-            x_cls = word[split_at]
-            blk_a = next(blk for blk in new_blocks if a in blk)
-            blk_b = next(blk for blk in new_blocks if b in blk)
-            # ordered factor list: old order with the split block expanded
-            factors = []  # (block_min, class) in pre-sort order
-            for t, blk in enumerate(old_blocks):
-                if t == split_at:
-                    factors.append([min(blk_a), x_cls])
-                    factors.append([min(blk_b), desc.unit])
-                else:
-                    factors.append([blk[0], word[t]])
-            pos_a, pos_b = split_at, split_at + 1
-            pre_a = sum(desc.degrees[factors[t][1]] for t in range(pos_a))
-            pre_b = pre_a + desc.degrees[x_cls]
-            for (e1, e2, coef) in desc.diagonal:
-                sign_b = (-1) ** (desc.degrees[e2] * pre_b)
-                sign_a = (-1) ** (desc.degrees[e1] * pre_a)
+            # slots by block minimum: the roots below a point are the points
+            # below it that are no edge's second index
+            m = root.get(a, a)
+            s = m - 1 - bisect_left(seconds, m)
+            r = b - 1 - i
+            x_cls = word[s]
+            head, mid, tail = word[:s], word[s + 1:r], word[r:]
+            for e1, e2, coef in desc.diagonal:
                 products = desc.product(e1, x_cls)
                 if not products:
                     continue
+                sign = -1 if (degrees[e1] * pre[s] + degrees[e2] * pre[r]) % 2 else 1
                 for k_cls, k_coef in products.items():
-                    final = [list(f) for f in factors]
-                    final[pos_a][1] = k_cls
-                    final[pos_b][1] = e2
-                    entries = [(f[0], desc.degrees[f[1]]) for f in final]
-                    koszul = _sort_sign(entries)
-                    new_word = tuple(
-                        cls for _, cls in sorted(
-                            ((f[0], f[1]) for f in final), key=lambda e: e[0]
-                        )
-                    )
-                    total = sign_i * coef * sign_b * sign_a * koszul * k_coef
-                    add_into(out, {(mono2, new_word): total})
+                    total = sign_i * coef * sign * k_coef
+                    add_into(out, {(mono2, head + (k_cls,) + mid + (e2,) + tail): total})
         return out
 
     def diff_vec(self, v: dict) -> dict:
@@ -326,6 +352,7 @@ class InvariantComplex:
         self.max_edges = page.n // 2
         self._bases: dict[tuple[int, int], list[Key]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+        self._survives: dict[Key, bool] = {}  # the stabiliser verdict per seed
 
     def seeds(self, p: int, q: int) -> list[Key]:
         """Disjoint-pair keys that represent the orbits of cell (p, q).
@@ -351,10 +378,10 @@ class InvariantComplex:
         when [key] = 0.
 
         One relabelling sends the pairs, sorted by class, to (1 2), (3 4), ...
-        and the singletons, sorted by class, to the points after them.  The
-        class vanishes when a generator of the seed's stabiliser acts by -1:
-        a flip inside a pair, or a swap of adjacent equal-class pairs or of
-        adjacent equal-class singletons.
+        and the singletons, sorted by class, to the points after them.  It is
+        increasing on every block, so it is applied by E2Page.relabel, a sort
+        and a sign.  The class vanishes when a generator of the seed's
+        stabiliser acts by -1; that verdict is kept per seed.
         """
         page = self.page
         mono, word = key
@@ -364,19 +391,28 @@ class InvariantComplex:
         sigma = [0] * page.n
         for target, x in enumerate((x for _, _, blk in blocks for x in blk), 1):
             sigma[x - 1] = target
-        [(seed, sign)] = page.act_key(tuple(sigma), key).items()
+        seed, sign = page.relabel(tuple(sigma), key)
+        if seed not in self._survives:
+            self._survives[seed] = self._stabiliser_fixes(seed)
+        return (seed, sign) if self._survives[seed] else None
+
+    def _stabiliser_fixes(self, seed: Key) -> bool:
+        """Whether every generator of the seed's stabiliser fixes it: a flip
+        inside a pair, and swaps of adjacent equal-class pairs or of adjacent
+        equal-class singletons.  Only the flip needs straightening."""
+        page = self.page
+        n = page.n
         q, seed_word = len(seed[0]), seed[1]
-        stabiliser = [[(1, 2)]] if q else []
-        for t in range(q - 1):
-            if seed_word[t] == seed_word[t + 1]:
-                stabiliser.append([(2 * t + 1, 2 * t + 3), (2 * t + 2, 2 * t + 4)])
-        for t in range(q, len(seed_word) - 1):
-            if seed_word[t] == seed_word[t + 1]:
-                stabiliser.append([(q + t + 1, q + t + 2)])  # word slot t is point q + t + 1
-        for cycs in stabiliser:
-            if page.act_key(from_cycles(page.n, cycs), seed) != {seed: 1}:
-                return None
-        return seed, sign
+        if q and page.act_key(from_cycles(n, [(1, 2)]), seed) != {seed: 1}:
+            return False
+        swaps = [
+            [(2 * t + 1, 2 * t + 3), (2 * t + 2, 2 * t + 4)]
+            for t in range(q - 1) if seed_word[t] == seed_word[t + 1]
+        ] + [
+            [(q + t + 1, q + t + 2)]  # word slot t is point q + t + 1
+            for t in range(q, len(seed_word) - 1) if seed_word[t] == seed_word[t + 1]
+        ]
+        return all(page.relabel(from_cycles(n, cycs), seed) == (seed, 1) for cycs in swaps)
 
     def classes(self, v: dict) -> dict:
         """The coinvariant class of a page vector, in seed coordinates."""
@@ -440,9 +476,10 @@ class YoungComplex(InvariantComplex):
     of the orbit is induced from W, the span of the representative's keys
     (prod top_basis(s_b) over its blocks).  So the orbit's coinvariants are
     W modulo h.w - w for the generators h of the representative's
-    stabiliser: adjacent same-colour transpositions inside a block and swaps
-    of adjacent identical blocks.  One Echelon of these relations is solved
-    per pattern, and the keys of W that are not its pivots are the basis.
+    stabiliser: adjacent same-colour transpositions inside a block, which
+    straighten, and swaps of adjacent identical blocks, which are a sort and
+    a sign.  One Echelon of these relations is solved per pattern, and the
+    keys of W that are not its pivots are the basis.
     Blocks of three or more points act non-monomially, so the class of a key
     is a reduced vector, not a signed key.  Rows run to q = n - 1: blocks of
     any size survive once points are coloured.
@@ -515,20 +552,22 @@ class YoungComplex(InvariantComplex):
                     block.extend(range(free[c], free[c] + m))
                     free[c] += m
                 blocks.append(tuple(block))
-            gens = []
+            gens, swaps = [], []  # gens straighten; swaps are increasing on every block
             for t, block in enumerate(blocks):
                 for x, y in zip(block, block[1:]):
                     if self.colours[x - 1] == self.colours[y - 1]:
                         gens.append(from_cycles(n, [(x, y)]))
                 if t + 1 < len(blocks) and pattern[t] == pattern[t + 1]:
-                    gens.append(from_cycles(n, list(zip(block, blocks[t + 1]))))
+                    swaps.append(from_cycles(n, list(zip(block, blocks[t + 1]))))
             keys = self._keys(pattern, blocks)
             relations = Echelon()
             for key in keys:
-                for h in gens:
-                    v = page.act_key(h, key)
-                    add_into(v, {key: 1}, -1)
-                    relations.insert(v)
+                images = [page.act_key(h, key) for h in gens]
+                images += [dict([page.relabel(h, key)]) for h in swaps]
+                for v in images:
+                    if v != {key: 1}:  # h fixes the key: no relation
+                        add_into(v, {key: 1}, -1)
+                        relations.insert(v)
             self._patterns[pattern] = blocks, keys, relations
         return self._patterns[pattern]
 
@@ -561,7 +600,9 @@ class YoungComplex(InvariantComplex):
         The colour-preserving relabelling sends the key's blocks, sorted by
         signature, onto the representative's blocks; within a block the
         points of each colour go in order, which is the order of the sorted
-        blocks since every colour is a run of consecutive points."""
+        blocks since every colour is a run of consecutive points.  So it is
+        increasing on every block and E2Page.relabel applies it, with no
+        straightening."""
         page = self.page
         mono, word = key
         blocks = blocks_of(mono, page.n)
@@ -572,7 +613,8 @@ class YoungComplex(InvariantComplex):
         for t, rep in zip(order, rep_blocks):
             for x, y in zip(blocks[t], rep):
                 sigma[x - 1] = y
-        return relations.reduce(page.act_key(tuple(sigma), key))
+        image, sign = page.relabel(tuple(sigma), key)
+        return relations.reduce({image: sign})
 
     def classes(self, v: dict) -> dict:
         """The coinvariant class of a page vector, in basis coordinates."""

@@ -29,7 +29,7 @@ seeds, whose span is not closed.  sn_span, the span-closure loop, closes only
 the parts of constituents that occur more than once and stay short of full.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 from .characters import ClassFunction, MultiplicityVector, content_power_sums, decompose, explicit_character
@@ -62,16 +62,28 @@ class KeyIndex(_Positions):
     bounded LRU cache; a Rep asks for the adjacent transpositions, the
     generators, the inverses of the p(n) class representatives and the
     n(n-1)/2 transpositions, and one pass of the acceptance gate's calls
-    keeps at most 26 tables per index."""
+    keeps at most 26 tables per index.
 
-    def __init__(self, keys, act_key):
+    labels, when given, writes a key as a function of the points: a tuple
+    holding the key's label of point x at index x, which determines the key,
+    such that sigma . key has label labels(key)[x] at sigma(x).  The table of
+    an adjacent transposition then swaps two labels of each key and calls no
+    act_key."""
+
+    def __init__(self, keys, act_key, labels=None):
         super().__init__(keys, act_key)
+        self.labels = labels
         self.table = lru_cache(maxsize=256)(self._build_table)
 
+    @cached_property
+    def _labelled(self) -> tuple[list[tuple], dict]:
+        words = [self.labels(k) for k in self.keys]
+        return words, {w: i for i, w in enumerate(words)}
+
     def _build_table(self, sigma) -> tuple[int, ...]:
-        """act_key gives the tables of the adjacent transpositions s_i =
-        (i+1 i+2); any other sigma = s_{i_m} ... s_{i_1}, read off a bubble
-        sort of its one-line form, composes theirs."""
+        """act_key, or a swap of labels, gives the tables of the adjacent
+        transpositions s_i = (i+1 i+2); any other sigma = s_{i_m} ... s_{i_1},
+        read off a bubble sort of its one-line form, composes theirs."""
         word = []
         w = list(sigma)
         i = 0
@@ -82,9 +94,16 @@ class KeyIndex(_Positions):
                 i = max(i - 1, 0)
             else:
                 i += 1
-        if len(word) == 1:
+        if len(word) == 1 and self.labels is None:
             pos, act_key = self.pos, self.act_key
             return tuple(pos[act_key(sigma, k)] for k in self.keys)
+        if len(word) == 1:
+            x = word[0] + 1  # sigma swaps the points x and x + 1
+            labelled, at = self._labelled
+            return tuple(
+                t if lab[x] == lab[x + 1] else at[lab[:x] + (lab[x + 1], lab[x]) + lab[x + 2:]]
+                for t, lab in enumerate(labelled)
+            )
         table = tuple(range(len(self.keys)))
         for i in word:
             table = tuple(map(self.table(from_cycles(len(w), [(i + 1, i + 2)])).__getitem__, table))

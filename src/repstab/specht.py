@@ -42,6 +42,7 @@ from .tabloids import (
     column_stabilizer_order,
     pseudo_tableaux,
     pseudo_tabloids,
+    row_labels,
     row_major_tableau,
     strip,
 )
@@ -57,8 +58,8 @@ def act_vec(sigma: Perm, v: Vec) -> Vec:
 def tabloid_index(lam: Partition, n: int) -> KeyIndex:
     """Positions of the pseudo-tabloids of shape lam in ambient n, and the
     index tables of the tabloid action: the monomial fast path of every
-    Rep inside I_n(M^lam)."""
-    return KeyIndex(pseudo_tabloids(lam, n), act_tabloid)
+    Rep inside I_n(M^lam).  Its adjacent tables swap row labels."""
+    return KeyIndex(pseudo_tabloids(lam, n), act_tabloid, row_labels)
 
 
 def polytabloid(t: PseudoTableau) -> Vec:

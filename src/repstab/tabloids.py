@@ -98,6 +98,17 @@ def act_tabloid(sigma: Perm, t: PseudoTabloid) -> PseudoTabloid:
     )
 
 
+def row_labels(t: PseudoTabloid) -> tuple[int, ...]:
+    """The row index of each point x at index x (-1 off the support, and at
+    the unused index 0): t as a function of its points, which sigma relabels
+    as act_tabloid does."""
+    labels = [-1] * (t.n + 1)
+    for j, row in enumerate(t.rows):
+        for x in row:
+            labels[x] = j
+    return tuple(labels)
+
+
 def _arrangement_sign(base: tuple[int, ...], arranged: tuple[int, ...]) -> int:
     pos = [base.index(x) for x in arranged]
     inversions = sum(

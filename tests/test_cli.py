@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from repstab.cli import dispatch
+from repstab.cli import build_parser, dispatch
 from repstab.e2 import YoungComplex
 
 
@@ -307,3 +309,57 @@ def test_e2_dim_one_exits_2(tmp_path):
     for extra in ((), ("--explicit",)):
         code, text = run("e2", "--manifold", str(path), "--n", "2", *extra)
         assert (code, text) == (2, "error: s1: the E2 bigrading (p, q(d-1)) needs dim >= 2, got 1")
+
+
+COMMANDS = (
+    "chartable", "branch", "monotone", "stable", "ranges",
+    "arnold", "e2", "betti", "color-betti", "ranges-for",
+)
+
+
+def test_help_lists_every_command(capsys):
+    assert run("--help") == (0, "")
+    out = capsys.readouterr().out
+    for name in COMMANDS:
+        assert f"    {name}" in out
+    for name in COMMANDS:
+        assert run(name, "--help") == (0, "")
+        assert capsys.readouterr().out.startswith(f"usage: repstab {name} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["betti"],
+        ["betti", "--manifold", "torus", "--n", "x", "--i", "1"],
+        ["--format", "bogus", "betti", "--manifold", "torus", "--n", "2", "--i", "1"],
+        ["--format", "e2", "betti", "--manifold", "torus", "--n", "2", "--i", "1"],
+        ["e2", "--manifold", "torus", "--n", "3", "--extra"],
+        ["ranges", "--m", "2", "--ell", "0", "betti"],
+        ["--help", "betti"],
+        ["betti", "--help", "--n", "x"],
+    ],
+)
+def test_parse_output_is_the_full_parsers(argv, capsys):
+    code, text = run(*argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert (code, text) == ((0, "") if exc.value.code == 0 else (2, "usage error"))
+    assert (out, err) == capsys.readouterr()
+    assert out or err
+
+
+def test_valid_command_builds_one_subparser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert run("--format", "pretty", "betti", "--manifold", "torus", "--n", "4", "--i", "4") == (0, "4")
+    assert built == ["betti"]

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 import repstab.e2 as e2_module
+from repstab.arnold import act_monomial
 from repstab.characters import ClassFunction, decompose, young_invariants_dim
 from repstab.e2 import (
     E2Page,
@@ -378,3 +382,154 @@ def test_young_patterns_fill_colour_runs():
     blocks, keys, _ = young._pattern(pattern)
     assert blocks == [(1, 3, 5), (2,), (4,)]
     assert keys == [(((1, 3), (1, 5)), (0, 0, 0)), (((1, 3), (3, 5)), (0, 0, 0))]
+
+
+# ---------------------------------------------------------------------------
+# the linear-time differential and the sort-and-sign relabel, against the
+# straightforward versions they replaced
+
+ORACLE_GRID = [(TORUS, n) for n in range(1, 5)] + [
+    (desc, n) for desc in (S2, CP1) for n in range(1, 6)
+] + [(S3, n) for n in range(1, 5)]
+
+
+def literal_sort_sign(entries):
+    """Koszul sign for sorting (position_key, degree) pairs by position key."""
+    sign = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if entries[i][0] > entries[j][0] and entries[i][1] % 2 and entries[j][1] % 2:
+                sign = -sign
+    return sign
+
+
+def literal_diff_key(page, key):
+    """d of a key with the factor list of each term built and Koszul-sorted."""
+    mono, word = key
+    desc = page.desc
+    d = desc.d
+    out = {}
+    old_blocks = blocks_of(mono, page.n)
+    for i, (a, b) in enumerate(mono):
+        sign_i = (-1) ** ((d - 1) * i)
+        mono2 = mono[:i] + mono[i + 1:]
+        new_blocks = blocks_of(mono2, page.n)
+        split_at = next(t for t, blk in enumerate(old_blocks) if a in blk)
+        x_cls = word[split_at]
+        blk_a = next(blk for blk in new_blocks if a in blk)
+        blk_b = next(blk for blk in new_blocks if b in blk)
+        # ordered factor list: old order with the split block expanded
+        factors = []  # (block_min, class) in pre-sort order
+        for t, blk in enumerate(old_blocks):
+            if t == split_at:
+                factors.append([min(blk_a), x_cls])
+                factors.append([min(blk_b), desc.unit])
+            else:
+                factors.append([blk[0], word[t]])
+        pos_a, pos_b = split_at, split_at + 1
+        pre_a = sum(desc.degrees[factors[t][1]] for t in range(pos_a))
+        pre_b = pre_a + desc.degrees[x_cls]
+        for (e1, e2, coef) in desc.diagonal:
+            sign_b = (-1) ** (desc.degrees[e2] * pre_b)
+            sign_a = (-1) ** (desc.degrees[e1] * pre_a)
+            products = desc.product(e1, x_cls)
+            if not products:
+                continue
+            for k_cls, k_coef in products.items():
+                final = [list(f) for f in factors]
+                final[pos_a][1] = k_cls
+                final[pos_b][1] = e2
+                entries = [(f[0], desc.degrees[f[1]]) for f in final]
+                koszul = literal_sort_sign(entries)
+                new_word = tuple(
+                    cls for _, cls in sorted(
+                        ((f[0], f[1]) for f in final), key=lambda e: e[0]
+                    )
+                )
+                total = sign_i * coef * sign_b * sign_a * koszul * k_coef
+                add_into(out, {(mono2, new_word): total})
+    return out
+
+
+def literal_act_key(page, sigma, key):
+    """sigma . key by straightening the relabelled monomial and Koszul-sorting
+    the word by the blocks' new minima."""
+    mono, word = key
+    relabeled = act_monomial(sigma, mono, page.desc.d)
+    entries = []
+    for blk, cls in zip(blocks_of(mono, page.n), word):
+        new_min = min(sigma[x - 1] for x in blk)
+        entries.append((new_min, page.desc.degrees[cls], cls))
+    koszul = literal_sort_sign([(e[0], e[1]) for e in entries])
+    new_word = tuple(cls for _, _, cls in sorted(entries, key=lambda e: e[0]))
+    return {(m2, new_word): s * koszul for m2, s in relabeled.items()}
+
+
+def test_diff_key_matches_literal_on_every_key():
+    for desc, n in ORACLE_GRID:
+        page = E2Page(desc, n)
+        for keys in page.cells.values():
+            for key in keys:
+                assert page.diff_key(key) == literal_diff_key(page, key), (desc.name, n, key)
+
+
+def block_increasing(rng, n, blocks):
+    """A random permutation increasing on every block: random images, handed
+    out in order within each block."""
+    images = rng.sample(range(1, n + 1), n)
+    sigma = [0] * n
+    start = 0
+    for blk in blocks:
+        for x, y in zip(blk, sorted(images[start:start + len(blk)])):
+            sigma[x - 1] = y
+        start += len(blk)
+    return tuple(sigma)
+
+
+def test_act_key_and_relabel_match_straightening():
+    # relabel under random block-increasing sigma, and act_key under those
+    # and under any sigma
+    rng = random.Random(16)
+    for desc, n in ORACLE_GRID:
+        page = E2Page(desc, n)
+        for keys in page.cells.values():
+            for key in keys:
+                for _ in range(2):
+                    sigma = block_increasing(rng, n, blocks_of(key[0], n))
+                    expected = literal_act_key(page, sigma, key)
+                    assert page.act_key(sigma, key) == expected
+                    assert dict([page.relabel(sigma, key)]) == expected, (desc.name, n, sigma, key)
+                sigma = tuple(rng.sample(range(1, n + 1), n))
+                assert page.act_key(sigma, key) == literal_act_key(page, sigma, key)
+
+
+def test_relabel_refuses_a_reversed_edge():
+    page = E2Page(TORUS, 3)
+    with pytest.raises(AssertionError):
+        page.relabel((2, 1, 3), (((1, 2),), (0, 0)))
+
+
+def test_canonical_tests_each_seed_once(monkeypatch):
+    calls = []
+    act_key = E2Page.act_key
+
+    def counting_act_key(self, sigma, key):
+        calls.append(key)
+        return act_key(self, sigma, key)
+
+    monkeypatch.setattr(E2Page, "act_key", counting_act_key)
+    for desc in (TORUS, S2, S3):
+        page = E2Page(desc, 5)
+        inv = InvariantComplex(page)
+        seeds = [seed for q in range(3) for p in range(11) for seed in inv.seeds(p, q)]
+        first = [inv.canonical(seed) for seed in seeds]
+        calls.clear()
+        # the seeds again, and relabelled copies of them: every seed is known
+        rng = random.Random(5)
+        for seed, image in zip(seeds, first):
+            assert inv.canonical(seed) == image
+            sigma = block_increasing(rng, page.n, blocks_of(seed[0], page.n))
+            key, sign = page.relabel(sigma, seed)
+            expected = None if image is None else (image[0], sign * image[1])
+            assert inv.canonical(key) == expected
+        assert calls == []

@@ -11,7 +11,7 @@ from repstab.e2 import E2Page
 from repstab.linalg import Echelon, kernel_basis
 from repstab.manifolds import load_manifold
 from repstab.perms import all_perms, compose, from_cycles, generators, identity
-from repstab.rep import LinearIndex, Rep
+from repstab.rep import KeyIndex, LinearIndex, Rep
 from repstab.specht import act_vec, specht_module, tabloid_index
 from repstab.stability import (
     InducedModuleSequence,
@@ -56,6 +56,18 @@ def test_index_tables_are_the_tabloid_action():
     v = {t: i + 1 for i, t in enumerate(index.keys[::3])}
     assert index.decode(index.encode(v)) == v
 
+
+
+def test_labelled_adjacent_tables_equal_the_tabloid_action():
+    # tabloid_index reads its adjacent tables off row labels; an index over
+    # the same keys without labels builds them by act_tabloid
+    for lam, n in (((2, 1), 5), ((3, 2, 1), 7), ((1, 1), 4), ((2,), 6)):
+        labelled = tabloid_index(lam, n)
+        plain = KeyIndex(labelled.keys, act_tabloid)
+        for sigma in [from_cycles(n, [(i, i + 1)]) for i in range(1, n)] + [
+            from_cycles(n, [(1, n)]), from_cycles(n, [tuple(range(1, n + 1))])
+        ]:
+            assert labelled.table(sigma) == plain.table(sigma), (lam, n, sigma)
 
 def _sequences():
     out = []
