@@ -153,12 +153,15 @@ def top_dimension(m: int) -> int:
 
 
 @cache
-def induced_cyclic_sign_character(m: int) -> ClassFunction:
-    """Ind from the cyclic group C_m to S_m of (sign x faithful 1-dim).
+def induced_cyclic_sign_character(m: int, d: int = 2) -> ClassFunction:
+    """Ind from the cyclic group C_m to S_m of (sign x faithful 1-dim) for
+    even d, and of the faithful 1-dim character alone (the Lie character)
+    for odd d: top_character(m, d) in closed form.
 
     Nonzero only on classes (l^g) with l*g = m, where the value is
-    (l^g g!/m) * (-1)^((l-1)g) * moebius(l); the Ramanujan-type sum of the
-    primitive character over a fixed cycle type collapses to a Moebius value.
+    (l^g g!/m) * (-1)^((l-1)g) * moebius(l), without the sign factor for odd
+    d; the Ramanujan-type sum of the primitive character over a fixed cycle
+    type collapses to a Moebius value.
     """
     values = []
     for rho in partitions_of(m):
@@ -169,7 +172,8 @@ def induced_cyclic_sign_character(m: int) -> ClassFunction:
         ell = rho[0]
         g = len(rho)
         z_rho = ell**g * factorial(g)
-        val = Fraction(z_rho, m) * (-1) ** ((ell - 1) * g) * _moebius(ell)
+        sign = (-1) ** ((ell - 1) * g) if d % 2 == 0 else 1
+        val = Fraction(z_rho, m) * sign * _moebius(ell)
         assert val.denominator == 1
         values.append(int(val))
     return ClassFunction(m, tuple(values))

@@ -222,11 +222,11 @@ def cmd_color_betti(args) -> tuple[int, str]:
     desc = load_manifold(args.manifold)
     mu = parse_partition(args.mu)
     budget = _budget()
-    # mu = () is the unordered case, which solves no pattern
+    # mu = () is the unordered case, whose block spaces have one key each
     size = colored_pattern_bound(desc, args.n, args.i)
     if mu and size > budget:
         raise BudgetExceeded(
-            f"colored pattern spaces for n = {args.n}, i = {args.i} reach {size} keys, "
+            f"colored block spaces for n = {args.n}, i = {args.i} reach {size} keys, "
             f"over the {budget}-element budget"
         )
     value = colored_betti(desc, args.n, args.i, mu)

@@ -7,14 +7,12 @@ Two computable regimes, with the transfer isomorphism doing the work:
   computed here by an exact cycle-index sum (and cross-checked against the
   Sym/Lambda partition sum of graded_invariants_dim);
 * descriptors with a diagonal class and the single_differential flag (the
-  smooth projective situation): cohomology of the page's S_n-coinvariants,
-  computed on orbit representatives (e2.InvariantComplex) without building
-  a page cell, so this path has no budget.
-
-Colored configurations quotient by a Young subgroup S_{n-k} x S_mu instead
-of all of S_n, by the same transfer, and are computed on the page's
-Young-subgroup coinvariants (e2.YoungComplex): one small relation solve per
-orbit pattern of keys, again without building a page cell.
+  smooth projective situation): cohomology of the page's coinvariants under
+  S_n, or under the Young subgroup S_{n-k} x S_mu for colored
+  configurations, computed by e2.InvariantComplex without building a page
+  cell.  Each orbit pattern of keys factors over its block types, so the
+  only relation solve is one small block space per block shape, and the
+  unordered case has no budget.
 """
 
 from collections import OrderedDict
@@ -27,7 +25,6 @@ from .e2 import (
     E2Page,
     InvariantComplex,
     NotComputable,
-    YoungComplex,
     _cycle_trace,
     _poly_mul,
     block_rows,
@@ -162,12 +159,8 @@ def betti_unordered(desc: ManifoldDescriptor, n: int, i: int) -> int:
 
 
 def _invariant_complex(desc: ManifoldDescriptor, n: int, mu: Partition = ()) -> InvariantComplex:
-    """The S_n-orbit complex for mu = (), else the Young-subgroup complex."""
-    def build() -> InvariantComplex:
-        page = E2Page(desc, n)
-        return YoungComplex(page, mu) if mu else InvariantComplex(page)
-
-    return _INVARIANT.fetch((desc.name, id(desc), n, mu), build)
+    """The coinvariant complex of S_{n-|mu|} x S_mu, S_n for mu = ()."""
+    return _INVARIANT.fetch((desc.name, id(desc), n, mu), lambda: InvariantComplex(E2Page(desc, n), mu))
 
 
 def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -181,7 +174,7 @@ def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition) -> in
     """dim H^i(B_{n,mu}(M); Q): invariants under the Young subgroup S_{n,mu}.
 
     mu = () is the unordered case; otherwise the cohomology of the page's
-    Young-subgroup coinvariants (e2.YoungComplex).
+    Young-subgroup coinvariants (e2.InvariantComplex).
     """
     if n < 0 or i < 0:
         raise ValueError("need n, i >= 0")
@@ -201,10 +194,10 @@ def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition) -> in
 
 
 def colored_pattern_bound(desc: ManifoldDescriptor, n: int, i: int) -> int:
-    """A bound on the largest pattern space W that colored_betti solves in
-    degree i: W has prod (s_b - 1)! <= q! keys, and a key of total degree i
-    has q <= min(n - 1, i // (d - 1)) edges.  1 where colored_betti refuses
-    before solving anything (d < 2, negative n or i)."""
+    """A bound on the largest block space that colored_betti solves in
+    degree i: a block of s points has (s - 1)! <= q! keys, and a key of
+    total degree i has q <= min(n - 1, i // (d - 1)) edges.  1 where
+    colored_betti refuses before solving anything (d < 2, negative n or i)."""
     if desc.d < 2:
         return 1
     return factorial(max(0, min(n - 1, i // (desc.d - 1))))
@@ -223,19 +216,19 @@ def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int) -> bool:
 
     def boundaries(inv: InvariantComplex, q: int) -> list[dict]:
         """Images of d in degree i, row q."""
-        return [inv.diff(seed) for seed in inv.basis(i - q * (d - 1) - d, q + 1)]
+        return [inv.diff(key) for key in inv.basis(i - q * (d - 1) - d, q + 1)]
 
     # cocycle representatives of the degree-i cohomology at level n
     reps: list[dict] = []
-    for q in range(n // 2 + 1):
+    for q in range(inv_n.max_edges + 1):
         chosen = Echelon(boundaries(inv_n, q))
-        seeds = inv_n.basis(i - q * (d - 1), q)
-        for v in kernel_basis([inv_n.diff(seed) for seed in seeds], [{seed: 1} for seed in seeds]):
+        keys = inv_n.basis(i - q * (d - 1), q)
+        for v in kernel_basis([inv_n.diff(key) for key in keys], [{key: 1} for key in keys]):
             if chosen.insert(v):
                 reps.append(v)
     if not reps:
         return True
-    check = Echelon([v for q in range((n + 1) // 2 + 1) for v in boundaries(inv_m, q)])
+    check = Echelon([v for q in range(inv_m.max_edges + 1) for v in boundaries(inv_m, q)])
     # iota adds point n+1 carrying the unit class
     lifted = [{(mono, word + (desc.unit,)): c for (mono, word), c in v.items()} for v in reps]
     return all(check.insert(inv_m.classes(v)) for v in lifted)

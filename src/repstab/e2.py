@@ -17,17 +17,17 @@ characters of the surviving cells act through a rep.LinearIndex over the
 cell's keys, built per call: each (sigma, key) is straightened once.  A
 sigma that keeps every edge increasing, as one increasing on every block
 does, sends a key to one signed key (E2Page.relabel): the relabellings onto
-orbit representatives and the swaps of identical blocks are sorts and
-signs, and only transpositions inside a block straighten.
+orbit representatives are a sort and a sign, and only transpositions inside
+a block straighten.
 
-Orbit-representative backend: InvariantComplex computes H^*(B_n(M)) on one
-disjoint-pair key per S_n-orbit and never enumerates a page cell.
-
-Coinvariant backend: YoungComplex computes the invariants of H^*(C_n(M))
-under a Young subgroup S_{n-k} x S_mu (colored configurations) on the
-page's coinvariants under that subgroup: one representative partition per
-orbit pattern of keys, whose keys are reduced modulo the relations of its
-stabiliser by one small Echelon.  It never enumerates a page cell either.
+Coinvariant backend: InvariantComplex computes the invariants of
+H^*(C_n(M)) under S_n (H^*(B_n(M))) or under a Young subgroup
+S_{n-k} x S_mu (colored configurations) on the page's coinvariants under
+that group, with one representative partition per orbit pattern of keys.
+A pattern's coinvariants factor over its block types, as graded-symmetric
+powers of block spaces: the top monomials of one block modulo its
+same-colour transpositions, solved once per block shape.  It never
+enumerates a page cell.
 
 Character backend: cell characters are assembled independently, from
 sigma-fixed set partitions, the top characters of the Euclidean blocks, and
@@ -38,12 +38,13 @@ test, not an assumption.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, prod
-from operator import itemgetter
+from operator import gt, itemgetter, sub
+from typing import NamedTuple
 
-from .arnold import act_monomial, all_monomials, top_basis, top_character
-from .characters import ClassFunction, induced_character
+from .arnold import act_monomial, all_monomials, induced_cyclic_sign_character, top_basis, top_character
+from .characters import ClassFunction, induced_character, young_permutation_character
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, angle_pad, make_partition, partitions_of
@@ -289,163 +290,315 @@ class E2Page:
 
 
 # ---------------------------------------------------------------------------
-# orbit-representative complex (transfer: H^*(B_n) = S_n-invariants = coinvariants)
+# coinvariant complex (transfer: H^*(C_n)^G = G-invariants = G-coinvariants)
 
 
-def sym_word_multisets(desc: ManifoldDescriptor, count: int):
-    """Multisets of classes, evens repeating and odds distinct (Sym x Lambda)."""
-    evens = [i for i, deg in enumerate(desc.degrees) if deg % 2 == 0]
-    odds = [i for i, deg in enumerate(desc.degrees) if deg % 2 == 1]
-    out = []
-    for odd_count in range(min(len(odds), count) + 1):
-        for odd_set in combinations(odds, odd_count):
-            for even_multi in combinations_with_replacement(evens, count - odd_count):
-                out.append(tuple(sorted(even_multi + odd_set)))
-    return sorted(set(out))
-
-
-def epsilon_word_multisets(desc: ManifoldDescriptor, count: int):
-    """Multisets with evens distinct and odds repeating (Lambda x Sym)."""
-    evens = [i for i, deg in enumerate(desc.degrees) if deg % 2 == 0]
-    odds = [i for i, deg in enumerate(desc.degrees) if deg % 2 == 1]
-    out = []
-    for even_count in range(min(len(evens), count) + 1):
-        for even_set in combinations(evens, even_count):
-            for odd_multi in combinations_with_replacement(odds, count - even_count):
-                out.append(tuple(sorted(even_set + odd_multi)))
-    return sorted(set(out))
+def word_multisets(desc: ManifoldDescriptor, count: int, repeating: int):
+    """Multisets of count classes in which the classes of degree parity
+    `repeating` repeat and the others are distinct: Sym(H^even) x
+    Lambda(H^odd) for repeating = 0, Lambda(H^even) x Sym(H^odd) for 1."""
+    repeat = [i for i, deg in enumerate(desc.degrees) if deg % 2 == repeating]
+    once = [i for i, deg in enumerate(desc.degrees) if deg % 2 != repeating]
+    out = set()
+    for k in range(min(len(once), count) + 1):
+        for chosen in combinations(once, k):
+            for multi in combinations_with_replacement(repeat, count - k):
+                out.add(tuple(sorted(multi + chosen)))
+    return sorted(out)
 
 
 def invariant_cell_dim(desc: ManifoldDescriptor, n: int, p: int, q: int) -> int:
-    """Closed-form dimension of the S_n-invariant part of cell (p, q edges)."""
+    """Closed-form dimension of the S_n-invariant part of cell (p, q edges):
+    Lambda x Sym words on the q pairs times Sym x Lambda words on the
+    singletons, counted by degree."""
     if q > n // 2:
         return 0
     if q > 0 and desc.d % 2 == 1:
         return 0  # the sign action on each pair kills every invariant
-    singles = n - 2 * q
-    eps = {}
-    for multi in epsilon_word_multisets(desc, q):
-        deg = sum(desc.degrees[c] for c in multi)
-        eps[deg] = eps.get(deg, 0) + 1
-    sym = {}
-    for multi in sym_word_multisets(desc, singles):
-        deg = sum(desc.degrees[c] for c in multi)
-        sym[deg] = sym.get(deg, 0) + 1
-    return sum(eps.get(r, 0) * sym.get(p - r, 0) for r in range(p + 1))
+    polys = []
+    for count, repeating in ((q, 1), (n - 2 * q, 0)):
+        poly: dict[int, int] = {}
+        for multi in word_multisets(desc, count, repeating):
+            deg = sum(desc.degrees[c] for c in multi)
+            poly[deg] = poly.get(deg, 0) + 1
+        polys.append(poly)
+    return _poly_mul(*polys).get(p, 0)
+
+
+@lru_cache(maxsize=1024)
+def block_dim(comp: tuple[int, ...], parity: int) -> int:
+    """dim of a block's space in closed form: the S_comp-coinvariants of the
+    top degree of H^*(C_s(R^d)), s = sum(comp), for d of the given parity;
+    comp counts the block's points of each colour, zeros allowed.  By
+    Frobenius reciprocity it is <chi_top(s), Ind_{S_comp}^{S_s} 1>."""
+    s = sum(comp)
+    chi = induced_cyclic_sign_character(s, 2 + parity)
+    return int(chi.inner(young_permutation_character(s, comp)))
+
+
+@lru_cache(maxsize=256)
+def block_space(comp: tuple[int, ...], parity: int) -> tuple[tuple[Monomial, ...], dict]:
+    """(basis, classes) of a block's space: the top monomials on points
+    1..s, coloured in runs of comp's parts, modulo the adjacent same-colour
+    transpositions, for d of the given parity.  The basis is the monomials
+    that are not pivots of the relations, and classes maps every top
+    monomial to its class as {basis index: coefficient}.  Solved once per
+    shape, comp without its zeros, and checked against block_dim."""
+    shape = tuple(m for m in comp if m)
+    if shape != comp:
+        return block_space(shape, parity)
+    s = sum(shape)
+    colours = [c for c, m in enumerate(shape) for _ in range(m)]
+    gens = [from_cycles(s, [(x, x + 1)]) for x in range(1, s) if colours[x - 1] == colours[x]]
+    keys = top_basis(s)
+    relations = Echelon()
+    for key in keys:
+        for h in gens:
+            v = act_monomial(h, key, 2 + parity)
+            if v != {key: 1}:  # h fixes the key: no relation
+                add_into(v, {key: 1}, -1)
+                relations.insert(v)
+    pivots = {pivot for pivot, _ in relations.rows}
+    basis = tuple(key for key in keys if key not in pivots)
+    if len(basis) != block_dim(shape, parity):
+        raise AssertionError(f"block space {shape} has dim {len(basis)}, closed form {block_dim(shape, parity)}")
+    index = {key: t for t, key in enumerate(basis)}
+    classes = {key: {index[k]: c for k, c in relations.reduce({key: 1}).items()} for key in keys}
+    return basis, classes
+
+
+class Representative(NamedTuple):
+    """A pattern's representative partition and the factors of its
+    coinvariants."""
+
+    blocks: list[tuple[int, ...]]  # in pattern order
+    word: tuple[int, ...]  # the classes in block-minimum order
+    spaces: list[tuple]  # block_space of each block
+    runs: list[tuple[int, int, bool]]  # (start, stop, odd) per run of identical blocks
+    plain: bool  # every block space is one monomial: a key's image is a basis key
 
 
 class InvariantComplex:
-    """H^*(B_n(M)) on orbit representatives: the Sym(H^even) x Lambda(H^odd)
-    complex of Felix-Thomas (2000) and Knudsen (AGT 2017).
+    """H^*(C_n(M))^G for the Young subgroup G = S_{n-k} x S_mu, k = |mu|, on
+    the G-coinvariants of the page; mu = () gives H^*(B_n(M)).
 
-    Over Q the S_n-invariants of the page are isomorphic to its coinvariants,
-    and d commutes with S_n, so each orbit of keys is computed on one
-    representative.  Only disjoint-pair keys have orbits that survive, and
-    canonical() relabels each to its seed with a sign; the differential of a
-    seed is canonicalised term by term.  No page cell is enumerated and
+    Over Q the G-invariants of the page are isomorphic to its coinvariants,
+    and d commutes with G.  Points 1..n-k are uncoloured; the next mu_1
+    points have colour 1, the next mu_2 colour 2, and so on.  A key's
+    G-orbit is fixed by its pattern, the sorted multiset of block signatures
+    (size, colour counts, class of M), and each pattern has one
+    representative partition, filled block by block with the lowest free
+    points of each colour.  Its stabiliser is the same-colour permutations
+    inside each block, extended by the permutations of identical blocks, so
+    the pattern's coinvariants are a tensor product over block types: for m
+    identical blocks, Sym^m of their block space when the type's total
+    degree (s-1)(d-1) + deg cls is even and Lambda^m when it is odd.  At
+    mu = () only singletons and, for even d, pairs have a non-zero block
+    space: the Sym(H^even) x Lambda(H^odd) complex of Felix-Thomas (2000)
+    and Knudsen (AGT 2017).  Rows run to q = n - 1, since blocks of any size
+    survive once points are coloured.  No page cell is enumerated and
     nothing is averaged.
     """
 
-    def __init__(self, page: E2Page):
+    def __init__(self, page: E2Page, mu: Partition = ()):
         self.page = page
-        # the highest row with a surviving orbit: q disjoint pairs
-        self.max_edges = page.n // 2
+        self.mu = mu
+        self.max_edges = max(page.n - 1, 0)
+        self.colour_counts = (page.n - sum(mu),) + tuple(mu)
+        # colour of point x at x - 1; each colour is a run of consecutive points
+        self.colours = tuple(c for c, m in enumerate(self.colour_counts) for _ in range(m))
+        self._starts = tuple(sum(self.colour_counts[:c]) + 1 for c in range(len(self.colour_counts)))
         self._bases: dict[tuple[int, int], list[Key]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
-        self._survives: dict[Key, bool] = {}  # the stabiliser verdict per seed
+        self._representatives: dict[tuple, Representative | None] = {}
 
-    def seeds(self, p: int, q: int) -> list[Key]:
-        """Disjoint-pair keys that represent the orbits of cell (p, q).
+    def _composition(self, block: tuple[int, ...]) -> tuple[int, ...]:
+        counts = [0] * len(self.colour_counts)
+        for x in block:
+            counts[self.colours[x - 1]] += 1
+        return tuple(counts)
 
-        The edges are (1 2), (3 4), ...; the pairs carry a Lambda x Sym word
-        and the singletons a Sym x Lambda word, each as a sorted multiset.
-        """
+    def _odd(self, signature: tuple) -> bool:
+        """Whether a block type's total degree (s-1)(d-1) + deg cls is odd."""
+        size, _, cls = signature
+        return ((size - 1) * (self.page.desc.d - 1) + self.page.desc.degrees[cls]) % 2 == 1
+
+    def patterns(self, p: int, q: int) -> list[tuple]:
+        """The patterns of cell (p, q) whose coinvariants can be non-zero:
+        sorted (largest first) tuples of block signatures (size, colour
+        counts, class) that use every point once, q edges and total class
+        degree p, with no block of a zero-dimensional shape and no more
+        copies of an odd type than its block space has dimensions."""
         desc, n = self.page.desc, self.page.n
-        if not 0 <= q <= n // 2 or (q > 0 and desc.d % 2 == 1):
+        if not 0 <= q <= self.max_edges or p < 0:
             return []
-        mono = tuple((2 * i + 1, 2 * i + 2) for i in range(q))
+        parity = desc.d % 2
+        comps = [()]
+        for m in self.colour_counts:
+            comps = [c + (j,) for c in comps for j in range(m + 1)]
+        signatures = sorted(
+            ((sum(comp), comp, cls) for comp in comps if 0 < sum(comp) <= q + 1
+             if block_dim(comp, parity) for cls in range(desc.dim_total)),
+            reverse=True,
+        )
+        caps = [block_dim(sig[1], parity) if self._odd(sig) else n for sig in signatures]
+        top = max(desc.degrees)
         out = []
-        for pair_multi in epsilon_word_multisets(desc, q):
-            pair_deg = sum(desc.degrees[c] for c in pair_multi)
-            for single_multi in sym_word_multisets(desc, n - 2 * q):
-                if pair_deg + sum(desc.degrees[c] for c in single_multi) != p:
+
+        def extend(start: int, copies: int, left: tuple[int, ...], points: int, edges: int, degree: int, acc: list):
+            if not points:
+                if not edges and not degree:
+                    out.append(tuple(acc))
+                return
+            # the blocks still to place number points - edges, each of degree
+            # <= top and of at most `widest` points, as sizes only fall from
+            # signature `start` on (singletons always have one)
+            widest = signatures[start][0]
+            if edges * widest > points * (widest - 1) or degree > top * (points - edges):
+                return
+            for t in range(start, len(signatures)):
+                size, comp, cls = signatures[t]
+                deg = desc.degrees[cls]
+                count = copies + 1 if t == start else 1
+                if size - 1 > edges or deg > degree or count > caps[t] or any(map(gt, comp, left)):
                     continue
-                out.append((mono, pair_multi + single_multi))
+                acc.append(signatures[t])
+                extend(t, count, tuple(map(sub, left, comp)), points - size, edges - size + 1, degree - deg, acc)
+                acc.pop()
+
+        extend(0, 0, self.colour_counts, n, q, p, [])
         return out
 
-    def canonical(self, key: Key) -> tuple[Key, int] | None:
-        """(seed, sign) with [key] = sign * [seed] in the coinvariants, or None
-        when [key] = 0.
+    def _representative(self, pattern: tuple) -> Representative | None:
+        """The pattern's Representative, or None when its coinvariants
+        vanish: a block space of dimension 0, or more copies of an odd type
+        than its block space has dimensions.  Built once per pattern."""
+        if pattern in self._representatives:
+            return self._representatives[pattern]
+        self._representatives[pattern] = None
+        parity = self.page.desc.d % 2
+        runs: list[tuple[int, int, bool]] = []
+        spaces = []
+        for t, sig in enumerate(pattern):
+            if t and sig == pattern[t - 1]:
+                runs[-1] = runs[-1][0], t + 1, runs[-1][2]
+            elif block_dim(sig[1], parity):
+                runs.append((t, t + 1, self._odd(sig)))
+                space = block_space(sig[1], parity)
+            else:
+                return None
+            spaces.append(space)
+        if any(odd and stop - start > len(spaces[start][0]) for start, stop, odd in runs):
+            return None
+        free = list(self._starts)
+        blocks = []
+        for _, comp, _ in pattern:
+            block = []
+            for c, m in enumerate(comp):
+                block.extend(range(free[c], free[c] + m))
+                free[c] += m
+            blocks.append(tuple(block))
+        word = tuple(cls for _, cls in sorted(zip(blocks, (cls for _, _, cls in pattern))))
+        plain = all(len(classes) == 1 for _, classes in spaces)
+        rep = self._representatives[pattern] = Representative(blocks, word, spaces, runs, plain)
+        return rep
 
-        One relabelling sends the pairs, sorted by class, to (1 2), (3 4), ...
-        and the singletons, sorted by class, to the points after them.  It is
-        increasing on every block, so it is applied by E2Page.relabel, a sort
-        and a sign.  The class vanishes when a generator of the seed's
-        stabiliser acts by -1; that verdict is kept per seed.
-        """
+    def _assemble(self, rep: Representative, choice) -> Key:
+        """The key with the basis monomial choice[t] of block t's space on
+        each representative block."""
+        edges = [
+            (block[a - 1], block[b - 1])
+            for block, (basis, _), t in zip(rep.blocks, rep.spaces, choice)
+            for a, b in basis[t]
+        ]
+        return tuple(sorted(edges, key=itemgetter(1))), rep.word
+
+    def _pattern_basis(self, pattern: tuple) -> list[Key]:
+        """The basis keys of a pattern's coinvariants: per run of m identical
+        blocks, a multiset (even type) or a set (odd type) of m basis
+        monomials of their block space."""
+        rep = self._representative(pattern)
+        if rep is None:
+            return []
+        choices = [()]
+        for start, stop, odd in rep.runs:
+            dim = len(rep.spaces[start][0])
+            picks = list((combinations if odd else combinations_with_replacement)(range(dim), stop - start))
+            choices = [c + pick for c in choices for pick in picks]
+        return [self._assemble(rep, choice) for choice in choices]
+
+    def canonical(self, key: Key) -> dict:
+        """The coinvariant class of a key, in basis coordinates.
+
+        The colour-preserving relabelling sends the key's blocks, sorted by
+        signature, onto the representative's blocks; within a block the
+        points of each colour go in order, which is the order of the sorted
+        blocks since every colour is a run of consecutive points.  So it is
+        increasing on every block and E2Page.relabel applies it, a sort and
+        a sign.  Each block's monomial then reduces in its block space,
+        which changes no edge's second index and so no sign, and the basis
+        monomials of identical blocks are sorted, with the Koszul sign of an
+        odd type."""
         page = self.page
         mono, word = key
-        blocks = sorted(
-            ((len(blk) == 1, cls, blk) for blk, cls in zip(blocks_of(mono, page.n), word))
-        )
+        blocks = blocks_of(mono, page.n)
+        signatures = [(len(blk), self._composition(blk), cls) for blk, cls in zip(blocks, word)]
+        order = sorted(range(len(blocks)), key=signatures.__getitem__, reverse=True)
+        rep = self._representative(tuple(signatures[t] for t in order))
+        if rep is None:
+            return {}
         sigma = [0] * page.n
-        for target, x in enumerate((x for _, _, blk in blocks for x in blk), 1):
-            sigma[x - 1] = target
-        seed, sign = page.relabel(tuple(sigma), key)
-        if seed not in self._survives:
-            self._survives[seed] = self._stabiliser_fixes(seed)
-        return (seed, sign) if self._survives[seed] else None
-
-    def _stabiliser_fixes(self, seed: Key) -> bool:
-        """Whether every generator of the seed's stabiliser fixes it: a flip
-        inside a pair, and swaps of adjacent equal-class pairs or of adjacent
-        equal-class singletons.  Only the flip needs straightening."""
-        page = self.page
-        n = page.n
-        q, seed_word = len(seed[0]), seed[1]
-        if q and page.act_key(from_cycles(n, [(1, 2)]), seed) != {seed: 1}:
-            return False
-        swaps = [
-            [(2 * t + 1, 2 * t + 3), (2 * t + 2, 2 * t + 4)]
-            for t in range(q - 1) if seed_word[t] == seed_word[t + 1]
-        ] + [
-            [(q + t + 1, q + t + 2)]  # word slot t is point q + t + 1
-            for t in range(q, len(seed_word) - 1) if seed_word[t] == seed_word[t + 1]
-        ]
-        return all(page.relabel(from_cycles(n, cycs), seed) == (seed, 1) for cycs in swaps)
+        for t, target in zip(order, rep.blocks):
+            for x, y in zip(blocks[t], target):
+                sigma[x - 1] = y
+        image, sign = page.relabel(tuple(sigma), key)
+        if rep.plain:
+            return {image: sign}
+        where = {y: (t, x) for t, block in enumerate(rep.blocks) for x, y in enumerate(block, 1)}
+        local: list[list] = [[] for _ in rep.blocks]
+        for a, b in image[0]:
+            t, local_b = where[b]
+            local[t].append((where[a][1], local_b))
+        out: dict = {}
+        for picks in product(*(classes[tuple(edges)].items() for (_, classes), edges in zip(rep.spaces, local))):
+            choice = [t for t, _ in picks]
+            c = sign * prod(ct for _, ct in picks)
+            for start, stop, odd in rep.runs:
+                run = choice[start:stop]
+                if odd and len(set(run)) < len(run):
+                    break
+                c *= _inversion_sign(run) if odd else 1
+                choice[start:stop] = sorted(run)
+            else:
+                add_into(out, {self._assemble(rep, choice): c})
+        return out
 
     def classes(self, v: dict) -> dict:
-        """The coinvariant class of a page vector, in seed coordinates."""
+        """The coinvariant class of a page vector, in basis coordinates."""
         out: dict = {}
         for key, c in v.items():
-            if image := self.canonical(key):
-                add_into(out, {image[0]: image[1] * c})
+            add_into(out, self.canonical(key), c)
         return out
 
     def diff(self, key: Key) -> dict:
-        """d of a key, in seed coordinates."""
+        """d of a key, in basis coordinates."""
         return self.classes(self.page.diff_key(key))
 
     def basis(self, p: int, q: int) -> list[Key]:
-        """The keys of cell (p, q) whose classes are a basis; computed once per cell."""
+        """The basis keys over the patterns of cell (p, q), checked against
+        the closed form at mu = (); computed once per cell."""
         if (p, q) not in self._bases:
-            self._bases[(p, q)] = self._cell_basis(p, q)
+            basis = [key for pattern in self.patterns(p, q) for key in self._pattern_basis(pattern)]
+            expected = invariant_cell_dim(self.page.desc, self.page.n, p, q) if not self.mu else len(basis)
+            if len(basis) != expected:
+                raise AssertionError(f"invariant cell ({p},{q}) has dim {len(basis)}, closed form {expected}")
+            self._bases[(p, q)] = basis
         return self._bases[(p, q)]
-
-    def _cell_basis(self, p: int, q: int) -> list[Key]:
-        """The seeds whose class survives, checked against the closed form."""
-        basis = [seed for seed in self.seeds(p, q) if self.canonical(seed)]
-        expected = invariant_cell_dim(self.page.desc, self.page.n, p, q)
-        if len(basis) != expected:
-            raise AssertionError(
-                f"invariant cell ({p},{q}) has dim {len(basis)}, closed form {expected}"
-            )
-        return basis
 
     def differential_rank(self, p: int, q: int) -> int:
         """Rank of d out of invariant cell (p, q); computed once per cell."""
         if (p, q) not in self._ranks:
-            self._ranks[(p, q)] = span_dim([self.diff(seed) for seed in self.basis(p, q)])
+            self._ranks[(p, q)] = span_dim([self.diff(key) for key in self.basis(p, q)])
         return self._ranks[(p, q)]
 
     def cohomology_dim(self, p: int, q: int) -> int:
@@ -462,166 +615,6 @@ class InvariantComplex:
             if p >= 0:
                 total += self.cohomology_dim(p, q)
         return total
-
-
-class YoungComplex(InvariantComplex):
-    """H^*(C_n(M))^G for the Young subgroup G = S_{n-k} x S_mu, k = |mu|, on
-    the G-coinvariants of the page.
-
-    Points 1..n-k are uncoloured; the next mu_1 points have colour 1, the
-    next mu_2 colour 2, and so on.  A key's G-orbit is fixed by its pattern,
-    the sorted multiset of block signatures (size, colour counts, class of
-    M).  Each pattern has one representative labelled partition, filled
-    block by block with the lowest free points of each colour, and the span
-    of the orbit is induced from W, the span of the representative's keys
-    (prod top_basis(s_b) over its blocks).  So the orbit's coinvariants are
-    W modulo h.w - w for the generators h of the representative's
-    stabiliser: adjacent same-colour transpositions inside a block, which
-    straighten, and swaps of adjacent identical blocks, which are a sort and
-    a sign.  One Echelon of these relations is solved per pattern, and the
-    keys of W that are not its pivots are the basis.
-    Blocks of three or more points act non-monomially, so the class of a key
-    is a reduced vector, not a signed key.  Rows run to q = n - 1: blocks of
-    any size survive once points are coloured.
-    """
-
-    def __init__(self, page: E2Page, mu: Partition):
-        super().__init__(page)
-        self.max_edges = max(page.n - 1, 0)
-        self.colour_counts = (page.n - sum(mu),) + tuple(mu)
-        # colour of point x at x - 1; each colour is a run of consecutive points
-        self.colours = tuple(c for c, m in enumerate(self.colour_counts) for _ in range(m))
-        self._patterns: dict[tuple, tuple[list[tuple[int, ...]], list[Key], Echelon]] = {}
-
-    def _composition(self, block: tuple[int, ...]) -> tuple[int, ...]:
-        counts = [0] * len(self.colour_counts)
-        for x in block:
-            counts[self.colours[x - 1]] += 1
-        return tuple(counts)
-
-    def patterns(self, p: int, q: int) -> list[tuple]:
-        """The patterns of cell (p, q): sorted (largest first) tuples of block
-        signatures (size, colour counts, class) that use every point once,
-        q edges and total class degree p."""
-        desc, n = self.page.desc, self.page.n
-        if not 0 <= q <= self.max_edges or p < 0:
-            return []
-        comps = [()]
-        for m in self.colour_counts:
-            comps = [c + (j,) for c in comps for j in range(m + 1)]
-        signatures = sorted(
-            ((sum(comp), comp, cls) for comp in comps if 0 < sum(comp) <= q + 1
-             for cls in range(desc.dim_total)),
-            reverse=True,
-        )
-        top = max(desc.degrees)
-        out = []
-
-        def extend(start: int, left: tuple[int, ...], points: int, edges: int, degree: int, acc: list):
-            if not points:
-                if not edges and not degree:
-                    out.append(tuple(acc))
-                return
-            # the blocks still to place number points - edges, each of degree <= top
-            if edges > points - 1 or degree > top * (points - edges):
-                return
-            for t in range(start, len(signatures)):
-                size, comp, cls = signatures[t]
-                deg = desc.degrees[cls]
-                if size - 1 > edges or deg > degree or any(c > m for c, m in zip(comp, left)):
-                    continue
-                acc.append(signatures[t])
-                rest = tuple(m - c for m, c in zip(left, comp))
-                extend(t, rest, points - size, edges - size + 1, degree - deg, acc)
-                acc.pop()
-
-        extend(0, self.colour_counts, n, q, p, [])
-        return out
-
-    def _pattern(self, pattern: tuple) -> tuple[list[tuple[int, ...]], list[Key], Echelon]:
-        """(representative blocks in pattern order, keys of W, Echelon of the
-        relations); solved once per pattern."""
-        if pattern not in self._patterns:
-            page = self.page
-            n = page.n
-            free = [sum(self.colour_counts[:c]) + 1 for c in range(len(self.colour_counts))]
-            blocks = []
-            for _, comp, _ in pattern:
-                block = []
-                for c, m in enumerate(comp):
-                    block.extend(range(free[c], free[c] + m))
-                    free[c] += m
-                blocks.append(tuple(block))
-            gens, swaps = [], []  # gens straighten; swaps are increasing on every block
-            for t, block in enumerate(blocks):
-                for x, y in zip(block, block[1:]):
-                    if self.colours[x - 1] == self.colours[y - 1]:
-                        gens.append(from_cycles(n, [(x, y)]))
-                if t + 1 < len(blocks) and pattern[t] == pattern[t + 1]:
-                    swaps.append(from_cycles(n, list(zip(block, blocks[t + 1]))))
-            keys = self._keys(pattern, blocks)
-            relations = Echelon()
-            for key in keys:
-                images = [page.act_key(h, key) for h in gens]
-                images += [dict([page.relabel(h, key)]) for h in swaps]
-                for v in images:
-                    if v != {key: 1}:  # h fixes the key: no relation
-                        add_into(v, {key: 1}, -1)
-                        relations.insert(v)
-            self._patterns[pattern] = blocks, keys, relations
-        return self._patterns[pattern]
-
-    def _keys(self, pattern: tuple, blocks: list[tuple[int, ...]]) -> list[Key]:
-        """The keys of W: one top-degree monomial per block, the classes in
-        block-minimum order."""
-        monos = [()]
-        for block in blocks:
-            monos = [
-                mono + tuple((block[a - 1], block[b - 1]) for a, b in top)
-                for mono in monos
-                for top in top_basis(len(block))
-            ]
-        word = tuple(cls for _, cls in sorted(zip(blocks, (cls for _, _, cls in pattern))))
-        return [(tuple(sorted(mono, key=lambda ab: (ab[1], ab[0]))), word) for mono in monos]
-
-    def _cell_basis(self, p: int, q: int) -> list[Key]:
-        """The keys of W that are not pivots of its relations, over the
-        patterns of cell (p, q)."""
-        basis = []
-        for pattern in self.patterns(p, q):
-            _, keys, relations = self._pattern(pattern)
-            pivots = {pivot for pivot, _ in relations.rows}
-            basis.extend(key for key in keys if key not in pivots)
-        return basis
-
-    def canonical(self, key: Key) -> dict:
-        """The coinvariant class of a key, in basis coordinates.
-
-        The colour-preserving relabelling sends the key's blocks, sorted by
-        signature, onto the representative's blocks; within a block the
-        points of each colour go in order, which is the order of the sorted
-        blocks since every colour is a run of consecutive points.  So it is
-        increasing on every block and E2Page.relabel applies it, with no
-        straightening."""
-        page = self.page
-        mono, word = key
-        blocks = blocks_of(mono, page.n)
-        signatures = [(len(blk), self._composition(blk), cls) for blk, cls in zip(blocks, word)]
-        order = sorted(range(len(blocks)), key=signatures.__getitem__, reverse=True)
-        rep_blocks, _, relations = self._pattern(tuple(signatures[t] for t in order))
-        sigma = [0] * page.n
-        for t, rep in zip(order, rep_blocks):
-            for x, y in zip(blocks[t], rep):
-                sigma[x - 1] = y
-        image, sign = page.relabel(tuple(sigma), key)
-        return relations.reduce({image: sign})
-
-    def classes(self, v: dict) -> dict:
-        """The coinvariant class of a page vector, in basis coordinates."""
-        out: dict = {}
-        for key, c in v.items():
-            add_into(out, self.canonical(key), c)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import argparse
 import pytest
 
 from repstab.cli import build_parser, dispatch
-from repstab.e2 import YoungComplex
+import repstab.e2 as e2_module
 
 
 def run(*argv):
@@ -95,17 +95,17 @@ def test_betti_golden():
 
 
 def test_betti_env_budget(monkeypatch):
-    # color-betti with mu != 0 checks its largest pattern space, here 4! keys
-    # (a block of five points), before solving any pattern
+    # color-betti with mu != 0 checks its largest block space, here 4! keys
+    # (a block of five points), before solving any block space
     def refuse(*args):
-        raise AssertionError("a pattern was solved before the budget was checked")
+        raise AssertionError("a block space was solved before the budget was checked")
 
-    monkeypatch.setattr(YoungComplex, "_pattern", refuse)
+    monkeypatch.setattr(e2_module, "block_space", refuse)
     monkeypatch.setenv("REPSTAB_BUDGET", "10")
     code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "5", "--i", "4")
     assert (code, text) == (
         2,
-        "error: colored pattern spaces for n = 5, i = 4 reach 24 keys, over the "
+        "error: colored block spaces for n = 5, i = 4 reach 24 keys, over the "
         "10-element budget (raise REPSTAB_BUDGET to override)",
     )
     monkeypatch.undo()
@@ -130,7 +130,7 @@ def test_betti_builds_no_page(monkeypatch):
 
 def test_color_betti_builds_no_page(monkeypatch):
     # the explicit torus page at n = 7 has 604800 elements; the largest
-    # pattern space in degree 3 has 3! keys
+    # block space in degree 3 has 3! keys
     monkeypatch.setenv("REPSTAB_BUDGET", "10")
     code, text = run("color-betti", "--manifold", "torus", "--mu", "1", "--n", "7", "--i", "3")
     assert (code, text) == (0, "15")

@@ -20,7 +20,7 @@ from repstab.configspaces import (
     tensor_power_invariants_dim,
 )
 from repstab.characters import decompose, young_invariants_dim
-from repstab.e2 import BudgetExceeded, E2Page, YoungComplex
+from repstab.e2 import BudgetExceeded, E2Page, block_space
 from repstab.manifolds import load_manifold, parse_descriptor
 from repstab.partitions import partitions_of
 
@@ -153,15 +153,6 @@ def test_colored_coinvariants_match_character_route(desc, n_max):
                 assert colored_betti(desc, n, i, mu) == _colored_via_characters(desc, n, i, mu), (n, mu, i)
 
 
-def test_young_complex_without_colours_is_unordered():
-    # at mu = () the generic relation solve is the S_n-orbit complex
-    for desc in (TORUS, S2, CP1):
-        for n in range(0, 7):
-            young = YoungComplex(E2Page(desc, n), ())
-            for i in range(n * desc.d + 1):
-                assert young.betti(i) == betti_unordered(desc, n, i), (desc.name, n, i)
-
-
 def test_colored_betti_pinned_values():
     assert [colored_betti(TORUS, n, 3, (1,)) for n in (3, 4, 5)] == [6, 14, 15]
     assert [colored_betti(S2, n, 3, (2,)) for n in (4, 5)] == [1, 1]
@@ -170,9 +161,12 @@ def test_colored_betti_pinned_values():
 
 
 def test_colored_full_coloring_is_ordered():
-    for n in range(1, 6):
-        for i in range(0, 5):
-            assert colored_betti(TORUS, n, i, (1,) * n) == ordered_betti(TORUS, n, i)
+    # mu = (1^n) and mu = (1^(n-1)) both colour every point apart
+    for desc, n_max in ((TORUS, 5), (S2, 4), (CP1, 4), (S3, 4)):
+        for n in range(1, n_max + 1):
+            for mu in {(1,) * n, (1,) * (n - 1)}:
+                for i in range(0, 5):
+                    assert colored_betti(desc, n, i, mu) == ordered_betti(desc, n, i), (desc.name, n, mu, i)
 
 
 def test_colored_betti_builds_no_page_cells(monkeypatch):
@@ -191,14 +185,16 @@ def test_colored_pattern_bound():
     assert colored_pattern_bound(TORUS, 3, 5) == 2
     assert colored_pattern_bound(S3, 9, 5) == 2
     assert colored_pattern_bound(TORUS, 2, -1) == 1
+    # the bound is met: the largest block space solved has q! keys
     for desc, n, i in ((TORUS, 5, 4), (S2, 5, 4), (S3, 5, 6)):
         young = _invariant_complex(desc, n, (1,))
         largest = max(
-            len(young._pattern(pattern)[1])
+            len(block_space(comp, desc.d % 2)[1])
             for q in range(n)
             for p in range(i + 1)
             for pattern in young.patterns(p, q)
             if p + q * (desc.d - 1) <= i
+            for _, comp, _ in pattern
         )
         assert largest == colored_pattern_bound(desc, n, i)
 

@@ -5,14 +5,15 @@ from math import factorial
 import pytest
 
 import repstab.e2 as e2_module
-from repstab.arnold import act_monomial
-from repstab.characters import ClassFunction, decompose, young_invariants_dim
+from repstab.arnold import act_monomial, top_character
+from repstab.characters import ClassFunction, decompose, young_invariants_dim, young_permutation_character
 from repstab.e2 import (
     E2Page,
     InvariantComplex,
-    YoungComplex,
     block_character_at_n,
+    block_dim,
     block_rows,
+    block_space,
     blocks_of,
     e2_cell_character,
     e2_cell_dim,
@@ -29,14 +30,6 @@ TORUS = load_manifold("torus")
 S2 = load_manifold("s2")
 S3 = load_manifold("s3")
 CP1 = load_manifold("cp1")
-
-
-def brute_average(page, key):
-    """(1/n!) * sum of sigma.key over all of S_n: the oracle for canonical."""
-    total: dict = {}
-    for sigma in all_perms(page.n):
-        add_into(total, page.act_key(sigma, key))
-    return {k: Fraction(c, factorial(page.n)) for k, c in total.items()}
 
 
 def test_blocks_of():
@@ -163,46 +156,6 @@ def test_invariant_cell_dims_match_average():
                     assert len(basis) == invariant_cell_dim(desc, n, p, q)
 
 
-def test_invariant_basis_spans_brute_force_average():
-    for desc in (TORUS, S2, CP1):
-        for n in (2, 3, 4, 5):
-            page = E2Page(desc, n)
-            inv = InvariantComplex(page)
-            for q in range(n // 2 + 1):
-                for p in range(0, 2 * n + 1):
-                    averages = [brute_average(page, seed) for seed in inv.seeds(p, q)]
-                    kept = Echelon([brute_average(page, seed) for seed in inv.basis(p, q)])
-                    assert kept.dim == len(inv.basis(p, q))  # the kept averages are independent
-                    assert kept.basis() == Echelon(averages).basis()
-
-
-def test_canonical_matches_brute_average_on_disjoint_pair_keys():
-    # every key with pairwise disjoint edges, cancelling ones included: the
-    # average of a key is sign * the average of its seed, a basis element of
-    # the key's cell, and it vanishes exactly where canonical returns None
-    cancelled = 0
-    for desc in (TORUS, S2):
-        for n in (3, 4):
-            page = E2Page(desc, n)
-            inv = InvariantComplex(page)
-            for (p, q), keys in page.cells.items():
-                for key in keys:
-                    points = [x for edge in key[0] for x in edge]
-                    if len(points) != len(set(points)):
-                        continue
-                    average = brute_average(page, key)
-                    image = inv.canonical(key)
-                    if image is None:
-                        assert average == {}
-                        cancelled += 1
-                        continue
-                    seed, sign = image
-                    assert seed in inv.basis(p, q)
-                    assert average
-                    assert average == {k: sign * c for k, c in brute_average(page, seed).items()}
-    assert cancelled
-
-
 def test_cohomology_dims_computes_each_rank_once(monkeypatch):
     calls = []
 
@@ -282,13 +235,13 @@ def test_block_sharpness_fixture():
 def test_epsilon_invariants_degree_floor():
     # the sign-isotypic part of H^*(M^q) vanishes below degree kq - k, where
     # k is the lowest positive degree carrying cohomology
-    from repstab.e2 import epsilon_word_multisets
+    from repstab.e2 import word_multisets
 
     for desc, k in ((TORUS, 1), (S3, 3)):
         for q in (1, 2, 3):
             degrees = [
                 sum(desc.degrees[c] for c in multi)
-                for multi in epsilon_word_multisets(desc, q)
+                for multi in word_multisets(desc, q, 1)
             ]
             assert degrees
             assert min(degrees) == k * q - k
@@ -327,31 +280,42 @@ def young_subgroup(n: int, mu) -> list:
 
 
 def young_average(page, group, key):
-    """(1/|G|) * sum of g.key over G: the oracle for YoungComplex.canonical."""
+    """(1/|G|) * sum of g.key over G: the oracle for InvariantComplex.canonical."""
     total: dict = {}
     for g in group:
         add_into(total, page.act_key(g, key))
     return {k: Fraction(c, len(group)) for k, c in total.items()}
 
 
+COLOURED = ((3, (1,)), (3, (2,)), (4, (1,)), (4, (1, 1)), (4, (2, 1)))
+
+
 def test_young_classes_match_brute_average():
     # averaging is an isomorphism from the G-coinvariants onto the
     # G-invariants, so the averages of the basis keys are independent, and the
-    # average of any key is its class read in those averages
-    for desc in (TORUS, S2):
-        for n, mu in ((3, (1,)), (3, (2,)), (4, (1,)), (4, (1, 1)), (4, (2, 1))):
-            page = E2Page(desc, n)
-            young = YoungComplex(page, mu)
-            group = young_subgroup(n, mu)
-            for (p, q), keys in page.cells.items():
-                basis = young.basis(p, q)
-                averages = {b: young_average(page, group, b) for b in basis}
-                assert Echelon(averages.values()).dim == len(basis)
-                for key in keys:
-                    expected: dict = {}
-                    for b, c in young.canonical(key).items():
-                        add_into(expected, averages[b], c)
-                    assert young_average(page, group, key) == expected, (desc.name, mu, key)
+    # average of any key is its class read in those averages; mu = () is G = S_n
+    cases = [(desc, n, mu, None) for desc in (TORUS, S2) for n, mu in COLOURED]
+    cases += [(TORUS, n, (), None) for n in (2, 3, 4)]
+    cases += [(desc, n, (), None) for desc in (S2, CP1, S3) for n in (2, 3, 4, 5)]
+    # row q = 4 at mu = (2, 2): two identical blocks of three points, one of
+    # each colour, whose block space has 2 dimensions; Sym^2 of it for s2,
+    # and Lambda^2 for s3 with class pt on both (odd total degree)
+    cases += [(S2, 6, (2, 2), 4), (S3, 6, (2, 2), 4)]
+    for desc, n, mu, row in cases:
+        page = E2Page(desc, n)
+        young = InvariantComplex(page, mu)
+        group = young_subgroup(n, mu)
+        for (p, q), keys in page.cells.items():
+            if row is not None and q != row:
+                continue
+            basis = young.basis(p, q)
+            averages = {b: young_average(page, group, b) for b in basis}
+            assert Echelon(averages.values()).dim == len(basis)
+            for key in keys:
+                expected: dict = {}
+                for b, c in young.canonical(key).items():
+                    add_into(expected, averages[b], c)
+                assert young_average(page, group, key) == expected, (desc.name, mu, key)
 
 
 def test_young_cell_dims_match_character_backend():
@@ -359,10 +323,10 @@ def test_young_cell_dims_match_character_backend():
     # character into irreducibles and their Young-invariant dimensions
     for desc in (TORUS, S2, S3):
         for n in (3, 4):
-            for mu in ((1,), (2,), (1, 1), (3,), (2, 1)):
+            for mu in ((), (1,), (2,), (1, 1), (3,), (2, 1)):
                 if sum(mu) > n:
                     continue
-                young = YoungComplex(E2Page(desc, n), mu)
+                young = InvariantComplex(E2Page(desc, n), mu)
                 for q in range(n):
                     for p in range(n * desc.d + 1):
                         chi = e2_cell_character(desc, n, p, q * (desc.d - 1))
@@ -374,14 +338,70 @@ def test_young_cell_dims_match_character_backend():
 
 
 def test_young_patterns_fill_colour_runs():
-    young = YoungComplex(E2Page(TORUS, 5), (2, 1))
+    young = InvariantComplex(E2Page(TORUS, 5), (2, 1))
     # points 1, 2 uncoloured, 3, 4 colour 1, 5 colour 2
     assert young.colours == (0, 0, 1, 1, 2)
     pattern = ((3, (1, 1, 1), 0), (1, (1, 0, 0), 0), (1, (0, 1, 0), 0))
     assert pattern in young.patterns(0, 2)
-    blocks, keys, _ = young._pattern(pattern)
-    assert blocks == [(1, 3, 5), (2,), (4,)]
-    assert keys == [(((1, 3), (1, 5)), (0, 0, 0)), (((1, 3), (3, 5)), (0, 0, 0))]
+    assert young._representative(pattern).blocks == [(1, 3, 5), (2,), (4,)]
+    # the block of three colours has no relation: both top monomials survive
+    keys = [(((1, 3), (1, 5)), (0, 0, 0)), (((1, 3), (3, 5)), (0, 0, 0))]
+    assert young._pattern_basis(pattern) == keys
+    assert all(young.canonical(key) == {key: 1} for key in keys)
+
+
+def test_no_pattern_holds_a_zero_block_space():
+    # a block of three same-colour points has no coinvariants (chi_top(3) has
+    # no trivial part), and neither has a same-colour pair for odd d
+    for desc, mu, zero in ((TORUS, (), (3,)), (TORUS, (1,), (3,)), (S3, (), (2,)), (S3, (1,), (2,))):
+        young = InvariantComplex(E2Page(desc, 5), mu)
+        patterns = [pattern for q in range(5) for p in range(11) for pattern in young.patterns(p, q)]
+        assert patterns
+        assert all(tuple(m for m in comp if m) != zero for pattern in patterns for _, comp, _ in pattern)
+        # a key holding such a block has class 0
+        key = (((1, 2), (1, 3)), (0, 0, 0))
+        assert young.canonical(key) == {}
+
+
+def test_block_dim_is_the_top_character_on_young_cosets():
+    # the closed form for s <= 7; the solve for s <= 6 (at s = 7 it takes
+    # about 0.5 s per shape)
+    for s in range(1, 8):
+        for d in (2, 3):
+            chi = top_character(s, d)
+            for comp in partitions_of(s):
+                expected = chi.inner(young_permutation_character(s, comp))
+                assert block_dim(comp, d % 2) == expected, (s, d, comp)
+                if s <= 6:
+                    basis, classes = block_space(comp, d % 2)
+                    assert len(basis) == expected and len(classes) == factorial(s - 1)
+
+
+def test_canonical_makes_no_act_key_call_once_shapes_are_solved(monkeypatch):
+    calls = []
+    act_monomial = e2_module.act_monomial
+
+    def counting_act_monomial(sigma, mono, d):
+        calls.append(mono)
+        return act_monomial(sigma, mono, d)
+
+    monkeypatch.setattr(e2_module, "act_monomial", counting_act_monomial)  # act_key straightens with it
+    rng = random.Random(5)
+    for desc in (TORUS, S2, S3):
+        for mu in ((), (1,), (2, 1)):
+            page = E2Page(desc, 5)
+            young = InvariantComplex(page, mu)
+            basis = [key for q in range(5) for p in range(11) for key in young.basis(p, q)]
+            calls.clear()
+            # the basis keys, their differentials and, at mu = (), relabelled copies
+            for key in basis:
+                assert young.canonical(key) == {key: 1}
+                young.diff(key)
+                if not mu:
+                    sigma = block_increasing(rng, page.n, blocks_of(key[0], page.n))
+                    image, sign = page.relabel(sigma, key)
+                    assert young.canonical(image) == {key: sign}
+            assert calls == [], (desc.name, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +527,3 @@ def test_relabel_refuses_a_reversed_edge():
     page = E2Page(TORUS, 3)
     with pytest.raises(AssertionError):
         page.relabel((2, 1, 3), (((1, 2),), (0, 0)))
-
-
-def test_canonical_tests_each_seed_once(monkeypatch):
-    calls = []
-    act_key = E2Page.act_key
-
-    def counting_act_key(self, sigma, key):
-        calls.append(key)
-        return act_key(self, sigma, key)
-
-    monkeypatch.setattr(E2Page, "act_key", counting_act_key)
-    for desc in (TORUS, S2, S3):
-        page = E2Page(desc, 5)
-        inv = InvariantComplex(page)
-        seeds = [seed for q in range(3) for p in range(11) for seed in inv.seeds(p, q)]
-        first = [inv.canonical(seed) for seed in seeds]
-        calls.clear()
-        # the seeds again, and relabelled copies of them: every seed is known
-        rng = random.Random(5)
-        for seed, image in zip(seeds, first):
-            assert inv.canonical(seed) == image
-            sigma = block_increasing(rng, page.n, blocks_of(seed[0], page.n))
-            key, sign = page.relabel(sigma, seed)
-            expected = None if image is None else (image[0], sign * image[1])
-            assert inv.canonical(key) == expected
-        assert calls == []
