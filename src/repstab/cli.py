@@ -5,12 +5,11 @@ stdout), 2 usage or input error.  Identical inputs produce byte-identical
 stdout; every table is emitted in a fixed sorted order.
 """
 
-import argparse
-import io
 import os
 import sys
 import tempfile
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .arnold import arnold_report, format_polynomial
 from .characters import format_table
@@ -280,18 +279,21 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given an argv that names one (its
-    first token that is a subcommand), of that subcommand alone."""
+_FORMATS = ("tsv", "pretty")
+
+
+def build_parser():
+    """The argparse parser of every subcommand, which answers help and
+    usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="repstab",
         description="Exact symmetric-group stability and configuration-space Betti numbers",
     )
-    parser.add_argument("--format", choices=("tsv", "pretty"), default="tsv")
+    parser.add_argument("--format", choices=_FORMATS, default="tsv")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = [arg for arg in argv or () if arg in _COMMANDS][:1]
-    for name in named or _COMMANDS:
-        func, help_text, options = _COMMANDS[name]
+    for name, (func, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
@@ -299,20 +301,51 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parser of the named subcommand alone.  Help and usage
-    errors exit, and the silenced attempt is redone by the full parser, so
-    what they print is the full parser's."""
-    if any(arg in _COMMANDS for arg in argv):
-        stdout, stderr = sys.stdout, sys.stderr
-        sys.stdout = sys.stderr = io.StringIO()
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, read from _COMMANDS,
+    for an argv of the shape every query has: an optional --format tsv|pretty,
+    one subcommand, then each of its options at most once, as `--flag value`
+    or a bare store_true flag, each value converted by the option's type.
+    None for any other argv, which is the full parser's to answer."""
+    fmt = "tsv"
+    if argv[:1] == ["--format"]:
+        if len(argv) < 2 or argv[1] not in _FORMATS:
+            return None
+        fmt, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
         try:
-            return build_parser(argv).parse_args(argv)
-        except SystemExit:
-            pass
-        finally:
-            sys.stdout, sys.stderr = stdout, stderr
-    return build_parser().parse_args(argv)
+            given[flag] = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+    values = {}
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(format=fmt, command=argv[0], **values, func=func)
+
+
+def _parse(argv: list[str]):
+    """The namespace of argv: read from the command table, or parsed by the
+    full parser when _read declines it, as it does every help request and
+    usage error, which exit there."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def dispatch(argv: list[str]) -> tuple[int, str]:

@@ -38,10 +38,10 @@ test, not an assumption.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, product
 from math import factorial, prod
 from operator import gt, itemgetter, sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arnold import act_monomial, all_monomials, induced_cyclic_sign_character, top_basis, top_character
 from .characters import ClassFunction, induced_character, young_permutation_character
@@ -411,6 +411,7 @@ class InvariantComplex:
         self._bases: dict[tuple[int, int], list[Key]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
         self._representatives: dict[tuple, Representative | None] = {}
+        self._tables: dict[int, tuple] = {}
 
     def _composition(self, block: tuple[int, ...]) -> tuple[int, ...]:
         counts = [0] * len(self.colour_counts)
@@ -423,6 +424,37 @@ class InvariantComplex:
         size, _, cls = signature
         return ((size - 1) * (self.page.desc.d - 1) + self.page.desc.degrees[cls]) % 2 == 1
 
+    def _signature_table(self, q: int) -> tuple[list, list, Callable]:
+        """(signatures, kinds, stop) for cells with q edges: the block
+        signatures (size, colour counts, class) of at most q + 1 points and a
+        non-zero block space, largest first; per signature (size, colour
+        counts, degree, most copies); and stop(left), one past the last
+        signature that every colour with points left still has.  Computed
+        once per q."""
+        if q not in self._tables:
+            desc, n = self.page.desc, self.page.n
+            parity = desc.d % 2
+            comps = [()]
+            for m in self.colour_counts:
+                comps = [c + (j,) for c in comps for j in range(m + 1)]
+            signatures = sorted(
+                ((sum(comp), comp, cls) for comp in comps if 0 < sum(comp) <= q + 1
+                 if block_dim(comp, parity) for cls in range(desc.dim_total)),
+                reverse=True,
+            )
+            kinds = [
+                (size, comp, desc.degrees[cls], block_dim(comp, parity) if self._odd((size, comp, cls)) else n)
+                for size, comp, cls in signatures
+            ]
+            colours = range(len(self.colour_counts))
+            last = [-1] * len(colours)
+            for t, (_, comp, _) in enumerate(signatures):
+                for c in compress(colours, comp):
+                    last[c] = t
+            stop = cache(lambda left: min(map(last.__getitem__, compress(colours, left))) + 1)
+            self._tables[q] = signatures, kinds, stop
+        return self._tables[q]
+
     def patterns(self, p: int, q: int) -> list[tuple]:
         """The patterns of cell (p, q) whose coinvariants can be non-zero:
         sorted (largest first) tuples of block signatures (size, colour
@@ -432,41 +464,45 @@ class InvariantComplex:
         desc, n = self.page.desc, self.page.n
         if not 0 <= q <= self.max_edges or p < 0:
             return []
-        parity = desc.d % 2
-        comps = [()]
-        for m in self.colour_counts:
-            comps = [c + (j,) for c in comps for j in range(m + 1)]
-        signatures = sorted(
-            ((sum(comp), comp, cls) for comp in comps if 0 < sum(comp) <= q + 1
-             if block_dim(comp, parity) for cls in range(desc.dim_total)),
-            reverse=True,
-        )
-        caps = [block_dim(sig[1], parity) if self._odd(sig) else n for sig in signatures]
+        signatures, kinds, stop = self._signature_table(q)
         top = max(desc.degrees)
         out = []
 
-        def extend(start: int, copies: int, left: tuple[int, ...], points: int, edges: int, degree: int, acc: list):
+        def extend(start: int, left: tuple[int, ...], points: int, edges: int, degree: int, acc: list):
+            # every copy of one signature is placed in one step, so the depth
+            # is at most the number of signatures, whatever n is
             if not points:
                 if not edges and not degree:
                     out.append(tuple(acc))
                 return
-            # the blocks still to place number points - edges, each of degree
-            # <= top and of at most `widest` points, as sizes only fall from
-            # signature `start` on (singletons always have one)
-            widest = signatures[start][0]
-            if edges * widest > points * (widest - 1) or degree > top * (points - edges):
-                return
-            for t in range(start, len(signatures)):
-                size, comp, cls = signatures[t]
-                deg = desc.degrees[cls]
-                count = copies + 1 if t == start else 1
-                if size - 1 > edges or deg > degree or count > caps[t] or any(map(gt, comp, left)):
+            # a colour with points left takes a block at or before its last signature
+            for t in range(start, stop(left)):
+                size, comp, deg, most = kinds[t]
+                # blocks of at most `size` points have at most (size - 1) / size
+                # edges per point, and sizes only fall from signature t on
+                if edges * size > points * (size - 1):
+                    break
+                if size - 1 > edges or deg > degree or any(map(gt, comp, left)):
                     continue
-                acc.append(signatures[t])
-                extend(t, count, tuple(map(sub, left, comp)), points - size, edges - size + 1, degree - deg, acc)
-                acc.pop()
+                states = []  # after 1, 2, ... copies of signature t
+                now, pts, eds, dgs = left, points, edges, degree
+                while True:
+                    now, pts, eds, dgs = tuple(map(sub, now, comp)), pts - size, eds - size + 1, dgs - deg
+                    # the pts - eds blocks left carry degree <= top each; another
+                    # copy takes top from that and only deg <= top from the degree
+                    if dgs > top * (pts - eds):
+                        break
+                    states.append((now, pts, eds, dgs))
+                    if len(states) == most or size - 1 > eds or deg > dgs or any(map(gt, comp, now)):
+                        break
+                # most copies first: patterns come in the order of their
+                # signature indices
+                acc.extend([signatures[t]] * len(states))
+                for now, pts, eds, dgs in reversed(states):
+                    extend(t + 1, now, pts, eds, dgs, acc)
+                    acc.pop()
 
-        extend(0, 0, self.colour_counts, n, q, p, [])
+        extend(0, self.colour_counts, n, q, p, [])
         return out
 
     def _representative(self, pattern: tuple) -> Representative | None:

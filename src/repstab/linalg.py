@@ -48,12 +48,15 @@ class Echelon:
     Rows are stored fraction-free: each is the primitive integer multiple of
     its reduced row, with a positive entry a_i at its pivot, the row's minimal
     key.  Every pivot is zero in every other row, so v's coordinate on row i
-    is v[pivot_i] / a_i.  basis() divides each row by a_i and returns the
-    reduced rows with pivots normalized to 1.
+    is v[pivot_i] / a_i, and reducing v touches only the rows whose pivots
+    are keys of v, found in the {pivot: row} map beside the sorted rows.
+    basis() divides each row by a_i and returns the reduced rows with pivots
+    normalized to 1.
     """
 
     def __init__(self, vectors=None):
         self.rows: list[tuple[object, dict]] = []  # (pivot, primitive int row), sorted by pivot
+        self._at: dict = {}  # pivot -> its row in rows
         if vectors:
             for v in vectors:
                 self.insert(v)
@@ -66,6 +69,7 @@ class Echelon:
         rows are taken as they are, with no elimination."""
         ech = cls()
         ech.rows = sorted(rows, key=_pivot_of)
+        ech._at = dict(ech.rows)
         return ech
 
     @property
@@ -77,9 +81,10 @@ class Echelon:
         w, den = _integral(v)
         hits = []
         scale = 1
-        for pivot, row in self.rows:
-            c = w.get(pivot)
-            if c:
+        at = self._at
+        for pivot, c in w.items():
+            row = at.get(pivot)
+            if row is not None:
                 a = row[pivot]
                 hits.append((c, a, row))
                 if scale % a:
@@ -119,8 +124,11 @@ class Echelon:
                 if a != g:
                     row = {k: x * (a // g) for k, x in row.items()}
                 add_into(row, r, -(c // g))
-                self.rows[i] = (p, _primitive(row, p))
+                row = _primitive(row, p)
+                self.rows[i] = (p, row)
+                self._at[p] = row
         insort(self.rows, (pivot, r), key=_pivot_of)
+        self._at[pivot] = r
         return True
 
     def basis(self) -> list[dict]:
@@ -128,9 +136,15 @@ class Echelon:
 
 
 def span_dim(vectors) -> int:
+    """dim of the span.  Keys are relabelled by their sorted positions first,
+    which keeps every pivot and makes each comparison an int one."""
+    vectors = list(vectors)
+    if len(vectors) < 2:
+        return sum(1 for v in vectors if v)
+    position = {k: i for i, k in enumerate(sorted({k for v in vectors for k in v}))}
     ech = Echelon()
     for v in vectors:
-        ech.insert(v)
+        ech.insert({position[k]: x for k, x in v.items()})
     return ech.dim
 
 

@@ -2,7 +2,7 @@ import argparse
 
 import pytest
 
-from repstab.cli import build_parser, dispatch
+from repstab.cli import _read, build_parser, dispatch
 import repstab.e2 as e2_module
 
 
@@ -126,6 +126,12 @@ def test_betti_builds_no_page(monkeypatch):
     monkeypatch.setenv("REPSTAB_BUDGET", "10")
     code, text = run("betti", "--manifold", "torus", "--n", "7", "--i", "4")
     assert (code, text) == (0, "7")
+
+
+def test_betti_at_large_n_needs_no_deep_recursion():
+    # 1200 singleton blocks: the pattern search places every copy of one
+    # block signature in one step, so its depth stays below the recursion limit
+    assert run("betti", "--manifold", "s2", "--n", "1200", "--i", "0") == (0, "1")
 
 
 def test_color_betti_builds_no_page(monkeypatch):
@@ -352,7 +358,7 @@ def test_parse_output_is_the_full_parsers(argv, capsys):
     assert out or err
 
 
-def test_valid_command_builds_one_subparser(monkeypatch):
+def test_valid_command_builds_no_parser(monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -362,4 +368,101 @@ def test_valid_command_builds_one_subparser(monkeypatch):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
     assert run("--format", "pretty", "betti", "--manifold", "torus", "--n", "4", "--i", "4") == (0, "4")
-    assert built == ["betti"]
+    assert built == []
+
+
+def test_valid_command_imports_no_argparse():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repstab.cli as c\n"
+        "assert c.main(['betti', '--manifold', 'torus', '--n', '2', '--i', '2']) == 0\n"
+        "assert not {'argparse', 'gettext'} & set(sys.modules), sorted(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+# The README's examples, the CI entry-point checks and the benchmark's queries
+WELL_FORMED = [
+    "chartable --n 5",
+    "branch --lambda 3,2,1 --n 7",
+    "branch --lambda 2,1 --n 6 --verify",
+    "monotone --lambda 2 --n-max 6",
+    "stable --lambda 2 --n-max 7",
+    "ranges --m 2 --ell 0 --pages 5",
+    "arnold --m 4 --d 3",
+    "e2 --manifold torus --n 3 --explicit",
+    "betti --manifold torus --n 4 --i 4",
+    "betti --manifold torus --n 7 --i 4",
+    "color-betti --manifold s3 --mu 1 --n 4 --i 3",
+    "ranges-for --manifold torus --i 3",
+    "betti --manifold torus --n 30 --i 8",
+    "betti --manifold torus --n 20 --i 6",
+    "e2 --manifold s2 --n 4 --explicit",
+    "color-betti --manifold torus --mu 1 --n 12 --i 3",
+    "color-betti --manifold torus --mu 1,1 --n 16 --i 4",
+    "branch --lambda 1 --n 8 --verify",
+    "branch --lambda 3,2,1 --n 9 --verify",
+    "monotone --lambda 3,2,1 --n-max 8",
+    "stable --lambda 2,1 --n-max 8",
+    "--format pretty ranges --m 2 --ell 0",
+    "--format tsv ranges --m 1/3 --ell 3 --pages 2",
+    *[f"betti --manifold torus --n {n} --i {min(n, 4)}" for n in range(2, 7)],
+    *[f"betti --manifold {m} --n {n} --i {i}" for m, i in (("s2", 1), ("cp1", 3)) for n in range(2, 7)],
+    *[f"e2 --manifold {m} --n {n} --explicit" for m in ("torus", "s2") for n in range(2, 6)],
+    *[f"color-betti --manifold torus --mu 1 --n {n} --i 3" for n in range(3, 6)],
+    *[f"color-betti --manifold s2 --mu 2 --n {n} --i 3" for n in range(4, 6)],
+    *[f"branch --lambda {lam} --n {n} --verify" for lam in ("1", "2", "1,1", "3", "2,1", "1,1,1") for n in (5, 6)],
+    *[f"monotone --lambda {lam} --n-max 6" for lam in ("1", "2", "1,1", "2,1")],
+    *[f"stable --lambda {lam} --n-max 7" for lam in ("1", "2", "1,1", "2,1")],
+]
+
+
+def perturbations(argv: list[str]) -> list[list[str]]:
+    """Spellings of argv that a well-formed query does not use: most are
+    usage errors, some the full parser accepts all the same."""
+    head = 2 if argv[0] == "--format" else 0
+    command, options = argv[: head + 1], argv[head + 1:]
+    flag = options[0]
+    value = options[1] if len(options) > 1 and not options[1].startswith("--") else None
+    out = [
+        command + options[2 if value else 1:],
+        argv + options[:2 if value else 1],
+        command + ["--format", "pretty"] + options,
+        command + ["--"] + options,
+        argv + ["--"],
+        argv + ["-h"],
+        argv + ["extra"],
+        command + [flag[:-1]] + options[1:],
+        ["--format"] + argv[head:],
+        ["--format=pretty"] + argv[head:],
+        ["--form", "pretty"] + argv[head:],
+    ]
+    if value:
+        out.append(command + [f"{flag}={value}"] + options[2:])
+        out.append(command + options[:1])
+    for old, new in (("--manifold", "--man"), ("--lambda", "--lam")):
+        if old in argv:
+            out.append([new if arg == old else arg for arg in argv])
+    if "--n" in argv:
+        at = argv.index("--n") + 1
+        for bad in ("-1", "+3", "1_0", " 3", "x", "3.0", ""):
+            out.append(argv[:at] + [bad] + argv[at + 1:])
+    return out
+
+
+@pytest.mark.parametrize("text", WELL_FORMED)
+def test_read_is_the_full_parser(text, capsys):
+    argv = text.split()
+    assert _read(argv) is not None
+    for case in [argv] + perturbations(argv):
+        try:
+            expected = vars(build_parser().parse_args(case))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        got = _read(case)
+        assert got is None or vars(got) == expected, case
+    assert vars(_read(argv)) == vars(build_parser().parse_args(argv))

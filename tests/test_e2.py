@@ -364,17 +364,16 @@ def test_no_pattern_holds_a_zero_block_space():
 
 
 def test_block_dim_is_the_top_character_on_young_cosets():
-    # the closed form for s <= 7; the solve for s <= 6 (at s = 7 it takes
-    # about 0.5 s per shape)
+    # the closed form and the solve for s <= 7 (the 30 shapes at s = 7 take
+    # about 3 s together)
     for s in range(1, 8):
         for d in (2, 3):
             chi = top_character(s, d)
             for comp in partitions_of(s):
                 expected = chi.inner(young_permutation_character(s, comp))
                 assert block_dim(comp, d % 2) == expected, (s, d, comp)
-                if s <= 6:
-                    basis, classes = block_space(comp, d % 2)
-                    assert len(basis) == expected and len(classes) == factorial(s - 1)
+                basis, classes = block_space(comp, d % 2)
+                assert len(basis) == expected and len(classes) == factorial(s - 1)
 
 
 def test_canonical_makes_no_act_key_call_once_shapes_are_solved(monkeypatch):

@@ -1,9 +1,14 @@
+import random
+from bisect import insort
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repstab.linalg import Echelon, _integral, add_into, kernel_basis, span_dim
+from repstab.configspaces import load_manifold
+from repstab.e2 import E2Page
+from repstab.linalg import Echelon, _integral, _pivot_of, _primitive, add_into, kernel_basis, span_dim
 
 coeff = st.one_of(
     st.integers(min_value=-4, max_value=4),
@@ -115,3 +120,105 @@ def test_integral_returns_a_new_dict():
     w, den = _integral({1: Fraction(1, 2), 2: 3})
     assert (w, den) == ({1: 1, 2: 6}, 2)
     assert all(type(x) is int for x in w.values())
+
+
+class RowScanEchelon:
+    """Echelon as it was before the {pivot: row} map: _residual looks every
+    stored row's pivot up in the vector."""
+
+    def __init__(self, vectors=None):
+        self.rows: list[tuple[object, dict]] = []  # (pivot, primitive int row), sorted by pivot
+        if vectors:
+            for v in vectors:
+                self.insert(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _residual(self, v: dict) -> tuple[dict, int]:
+        """(r, den): r an int vector with r / den the normal form of v."""
+        w, den = _integral(v)
+        hits = []
+        scale = 1
+        for pivot, row in self.rows:
+            c = w.get(pivot)
+            if c:
+                a = row[pivot]
+                hits.append((c, a, row))
+                if scale % a:
+                    scale = lcm(scale, a)
+        if scale != 1:
+            w = {k: x * scale for k, x in w.items()}
+        for c, a, row in hits:
+            add_into(w, row, -c * (scale // a))
+        return w, den * scale
+
+    def reduce(self, v: dict) -> dict:
+        """Normal form of v modulo the span; does not modify the basis."""
+        r, den = self._residual(v)
+        if den == 1:
+            return r
+        return {k: Fraction(x, den) for k, x in r.items()}
+
+    def coords(self, v: dict):
+        """(coefficients per reduced basis row, residual normal form)."""
+        return [v.get(pivot, 0) for pivot, _ in self.rows], self.reduce(v)
+
+    def contains(self, v: dict) -> bool:
+        return not self._residual(v)[0]
+
+    def insert(self, v: dict) -> bool:
+        """Add v to the span; returns True if the dimension grew."""
+        r, _ = self._residual(v)
+        if not r:
+            return False
+        pivot = min(r)
+        r = _primitive(r, pivot)
+        a = r[pivot]
+        for i, (p, row) in enumerate(self.rows):
+            c = row.get(pivot)
+            if c:
+                g = gcd(a, c)
+                if a != g:
+                    row = {k: x * (a // g) for k, x in row.items()}
+                add_into(row, r, -(c // g))
+                self.rows[i] = (p, _primitive(row, p))
+        insort(self.rows, (pivot, r), key=_pivot_of)
+        return True
+
+
+def _random_vector(rng: random.Random, keys: list) -> dict:
+    v = {}
+    for k in rng.sample(keys, rng.randint(0, 5)):
+        x = rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+        if x:
+            v[k] = x
+    return v
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_echelon_matches_the_row_scan(seed):
+    rng = random.Random(seed)
+    keys = [(a, (b,)) for a in range(6) for b in range(5)]
+    fast, slow = Echelon(), RowScanEchelon()
+    for _ in range(40):
+        v = _random_vector(rng, keys)
+        probe = _random_vector(rng, keys)
+        assert fast.reduce(probe) == slow.reduce(probe)
+        assert fast.coords(probe) == slow.coords(probe)
+        assert fast.contains(probe) == slow.contains(probe)
+        assert fast.contains(v) == slow.contains(v)
+        assert fast.insert(v) == slow.insert(v)
+        assert fast.rows == slow.rows
+    assert Echelon.from_reduced(slow.rows).reduce(probe) == slow.reduce(probe)
+
+
+@pytest.mark.parametrize("name, n_max", [("torus", 4), ("s2", 5)])
+def test_span_dim_of_explicit_differentials_matches_the_row_scan(name, n_max):
+    desc = load_manifold(name)
+    for n in range(1, n_max + 1):
+        page = E2Page(desc, n)
+        for p, q in page.cells:
+            images = [page.diff_key(key) for key in page.cell(p, q)]
+            assert span_dim(images) == RowScanEchelon(images).dim, (name, n, p, q)
