@@ -39,11 +39,18 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, compress, product
-from math import factorial, prod
-from operator import gt, itemgetter, sub
+from math import prod
+from operator import gt, itemgetter, mul, sub
 from typing import Callable, NamedTuple
 
-from .arnold import act_monomial, all_monomials, induced_cyclic_sign_character, top_basis, top_character
+from .arnold import (
+    act_monomial,
+    all_monomials,
+    induced_cyclic_sign_character,
+    poincare_polynomial,
+    top_basis,
+    top_character,
+)
 from .characters import ClassFunction, induced_character, young_permutation_character
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
@@ -293,20 +300,6 @@ class E2Page:
 # coinvariant complex (transfer: H^*(C_n)^G = G-invariants = G-coinvariants)
 
 
-def word_multisets(desc: ManifoldDescriptor, count: int, repeating: int):
-    """Multisets of count classes in which the classes of degree parity
-    `repeating` repeat and the others are distinct: Sym(H^even) x
-    Lambda(H^odd) for repeating = 0, Lambda(H^even) x Sym(H^odd) for 1."""
-    repeat = [i for i, deg in enumerate(desc.degrees) if deg % 2 == repeating]
-    once = [i for i, deg in enumerate(desc.degrees) if deg % 2 != repeating]
-    out = set()
-    for k in range(min(len(once), count) + 1):
-        for chosen in combinations(once, k):
-            for multi in combinations_with_replacement(repeat, count - k):
-                out.add(tuple(sorted(multi + chosen)))
-    return sorted(out)
-
-
 def invariant_cell_dim(desc: ManifoldDescriptor, n: int, p: int, q: int) -> int:
     """Closed-form dimension of the S_n-invariant part of cell (p, q edges):
     Lambda x Sym words on the q pairs times Sym x Lambda words on the
@@ -315,14 +308,10 @@ def invariant_cell_dim(desc: ManifoldDescriptor, n: int, p: int, q: int) -> int:
         return 0
     if q > 0 and desc.d % 2 == 1:
         return 0  # the sign action on each pair kills every invariant
-    polys = []
-    for count, repeating in ((q, 1), (n - 2 * q, 0)):
-        poly: dict[int, int] = {}
-        for multi in word_multisets(desc, count, repeating):
-            deg = sum(desc.degrees[c] for c in multi)
-            poly[deg] = poly.get(deg, 0) + 1
-        polys.append(poly)
-    return _poly_mul(*polys).get(p, 0)
+    poincare = desc.poincare()
+    pairs = graded_power(poincare, q, 1, p)
+    singletons = graded_power(poincare, n - 2 * q, 0, p)
+    return sum(map(mul, pairs, reversed(singletons)))
 
 
 @lru_cache(maxsize=1024)
@@ -736,6 +725,30 @@ def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def graded_power(poincare: dict[int, int], count: int, repeating: int, top: int) -> list[int]:
+    """Dimensions in degrees 0..top of the count-th graded power of a graded
+    space: its classes of degree parity `repeating` repeat (Sym) and the
+    others are distinct (Lambda).  They are the coefficient of t^count in
+    the product over classes of 1/(1 - t x^deg) or 1 + t x^deg, grown one
+    class at a time in a (count + 1) x (top + 1) table."""
+    if count < 0 or top < 0:
+        return [0] * (top + 1)
+    table = [[0] * (top + 1) for _ in range(count + 1)]
+    table[0][0] = 1
+    for deg, b in poincare.items():
+        if deg > top:
+            continue
+        # a repeating class reads the row below as already grown by it, a
+        # distinct class reads it as before
+        counts = range(1, count + 1) if deg % 2 == repeating else range(count, 0, -1)
+        for _ in range(b):
+            for c in counts:
+                row, below = table[c], table[c - 1]
+                for x in range(deg, top + 1):
+                    row[x] += below[x - deg]
+    return table[count]
+
+
 def _cycle_trace(poincare: dict[int, int], t: int) -> dict[int, int]:
     """Graded trace of a t-cycle on H^(x t): sum_j (-1)^(j(t-1)) b_j x^(jt)."""
     return {j * t: (-1) ** (j * (t - 1)) * b for j, b in poincare.items()}
@@ -809,31 +822,22 @@ def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
     q = _row(desc, qd1)
     if q is None:
         return 0
-    total = 0
-    for mu in partitions_of(q):
-        if len(mu) + q > n:
-            continue
-        shape = make_partition(angle_pad(mu, n))
-        count = _partition_count(n, shape)
-        per_block = 1
-        for s in shape:
-            per_block *= factorial(s - 1)
-        poly = {0: 1}
-        for _ in shape:
-            poly = _poly_mul(poly, desc.poincare())
-        total += count * per_block * poly.get(p, 0)
-    return total
+    return _row_dims(tuple(desc.poincare().items()), n, q).get(p, 0)
 
 
-def _partition_count(n: int, shape: Partition) -> int:
-    out = factorial(n)
-    mult: dict[int, int] = {}
-    for s in shape:
-        out //= factorial(s)
-        mult[s] = mult.get(s, 0) + 1
-    for m in mult.values():
-        out //= factorial(m)
-    return out
+# cached: the e2 table and the cell sums walk a row one degree at a time
+@lru_cache(maxsize=256)
+def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int, int]:
+    """Row q of the page by M-degree: the forests on n points with q edges,
+    [t^q] of (1 + t)(1 + 2t)...(1 + (n-1)t), each carrying the words
+    P_M(x)^(n-q) on its n - q blocks."""
+    if q >= max(n, 1):
+        return {}
+    forests = poincare_polynomial(n, 2)[q] if n else 1
+    factor, words = dict(poincare), {0: 1}
+    for _ in range(n - q):
+        words = _poly_mul(words, factor)
+    return {p: forests * c for p, c in words.items()}
 
 
 # ---------------------------------------------------------------------------

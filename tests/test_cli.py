@@ -134,6 +134,13 @@ def test_betti_at_large_n_needs_no_deep_recursion():
     assert run("betti", "--manifold", "s2", "--n", "1200", "--i", "0") == (0, "1")
 
 
+def test_closed_form_counts_at_large_n():
+    # the graded-symmetric powers are polynomial in n: the odd-dimensional
+    # count and the closed-form check of every invariant cell
+    assert run("betti", "--manifold", "s3", "--n", "200", "--i", "3") == (0, "1")
+    assert run("betti", "--manifold", "torus", "--n", "1000", "--i", "1") == (0, "2")
+
+
 def test_color_betti_builds_no_page(monkeypatch):
     # the explicit torus page at n = 7 has 604800 elements; the largest
     # block space in degree 3 has 3! keys

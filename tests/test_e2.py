@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,7 @@ from repstab.e2 import (
     blocks_of,
     e2_cell_character,
     e2_cell_dim,
+    graded_power,
     invariant_cell_dim,
     set_partitions_of_shape,
 )
@@ -145,6 +148,25 @@ def test_euler_characteristic_of_page():
             assert total == expected
 
 
+def test_cell_dims_sum_to_page_without_cells():
+    # the closed-form cells of a page of any size, against its element count
+    # (the rising factorial) and its Euler characteristic chi(chi-1)...(chi-n+1)
+    for desc in (TORUS, S2, CP1, S3):
+        d, chi = desc.d, desc.euler_characteristic()
+        for n in range(31):
+            total = alternating = 0
+            for q in range(max(n, 1)):
+                for p in range((n - q) * d + 1):
+                    dim = e2_cell_dim(desc, n, p, q * (d - 1))
+                    total += dim
+                    alternating += (-1) ** (p + q * (d - 1)) * dim
+            assert total == E2Page(desc, n).total_dim
+            falling = 1
+            for j in range(n):
+                falling *= chi - j
+            assert alternating == falling
+
+
 def test_invariant_cell_dims_match_average():
     for desc in (TORUS, S2):
         for n in (2, 3, 4):
@@ -235,16 +257,42 @@ def test_block_sharpness_fixture():
 def test_epsilon_invariants_degree_floor():
     # the sign-isotypic part of H^*(M^q) vanishes below degree kq - k, where
     # k is the lowest positive degree carrying cohomology
-    from repstab.e2 import word_multisets
-
     for desc, k in ((TORUS, 1), (S3, 3)):
         for q in (1, 2, 3):
-            degrees = [
-                sum(desc.degrees[c] for c in multi)
-                for multi in word_multisets(desc, q, 1)
-            ]
-            assert degrees
-            assert min(degrees) == k * q - k
+            dims = graded_power(desc.poincare(), q, 1, 3 * q)
+            assert any(dims)
+            assert min(deg for deg, dim in enumerate(dims) if dim) == k * q - k
+
+
+def word_multisets(desc, count: int, repeating: int):
+    """Multisets of count classes in which the classes of degree parity
+    `repeating` repeat and the others are distinct: Sym(H^even) x
+    Lambda(H^odd) for repeating = 0, Lambda(H^even) x Sym(H^odd) for 1."""
+    repeat = [i for i, deg in enumerate(desc.degrees) if deg % 2 == repeating]
+    once = [i for i, deg in enumerate(desc.degrees) if deg % 2 != repeating]
+    out = set()
+    for k in range(min(len(once), count) + 1):
+        for chosen in combinations(once, k):
+            for multi in combinations_with_replacement(repeat, count - k):
+                out.add(tuple(sorted(multi + chosen)))
+    return sorted(out)
+
+
+def test_graded_power_counts_word_multisets():
+    # the generating-function table against the multisets themselves
+    synthetic = (SimpleNamespace(degrees=[0, 1, 1, 1, 2, 3]), SimpleNamespace(degrees=[0, 0, 2, 2, 4, 5]))
+    for desc in (TORUS, S2, CP1, S3) + synthetic:
+        poincare = {}
+        for deg in desc.degrees:
+            poincare[deg] = poincare.get(deg, 0) + 1
+        for count in range(8):
+            top = count * max(desc.degrees)
+            for repeating in (0, 1):
+                expected = [0] * (top + 1)
+                for multi in word_multisets(desc, count, repeating):
+                    expected[sum(desc.degrees[c] for c in multi)] += 1
+                assert graded_power(poincare, count, repeating, top) == expected
+                assert graded_power(poincare, count, repeating, top // 2) == expected[: top // 2 + 1]
 
 
 def test_cyclic_trace_lemma_brute_force():
