@@ -1,9 +1,14 @@
 """Exact character theory of S_n: the oracle every other module decomposes against.
 
-Irreducible characters are evaluated by the Murnaghan-Nakayama rule on beta
-sets, memoized per (shape, cycle type).  All inner products are exact
-rationals; a non-integral or negative multiplicity raises NotACharacter
-instead of silently rounding.
+The character table of S_n is built once per n, column by column, on an
+abacus of n beads, and held in a bounded cache: decompose reads its
+multiplicities off the rows as integer dot products with the class-size
+weighted values, divided by n!.  Single entries and single rows
+(mn_character, irreducible_character, young_invariants_dim) stay on the
+Murnaghan-Nakayama recursion on beta sets, memoized per (shape, cycle type),
+since one row at large n costs far less than the whole table; the recursion
+is the cross-check of the table.  A non-integral or negative multiplicity
+raises NotACharacter instead of silently rounding.
 
 The same module reads characters off explicit representations, as traces
 from the pivots of a reduced echelon basis, and gives the scalars
@@ -13,8 +18,10 @@ irreducible, which rep.Rep's central projections use.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial
+from functools import cache, lru_cache
+from math import comb, factorial, lcm
+from operator import mul
+from types import MappingProxyType
 
 from .linalg import Echelon
 from .partitions import (
@@ -108,7 +115,7 @@ def _beta_set(lam: Partition) -> tuple[int, ...]:
     return tuple(lam[i] + ell - 1 - i for i in range(ell))
 
 
-@cache
+@lru_cache(maxsize=1 << 15)
 def mn_character(lam: Partition, rho: Partition):
     """chi^lam(rho) by Murnaghan-Nakayama: strip a rho_1 rim hook from lam.
 
@@ -143,18 +150,53 @@ def irreducible_character(lam: Partition) -> ClassFunction:
     return ClassFunction(n, tuple(mn_character(lam, rho) for rho in partitions_of(n)))
 
 
-@cache
+@lru_cache(maxsize=16)
+def _abacus_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows chi^lam of S_n, lam in partitions_of(n), each aligned with
+    partitions_of(n).
+
+    Column rho is the Schur expansion of p_rho = p_{rho_1} p_tail, built from
+    the expansion of rho's tail (memoized per tail) on an abacus of n beads:
+    a partition mu of m <= n is the bitmask of its beta numbers
+    mu_i + n - i, i = 1..n, and p_r s_mu moves one bead from b to an empty
+    b + r, with sign (-1)^(beads strictly between b and b + r).
+    """
+    expansions = {(): {(1 << n) - 1: 1}}
+
+    def expansion(rho: Partition) -> dict:
+        got = expansions.get(rho)
+        if got is None:
+            r = rho[0]
+            between = (1 << (r - 1)) - 1
+            got = {}
+            for mask, c in expansion(rho[1:]).items():
+                for b in range(mask.bit_length()):
+                    if mask >> b & 1 and not mask >> (b + r) & 1:
+                        moved = mask ^ (1 << b) ^ (1 << (b + r))
+                        sign = -c if (mask >> (b + 1) & between).bit_count() & 1 else c
+                        got[moved] = got.get(moved, 0) + sign
+            expansions[rho] = got
+        return got
+
+    parts = partitions_of(n)
+    masks = [
+        sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) | ((1 << (n - len(lam))) - 1)
+        for lam in parts
+    ]
+    columns = [[expansion(rho).get(mask, 0) for mask in masks] for rho in parts]
+    return tuple(zip(*columns))
+
+
 def character_table(n: int):
-    """All chi^lam(rho) for lam, rho of n, as {(lam, rho): int}."""
+    """All chi^lam(rho) for lam, rho of n, as a read-only {(lam, rho): int}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > 12:
         raise ValueError("character_table capped at n = 12")
-    table = {}
-    for lam in partitions_of(n):
-        for rho in partitions_of(n):
-            table[(lam, rho)] = mn_character(lam, rho)
-    return table
+    parts = partitions_of(n)
+    return MappingProxyType(
+        {(lam, rho): v for lam, row in zip(parts, _abacus_table(n)) for rho, v in zip(parts, row)}
+    )
 
 
 def trivial_character(n: int) -> ClassFunction:
@@ -162,15 +204,24 @@ def trivial_character(n: int) -> ClassFunction:
 
 
 def decompose(chi: ClassFunction) -> MultiplicityVector:
-    """Inner products with every irreducible; loud failure off the character cone."""
+    """Inner products with every row of the character table; loud failure off
+    the character cone."""
+    n = chi.n
+    parts = partitions_of(n)
+    order = factorial(n)
+    weighted = [
+        class_size(rho) * (v.numerator if type(v) is Fraction and v.denominator == 1 else v)
+        for rho, v in zip(parts, chi.values)
+    ]
     counts = {}
-    for lam in partitions_of(chi.n):
-        mult = chi.inner(irreducible_character(lam))
-        if mult.denominator != 1 or mult < 0:
+    for lam, row in zip(parts, _abacus_table(n)):
+        total = sum(map(mul, row, weighted))
+        mult = Fraction(total, order) if total % order else total // order
+        if mult < 0 or type(mult) is Fraction:
             raise NotACharacter(f"<chi, chi^{lam}> = {mult}")
         if mult:
-            counts[lam] = int(mult)
-    mv = MultiplicityVector(chi.n, counts)
+            counts[lam] = mult
+    mv = MultiplicityVector(n, counts)
     if mv.total_dim() != chi.degree():
         raise NotACharacter("degree mismatch after decomposition")
     return mv
@@ -296,20 +347,25 @@ def explicit_character(ech: Echelon, n: int, act, table=None) -> ClassFunction:
         for _, row in ech.rows:
             if ech.reduce(act(g, row)):
                 raise ValueError("span is not invariant under the action")
+    if not ech.rows:
+        return ClassFunction(n, tuple(0 for _ in partitions_of(n)))
+    # one Fraction per class: the entries add up as ints over the common
+    # denominator of the pivot entries
+    den = lcm(*(row[pivot] for pivot, row in ech.rows))
+    scales = [den // row[pivot] for pivot, row in ech.rows]
     values = []
     for rho in partitions_of(n):
         if rho == (1,) * n:
-            # the identity: one per row, a Fraction as the sums below give,
-            # and the int 0 of an empty sum on the zero span
-            values.append(Fraction(ech.dim) if ech.dim else 0)
+            # the identity: one per row, a Fraction as the other classes give
+            values.append(Fraction(ech.dim))
             continue
         g = class_representative(rho, n)
         if table is None:
-            entries = ((act(g, row).get(pivot, 0), row[pivot]) for pivot, row in ech.rows)
+            entries = (act(g, row).get(pivot, 0) for pivot, row in ech.rows)
         else:
             back = table(inverse(g))
-            entries = ((row.get(back[pivot], 0), row[pivot]) for pivot, row in ech.rows)
-        values.append(sum(Fraction(x, a) for x, a in entries))
+            entries = (row.get(back[pivot], 0) for pivot, row in ech.rows)
+        values.append(Fraction(sum(map(mul, entries, scales)), den))
     return ClassFunction(n, tuple(values))
 
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from repstab import characters
 from repstab.characters import (
     ClassFunction,
     NotACharacter,
@@ -63,7 +64,7 @@ def test_row_orthogonality():
 
 
 def test_column_orthogonality():
-    for n in range(1, 8):
+    for n in range(1, 13):
         parts = partitions_of(n)
         table = character_table(n)
         for rho in parts:
@@ -73,6 +74,40 @@ def test_column_orthogonality():
                     assert total == factorial(n) // class_size(rho)
                 else:
                     assert total == 0
+
+
+def test_abacus_table_equals_murnaghan_nakayama():
+    # the table is built per n on the abacus; the per-entry recursion checks it
+    for n in range(0, 11):
+        table = character_table(n)
+        assert len(table) == len(partitions_of(n)) ** 2
+        for (lam, rho), value in table.items():
+            assert value == mn_character(lam, rho)
+
+
+def test_character_table_is_read_only():
+    table = character_table(4)
+    with pytest.raises(TypeError):
+        table[((4,), (4,))] = 7
+    assert character_table(4)[((4,), (4,))] == 1
+    with pytest.raises(ValueError, match="capped at n = 12"):
+        character_table(13)
+
+
+def test_character_caches_are_bounded():
+    assert mn_character.cache_info().maxsize is not None
+    assert characters._abacus_table.cache_info().maxsize is not None
+
+
+def test_single_rows_at_large_n_build_no_table():
+    # one row of S_20 stays on the Murnaghan-Nakayama recursion
+    lam = pad((2, 1), 20)
+    before = characters._abacus_table.cache_info()
+    chi = irreducible_character(lam)
+    assert chi.degree() == dim_irrep(lam)
+    assert young_invariants_dim(lam, (1, 1)) == count_partition_chains((2, 1), (1, 1), 20)
+    after = characters._abacus_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_class_sizes_sum():
@@ -103,6 +138,25 @@ def test_decompose_rejects_non_character():
     bad = ClassFunction(3, (1, 0, 1))  # non-integral inner products
     with pytest.raises(NotACharacter):
         decompose(bad)
+
+
+def test_decompose_refusal_messages():
+    half = ClassFunction(3, (Fraction(1, 2),) * 3)
+    with pytest.raises(NotACharacter) as err:
+        decompose(half)
+    assert str(err.value) == "<chi, chi^(3,)> = 1/2"
+    difference = irreducible_character((3,)) - irreducible_character((2, 1))
+    with pytest.raises(NotACharacter) as err:
+        decompose(difference)
+    assert str(err.value) == "<chi, chi^(2, 1)> = -1"
+
+    class Shifted(ClassFunction):
+        def degree(self):
+            return super().degree() + 1
+
+    with pytest.raises(NotACharacter) as err:
+        decompose(Shifted(3, (1, 1, 1)))
+    assert str(err.value) == "degree mismatch after decomposition"
 
 
 def test_induced_trivial_from_s1():
@@ -301,6 +355,7 @@ def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one
     ech = Echelon(vectors)
     assert [row[pivot] for pivot, row in ech.rows] == [2, 2, 2]
     assert explicit_character(ech, 3, act) == induced_character(irreducible_character((1,)), 3)
+    assert decompose(explicit_character(ech, 3, act)).counts == {(3,): 1, (2, 1): 1}
     trivial = {(i, tag): c for i in (1, 2, 3) for tag, c in (("x", 1), ("y", Fraction(1, 2)))}
     rep = Rep(3, KeyIndex([(i, tag) for i in (1, 2, 3) for tag in "xy"], act_key), vectors)
     assert [row[pivot] for pivot, row in rep.echelon.rows] == [2, 2, 2]

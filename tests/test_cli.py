@@ -1,8 +1,9 @@
 import argparse
+from pathlib import Path
 
 import pytest
 
-from repstab.cli import _read, build_parser, dispatch
+from repstab.cli import _read, build_parser, dispatch, main
 import repstab.e2 as e2_module
 
 
@@ -79,6 +80,12 @@ def test_sequence_budget_checks_n_max(monkeypatch, command):
     assert code == 2
     assert text.startswith("error: I_n(M^lambda) for lambda = 1, n = 5 has 5 tabloids")
     assert text.endswith("(raise REPSTAB_BUDGET to override)")
+
+
+def test_chartable_n10_golden(capsys):
+    assert main(["chartable", "--n", "10"]) == 0
+    golden = Path(__file__).parent / "golden" / "chartable_n10.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_chartable_n1():
