@@ -29,8 +29,6 @@ from .e2 import (
     NotComputable,
     _cycle_trace,
     _poly_mul,
-    block_rows,
-    e2_cell_character,
     e2_cell_dim,
     graded_power,
 )
@@ -42,7 +40,6 @@ from .perms import centralizer_order
 __all__ = [
     "load_manifold",
     "e2_page",
-    "e2_cell_character",
     "e2_cell_dim",
     "betti_unordered",
     "colored_betti",
@@ -51,7 +48,6 @@ __all__ = [
     "tensor_power_invariants_dim",
     "stable_range_report",
     "correspondence_injective",
-    "block_rows",
     "NotComputable",
 ]
 

@@ -29,10 +29,11 @@ powers of block spaces: the top monomials of one block modulo its
 same-colour transpositions, solved once per block shape.  It never
 enumerates a page cell.
 
-Character backend: cell characters are assembled independently, from
-sigma-fixed set partitions, the top characters of the Euclidean blocks, and
-a graded trace over cyclic block-orbits.  Agreement of the two backends is a
-test, not an assumption.
+Character backend: a cell's character is the sum of its blocks
+E(mu, r, alpha)_n = Ind_{S_k x S_{n-k}}(V boxtimes 1) over the labels with
+k <= n.  V's trace runs over the sigma-fixed set partitions of the k block
+points, so the cost depends on k, not on n.  Agreement with the explicit
+backend is a test, not an assumption.
 """
 
 from bisect import bisect_left, bisect_right
@@ -54,8 +55,8 @@ from .arnold import (
 from .characters import ClassFunction, induced_character, young_permutation_character
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
-from .partitions import Partition, angle_pad, make_partition, partitions_of
-from .perms import Perm, class_representative, compose, from_cycles, identity
+from .partitions import Partition, make_partition, partitions_of
+from .perms import Perm, class_representative, cycles, from_cycles
 from .rep import LinearIndex, Rep
 
 Monomial = tuple[tuple[int, int], ...]
@@ -643,10 +644,11 @@ class InvariantComplex:
 
 
 # ---------------------------------------------------------------------------
-# character backend: sigma-fixed set partitions and cyclic graded traces
+# character backend: sigma-fixed set partitions of k points, cyclic graded traces
 
 
-@cache
+# bounded: Bell-sized tuples, asked for on the k points of a block label
+@lru_cache(maxsize=256)
 def set_partitions_of_shape(n: int, shape: Partition) -> tuple:
     """All set partitions of {1..n} whose block sizes are the given partition."""
     if sum(shape) != n:
@@ -672,11 +674,16 @@ def set_partitions_of_shape(n: int, shape: Partition) -> tuple:
     return tuple(rec(tuple(range(1, n + 1)), tuple(shape)))
 
 
-def _orbits_of_blocks(sigma: Perm, blocks: tuple) -> list[list[int]]:
+def _orbits_of_blocks(sigma: Perm, blocks: tuple) -> list[list[int]] | None:
+    """The cycles of sigma on the blocks, as lists of block indices, or None
+    when sigma does not permute the blocks."""
     index = {blk: t for t, blk in enumerate(blocks)}
     image = []
     for blk in blocks:
-        image.append(index[tuple(sorted(sigma[x - 1] for x in blk))])
+        t = index.get(tuple(sorted(sigma[x - 1] for x in blk)))
+        if t is None:
+            return None
+        image.append(t)
     seen = [False] * len(blocks)
     orbits = []
     for start in range(len(blocks)):
@@ -691,30 +698,6 @@ def _orbits_of_blocks(sigma: Perm, blocks: tuple) -> list[list[int]]:
             t = image[t]
         orbits.append(orbit)
     return orbits
-
-
-def _power(sigma: Perm, t: int) -> Perm:
-    out = identity(len(sigma))
-    for _ in range(t):
-        out = compose(sigma, out)
-    return out
-
-
-def _restricted_cycle_type(sigma_t: Perm, block: tuple[int, ...]) -> Partition:
-    remaining = set(block)
-    lengths = []
-    while remaining:
-        start = min(remaining)
-        length = 0
-        x = start
-        while True:
-            remaining.discard(x)
-            length += 1
-            x = sigma_t[x - 1]
-            if x == start:
-                break
-        lengths.append(length)
-    return make_partition(lengths)
 
 
 def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -754,14 +737,16 @@ def _cycle_trace(poincare: dict[int, int], t: int) -> dict[int, int]:
     return {j * t: (-1) ** (j * (t - 1)) * b for j, b in poincare.items()}
 
 
-def _block_orbit_factor(desc: ManifoldDescriptor, sigma: Perm, orbit, blocks) -> tuple[int, dict[int, int]]:
-    """(scalar factor, graded polynomial in the M-degree) for one block-orbit."""
+def _block_orbit_factor(desc: ManifoldDescriptor, cycle_of: dict, orbit, blocks) -> tuple[int, dict[int, int]]:
+    """(scalar factor, graded polynomial in the M-degree) for one block-orbit
+    of sigma, whose cycle through each point is cycle_of[point]."""
     d = desc.d
     t = len(orbit)
     block = blocks[orbit[0]]
     s = len(block)
-    sigma_t = _power(sigma, t)
-    tau_type = _restricted_cycle_type(sigma_t, block)
+    # sigma^t maps the block to itself, and a sigma-cycle of length L through
+    # the block meets it in one sigma^t-cycle of length L / t
+    tau_type = make_partition(len(c) // t for c in {cycle_of[x] for x in block})
     top_deg = (s - 1) * (d - 1)
     scalar = (-1) ** (top_deg * (t - 1)) * top_character(s, d).value(tau_type)
     return scalar, _cycle_trace(desc.poincare(), t)
@@ -780,41 +765,15 @@ def _row(desc: ManifoldDescriptor, qd1: int) -> int | None:
 
 
 def e2_cell_character(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> ClassFunction:
-    """Character of E2^{p, qd1}(n) by the fixed-partition trace formula."""
+    """Character of E2^{p, qd1}(n): the sum of its blocks E(mu, r, alpha)_n,
+    each induced from S_k with k <= n."""
+    total = ClassFunction(n, (0,) * len(partitions_of(n)))
     q = _row(desc, qd1)
-    if q is None or q > n:
-        return ClassFunction(n, tuple(0 for _ in partitions_of(n)))
-    values = []
-    for rho in partitions_of(n):
-        sigma = class_representative(rho, n)
-        total = 0
-        for mu in partitions_of(q):
-            if len(mu) + q > n:
-                continue
-            shape = make_partition(angle_pad(mu, n))
-            for blocks in set_partitions_of_shape(n, shape):
-                if not _is_fixed(sigma, blocks):
-                    continue
-                poly = {0: 1}
-                scalar = 1
-                for orbit in _orbits_of_blocks(sigma, blocks):
-                    fac, opoly = _block_orbit_factor(desc, sigma, orbit, blocks)
-                    scalar *= fac
-                    if scalar == 0:
-                        break
-                    poly = _poly_mul(poly, opoly)
-                if scalar:
-                    total += scalar * poly.get(p, 0)
-        values.append(total)
-    return ClassFunction(n, tuple(values))
-
-
-def _is_fixed(sigma: Perm, blocks: tuple) -> bool:
-    as_set = {blk: None for blk in blocks}
-    for blk in blocks:
-        if tuple(sorted(sigma[x - 1] for x in blk)) not in as_set:
-            return False
-    return True
+    if q is None:
+        return total
+    for _, _, _, _, chi in _blocks(desc, p, q, n):
+        total = total + induced_character(chi, n)
+    return total
 
 
 def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
@@ -841,7 +800,7 @@ def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int
 
 
 # ---------------------------------------------------------------------------
-# E(mu, r, alpha) block diagnostics
+# E(mu, r, alpha) blocks: each cell character is a sum of induced blocks
 
 
 def block_character_on_k(desc: ManifoldDescriptor, mu: Partition, r: int, alpha: Partition) -> ClassFunction:
@@ -873,19 +832,21 @@ def _block_trace(desc, sigma, k, mu, r, alpha):
     if sum(shape) != k:
         raise ValueError("k must equal |mu| + l(mu) + l(alpha)")
     alpha_sorted = tuple(sorted(alpha, reverse=True))
+    cycle_of = {x: c for c in cycles(sigma) for x in c}
     total = 0
     for blocks in set_partitions_of_shape(k, shape):
-        if not _is_fixed(sigma, blocks):
+        orbits = _orbits_of_blocks(sigma, blocks)
+        if orbits is None:
             continue
         big_poly = {0: 1}
         scalar = 1
         single_orbits = []
-        for orbit in _orbits_of_blocks(sigma, blocks):
+        for orbit in orbits:
             block = blocks[orbit[0]]
             if len(block) == 1:
                 single_orbits.append(orbit)
                 continue
-            fac, opoly = _block_orbit_factor(desc, sigma, orbit, blocks)
+            fac, opoly = _block_orbit_factor(desc, cycle_of, orbit, blocks)
             scalar *= fac
             big_poly = _poly_mul(big_poly, opoly)
         if scalar == 0 or big_poly.get(r, 0) == 0:
@@ -918,34 +879,38 @@ def _single_orbit_sum(desc, orbits, alpha):
     return rec(0, alpha)
 
 
+def _blocks(desc: ManifoldDescriptor, p: int, q: int, max_k: int | None = None):
+    """(mu, r, alpha, k, character on S_k) for each nonzero block
+    E(mu, r, alpha) of cell (p, q) with k <= max_k; a label's character is
+    computed only once its k is known to fit."""
+    for mu in partitions_of(q):
+        for r in range(p + 1):
+            for alpha in partitions_of(p - r):
+                k = q + len(mu) + len(alpha)
+                if (max_k is not None and k > max_k) or any(betti_missing(desc, v) for v in alpha):
+                    continue
+                chi = block_character_on_k(desc, mu, r, alpha)
+                if chi.degree():
+                    yield mu, r, alpha, k, chi
+
+
 def block_rows(desc: ManifoldDescriptor, p: int, qd1: int) -> list[dict]:
     """The E(mu, r, alpha) inventory of a cell: k, onset 2k, block dimension."""
     q = _row(desc, qd1)
     if q is None:
         return []
-    rows = []
-    for mu in partitions_of(q):
-        for r in range(p + 1):
-            for alpha in partitions_of(p - r):
-                if any(betti_missing(desc, v) for v in alpha):
-                    continue
-                chi = block_character_on_k(desc, mu, r, alpha)
-                dim_v = chi.degree()
-                if dim_v == 0:
-                    continue
-                k = q + len(mu) + len(alpha)
-                rows.append(
-                    {
-                        "mu": mu,
-                        "r": r,
-                        "alpha": alpha,
-                        "k": k,
-                        "dim_v": dim_v,
-                        "stable_from": 2 * k,
-                        "character_k": chi,
-                    }
-                )
-    return rows
+    return [
+        {
+            "mu": mu,
+            "r": r,
+            "alpha": alpha,
+            "k": k,
+            "dim_v": chi.degree(),
+            "stable_from": 2 * k,
+            "character_k": chi,
+        }
+        for mu, r, alpha, k, chi in _blocks(desc, p, q)
+    ]
 
 
 def betti_missing(desc: ManifoldDescriptor, v: int) -> bool:

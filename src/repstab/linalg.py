@@ -153,37 +153,25 @@ def kernel_basis(images: list[dict], domain: list[dict]) -> list[dict]:
     as vectors sum c_i domain_i for a basis of the relations
     {c : sum c_i images_i = 0}; the domain vectors must be independent.
 
-    Fraction-free: each image is scaled to integer entries, and every row is
-    kept as a primitive integer vector together with its trace (the same
-    combination of the images), so elimination runs on ints.  Rows stay in
-    pivot order without back-substitution, which one forward reduction pass
-    needs.
+    One Echelon over augmented vectors: image i, its keys relabelled to
+    0..m-1, plus a tag 1 at m + (T - 1 - i).  Tags sort after every image
+    key and later images get smaller tags, so an image that depends on
+    the earlier ones leaves a row whose pivot is its own tag: the primitive
+    integer relation expressing it through the earlier independent images,
+    positive on its own index.
     """
-    rows: list[tuple[object, dict, dict]] = []  # (pivot, row, trace), sorted by pivot
+    position = {k: i for i, k in enumerate(sorted({k for v in images for k in v}))}
+    last = len(position) + len(images) - 1  # image i is tagged at last - i
+    ech = Echelon()
     kernel = []
-    for idx, v in enumerate(images):
-        v, scale = _integral(v)
-        trace = {idx: scale}
-        for pivot, row, tr in rows:
-            c = v.get(pivot)
-            if c:
-                a = row[pivot]
-                g = gcd(a, c)
-                if a != g:
-                    v = {k: x * (a // g) for k, x in v.items()}
-                    trace = {k: x * (a // g) for k, x in trace.items()}
-                add_into(v, row, -(c // g))
-                add_into(trace, tr, -(c // g))
-        g = gcd(*v.values(), *trace.values())
-        if g > 1:
-            v = {k: x // g for k, x in v.items()}
-            trace = {k: x // g for k, x in trace.items()}
-        if not v:
+    for i, v in enumerate(images):
+        aug = {position[k]: x for k, x in v.items()}
+        aug[last - i] = 1
+        ech.insert(aug)
+        row = ech._at.get(last - i)
+        if row is not None:
             combo: dict = {}
-            for i, c in trace.items():
-                add_into(combo, domain[i], c)
+            for tag, c in row.items():
+                add_into(combo, domain[last - tag], c)
             kernel.append(combo)
-            continue
-        pivot = min(v)
-        insort(rows, (pivot, v, trace), key=_pivot_of)
     return kernel

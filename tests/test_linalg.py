@@ -26,6 +26,7 @@ def test_kernel_basis_is_a_basis_of_the_relations(vectors):
         for idx, c in combo.items():
             add_into(total, vectors[idx], c)
         assert total == {}
+        assert combo[max(combo)] > 0
     assert len(kernel) == len(vectors) - span_dim(vectors)
     assert span_dim(kernel) == len(kernel)
 
