@@ -11,7 +11,7 @@ second indices strictly decreases, so the rewriting terminates.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 
 from .characters import ClassFunction, decompose
@@ -129,6 +129,7 @@ def top_character(m: int, d: int) -> ClassFunction:
     return _top_character_by_parity(m, d % 2)
 
 
+# bounded by top_character's m <= 8 cap: at most 16 entries
 @cache
 def _top_character_by_parity(m: int, parity: int) -> ClassFunction:
     return top_character_direct(m, 2 + parity)
@@ -152,7 +153,8 @@ def top_dimension(m: int) -> int:
     return factorial(m - 1) if m >= 1 else 0
 
 
-@cache
+# bounded: one gate-session pass asks for ~10 (m, d)
+@lru_cache(maxsize=256)
 def induced_cyclic_sign_character(m: int, d: int = 2) -> ClassFunction:
     """Ind from the cyclic group C_m to S_m of (sign x faithful 1-dim) for
     even d, and of the faithful 1-dim character alone (the Lie character)

@@ -18,7 +18,7 @@ irreducible, which rep.Rep's central projections use.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
 from types import MappingProxyType
@@ -104,7 +104,8 @@ class MultiplicityVector:
         return sorted(self.counts.items(), reverse=True)
 
 
-@cache
+# bounded: one gate-session pass asks for ~20 classes
+@lru_cache(maxsize=4096)
 def _class_index(n: int, rho: Partition) -> int:
     return partitions_of(n).index(rho)
 
@@ -276,7 +277,8 @@ def young_permutation_character(n: int, blocks: tuple[int, ...]) -> ClassFunctio
     return ClassFunction(n, tuple(values))
 
 
-@cache
+# bounded: one gate-session pass makes ~440 entries
+@lru_cache(maxsize=1 << 14)
 def _young_value(rho: Partition, blocks: tuple[int, ...]):
     if not blocks:
         return 1 if not rho else 0

@@ -4,10 +4,13 @@ Vectors are dicts mapping orderable keys to int/Fraction coefficients; zero
 coefficients are never stored.  Echelon keeps a fully reduced basis as
 primitive integer rows, so membership tests, normal forms and coordinates
 are single integer passes; only basis() and reduce() produce fractions.
+It is the one reduced basis, behind Rep, kernel_basis and the block spaces.
+span_dim only counts: its rows are eliminated forward and never reduced.
 """
 
 from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -136,16 +139,60 @@ class Echelon:
 
 
 def span_dim(vectors) -> int:
-    """dim of the span.  Keys are relabelled by their sorted positions first,
-    which keeps every pivot and makes each comparison an int one."""
-    vectors = list(vectors)
+    """dim of the span, by forward fraction-free elimination.
+
+    Back-substitution only clears each pivot from the other rows, which a
+    reduced basis needs and a count does not: the rank is the number of
+    distinct pivots either way.  So each row is stored once, under its
+    pivot, its smallest key, as a primitive integer vector, and is never
+    touched again.  A new vector's keys go on a heap and are popped in
+    increasing order; a key that is some row's pivot is eliminated by that
+    row, whose other keys are all larger and join the heap, and the first
+    key that is no row's pivot becomes the new pivot.
+
+    The keys' order is the elimination order, so it decides how dense the
+    rows grow: callers that know a good order (E2Page.differential_rank
+    keys its rows by target-cell index) pass int keys in it.  Other keys
+    are relabelled by their sorted positions, which keeps every pivot and
+    makes each comparison an int one.
+    """
+    vectors = [v for v in vectors if v]
     if len(vectors) < 2:
-        return sum(1 for v in vectors if v)
-    position = {k: i for i, k in enumerate(sorted({k for v in vectors for k in v}))}
-    ech = Echelon()
+        return len(vectors)
+    keys = {k for v in vectors for k in v}
+    if not all(type(k) is int for k in keys):
+        position = {k: i for i, k in enumerate(sorted(keys))}
+        vectors = [{position[k]: x for k, x in v.items()} for v in vectors]
+    rows: dict = {}  # pivot -> primitive int row
     for v in vectors:
-        ech.insert({position[k]: x for k, x in v.items()})
-    return ech.dim
+        w, _ = _integral(v)
+        heap = list(w)
+        heapify(heap)
+        while heap:
+            pivot = heappop(heap)
+            c = w.get(pivot)
+            if not c:  # cancelled, or a key pushed twice
+                continue
+            row = rows.get(pivot)
+            if row is None:
+                rows[pivot] = _primitive(w, pivot)
+                break
+            a = row[pivot]
+            g = gcd(a, c)
+            if a != g:
+                w = {k: x * (a // g) for k, x in w.items()}
+            c //= g
+            for k, x in row.items():
+                if k in w:
+                    val = w[k] - c * x
+                    if val:
+                        w[k] = val
+                    else:
+                        del w[k]
+                else:
+                    w[k] = -c * x
+                    heappush(heap, k)
+    return len(rows)
 
 
 def kernel_basis(images: list[dict], domain: list[dict]) -> list[dict]:

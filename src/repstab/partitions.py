@@ -5,7 +5,7 @@ tuple is the unique partition of 0.  All constructors normalize (sort, drop
 zeros), so a partition is always a canonical hashable key.
 """
 
-from functools import cache
+from functools import lru_cache
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -28,7 +28,8 @@ def size(p: Partition) -> int:
     return sum(p)
 
 
-@cache
+# bounded: one entry per n; one gate-session pass asks for 9
+@lru_cache(maxsize=64)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in decreasing lexicographic order ((n) first)."""
     if n < 0:
@@ -123,7 +124,8 @@ def lex_compare(mu: Partition, nu: Partition) -> int:
     return 1 if mu > nu else -1
 
 
-@cache
+# bounded: one gate-session pass asks for ~60 shapes
+@lru_cache(maxsize=4096)
 def dim_irrep(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
     check_partition(lam)

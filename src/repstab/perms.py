@@ -5,7 +5,7 @@ Everything here is pure and exact; group enumeration is only used at desk
 scale (n <= 8).
 """
 
-from functools import cache
+from functools import lru_cache
 from itertools import permutations as _itp
 from math import factorial
 
@@ -80,13 +80,14 @@ def class_representative(rho: Partition, n: int | None = None) -> Perm:
     return from_cycles(n, out)
 
 
-@cache
+# bounded: one gate-session pass asks for ~70 cycle types
+@lru_cache(maxsize=4096)
 def class_size(rho: Partition) -> int:
     """Number of permutations of cycle type rho: n! / centralizer order."""
     return factorial(sum(rho)) // centralizer_order(rho)
 
 
-@cache
+@lru_cache(maxsize=4096)
 def centralizer_order(rho: Partition) -> int:
     z = 1
     mult: dict[int, int] = {}

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from repstab import characters
+from repstab import arnold, characters, perms
 from repstab.characters import (
     ClassFunction,
     NotACharacter,
@@ -95,8 +95,20 @@ def test_character_table_is_read_only():
 
 
 def test_character_caches_are_bounded():
-    assert mn_character.cache_info().maxsize is not None
-    assert characters._abacus_table.cache_info().maxsize is not None
+    # every cache whose keys grow with a runtime n holds a stated number of entries
+    bounded = [
+        mn_character,
+        characters._abacus_table,
+        characters._class_index,
+        characters._young_value,
+        partitions_of,
+        dim_irrep,
+        class_size,
+        perms.centralizer_order,
+        arnold.induced_cyclic_sign_character,
+    ]
+    for fn in bounded:
+        assert fn.cache_info().maxsize is not None, fn.__name__
 
 
 def test_single_rows_at_large_n_build_no_table():

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import repstab.e2 as e2_module
-from repstab.arnold import act_monomial, top_character
+from repstab.arnold import act_monomial, all_monomials, top_character
 from repstab.characters import ClassFunction, decompose, young_invariants_dim, young_permutation_character
 from repstab.e2 import (
     E2Page,
@@ -562,3 +563,91 @@ def test_relabel_refuses_a_reversed_edge():
     page = E2Page(TORUS, 3)
     with pytest.raises(AssertionError):
         page.relabel((2, 1, 3), (((1, 2),), (0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the per-forest tables and cell-ordered ranks, against the loops they replaced
+
+TABLE_GRID = [(desc, n) for desc in (TORUS, S2, CP1, S3) for n in range(1, 5)] + [(TORUS, 5)]
+
+
+def reference_cells(page):
+    """E2Page.cells as it was: the words rebuilt for every forest."""
+    cells = {}
+    for mono in all_monomials(page.n):
+        words = [()]
+        for _ in blocks_of(mono, page.n):
+            words = [w + (c,) for w in words for c in range(page.desc.dim_total)]
+        for word in words:
+            p = sum(page.desc.degrees[c] for c in word)
+            cells.setdefault((p, len(mono)), []).append((mono, word))
+    return cells
+
+
+def reference_diff_key(page, key):
+    """E2Page.diff_key as it was: the slots and the diagonal products found
+    again for every term."""
+    mono, word = key
+    desc = page.desc
+    degrees = desc.degrees
+    pre = [0]
+    for cls in word:
+        pre.append(pre[-1] + degrees[cls])
+    seconds = [b for _, b in mono]
+    root = {}  # the minimum of each non-minimal point's block
+    for a, b in mono:
+        root[b] = root.get(a, a)
+    out = {}
+    for i, (a, b) in enumerate(mono):
+        sign_i = -1 if (desc.d - 1) * i % 2 else 1
+        mono2 = mono[:i] + mono[i + 1:]
+        # slots by block minimum: the roots below a point are the points
+        # below it that are no edge's second index
+        m = root.get(a, a)
+        s = m - 1 - bisect_left(seconds, m)
+        r = b - 1 - i
+        x_cls = word[s]
+        head, mid, tail = word[:s], word[s + 1:r], word[r:]
+        for e1, e2, coef in desc.diagonal:
+            products = desc.product(e1, x_cls)
+            if not products:
+                continue
+            sign = -1 if (degrees[e1] * pre[s] + degrees[e2] * pre[r]) % 2 else 1
+            for k_cls, k_coef in products.items():
+                total = sign_i * coef * sign * k_coef
+                add_into(out, {(mono2, head + (k_cls,) + mid + (e2,) + tail): total})
+    return out
+
+
+@pytest.mark.parametrize("desc, n", TABLE_GRID, ids=lambda x: getattr(x, "name", x))
+def test_page_tables_match_the_per_key_loops(desc, n):
+    page = E2Page(desc, n)
+    reference = reference_cells(page)
+    assert list(page.cells.items()) == list(reference.items())
+    for keys in page.cells.values():
+        for key in keys:
+            assert page.diff_key(key) == reference_diff_key(page, key), key
+    for p, q in page.cells:
+        rows = [page.diff_key(key) for key in page.cell(p, q)]
+        assert page.differential_rank(p, q) == Echelon(rows).dim, (p, q)
+
+
+def test_zero_point_page_has_one_cell():
+    page = E2Page(TORUS, 0)
+    assert page.cells == reference_cells(page) == {(0, 0): [((), ())]}
+    assert page.differential_rank(0, 0) == 0
+
+
+def test_classes_computes_each_canonical_once(monkeypatch):
+    calls = []
+    canonical = InvariantComplex.canonical
+
+    def counting_canonical(self, key):
+        calls.append(key)
+        return canonical(self, key)
+
+    monkeypatch.setattr(InvariantComplex, "canonical", counting_canonical)
+    young = InvariantComplex(E2Page(TORUS, 5), (1, 1))
+    assert young.betti(4) == 58  # color-betti --manifold torus --mu 1,1 --n 5 --i 4
+    assert [young.betti(i) for i in range(6)]
+    assert calls and len(calls) == len(set(calls))

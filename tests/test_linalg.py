@@ -223,3 +223,40 @@ def test_span_dim_of_explicit_differentials_matches_the_row_scan(name, n_max):
         for p, q in page.cells:
             images = [page.diff_key(key) for key in page.cell(p, q)]
             assert span_dim(images) == RowScanEchelon(images).dim, (name, n, p, q)
+
+
+@st.composite
+def spans(draw):
+    """Sparse vectors with zero, repeated and dependent ones among them:
+    each extra vector is a combination of two earlier ones."""
+    vectors = draw(st.lists(vec, max_size=8))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if vectors else 0):
+        combo = {}
+        for _ in range(2):
+            add_into(combo, draw(st.sampled_from(vectors)), draw(coeff))
+        vectors.insert(draw(st.integers(min_value=0, max_value=len(vectors))), combo)
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans())
+def test_span_dim_matches_echelon(vectors):
+    dim = Echelon(vectors).dim
+    assert span_dim(vectors) == dim
+    assert span_dim(vectors + vectors[:2]) == dim
+    # reversed key order: other pivots, same rank
+    assert span_dim([{-k: x for k, x in v.items()} for v in vectors]) == dim
+    # tuple keys, relabelled by sorted position, in two more orders
+    assert span_dim([{(k % 2, (k,)): x for k, x in v.items()} for v in vectors]) == dim
+    assert span_dim([{(-k, "x"): x for k, x in v.items()} for v in vectors]) == dim
+
+
+def test_span_dim_reenters_a_cancelled_key():
+    # the fourth vector eliminates pivot 0, which cancels key 2 and brings in
+    # key 1, itself a pivot; eliminating 1 brings key 2 back onto the heap,
+    # and pivot 2's row leaves key 3 as the new pivot
+    vectors = [{2: 1, 3: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    assert span_dim(vectors) == Echelon(vectors).dim == 4
+    assert span_dim(vectors + [{0: 2, 2: 2}]) == 4
+    assert span_dim([{0: 3, 1: 3, 2: 3}, {0: 2, 1: 2, 2: 2}]) == 1
+    assert span_dim([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}, {1: Fraction(2, 3)}]) == 2
