@@ -17,7 +17,7 @@ from math import factorial
 from .characters import ClassFunction, decompose
 from .linalg import add_into
 from .partitions import partitions_of
-from .perms import Perm, class_representative
+from .perms import Perm, class_representative, inversion_sign
 
 Monomial = tuple[tuple[int, int], ...]  # sorted by (second, first)
 
@@ -28,11 +28,17 @@ def poincare_polynomial(m: int, d: int) -> dict[int, int]:
         raise ValueError("need m >= 1 and d >= 2")
     coeffs = {0: 1}
     for i in range(1, m):
-        nxt = dict(coeffs)
-        for deg, c in coeffs.items():
-            nxt[deg + d - 1] = nxt.get(deg + d - 1, 0) + i * c
-        coeffs = nxt
+        coeffs = _poly_mul(coeffs, {0: 1, d - 1: i})
     return coeffs
+
+
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two polynomials stored as {degree: coefficient}."""
+    out: dict[int, int] = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] = out.get(da + db, 0) + ca * cb
+    return out
 
 
 def format_polynomial(coeffs: dict[int, int]) -> str:
@@ -65,15 +71,10 @@ def _straighten_into(factors, d: int, coeff, out) -> None:
             x, y = y, x
             coeff *= (-1) ** d
         oriented.append((x, y))
-    keyed = [((b, a), (a, b)) for a, b in oriented]
-    inversions = 0
-    for i in range(len(keyed)):
-        for j in range(i + 1, len(keyed)):
-            if keyed[i][0] > keyed[j][0]:
-                inversions += 1
-    if inversions % 2:
-        coeff *= kappa
-    ordered = [pair for _, pair in sorted(keyed, key=lambda kp: kp[0])]
+    keys = [(b, a) for a, b in oriented]
+    if kappa < 0 and inversion_sign(keys) < 0:
+        coeff = -coeff
+    ordered = [(a, b) for b, a in sorted(keys)]
     for i in range(len(ordered) - 1):
         if ordered[i] == ordered[i + 1]:
             return  # square-zero
@@ -147,10 +148,6 @@ def top_character_direct(m: int, d: int) -> ClassFunction:
             tr += image.get(mono, 0)
         values.append(tr)
     return ClassFunction(m, tuple(values))
-
-
-def top_dimension(m: int) -> int:
-    return factorial(m - 1) if m >= 1 else 0
 
 
 # bounded: one gate-session pass asks for ~10 (m, d)

@@ -266,29 +266,19 @@ def induced_character(chi: ClassFunction, n: int) -> ClassFunction:
     return ClassFunction(n, tuple(values))
 
 
+# bounded: one gate-session pass asks for 42 (n, blocks)
+@lru_cache(maxsize=1024)
 def young_permutation_character(n: int, blocks: tuple[int, ...]) -> ClassFunction:
-    """Character of the S_n action on cosets of S_b1 x S_b2 x ... (sum bi = n)."""
+    """Character of the S_n action on cosets of S_b1 x S_b2 x ... (sum bi = n),
+    zero blocks allowed: the trivial character of S_b1 induced up one block
+    at a time, Ind from S_(b1+...+bj) x S_b(j+1) of (chi boxtimes trivial)."""
     if sum(blocks) != n or any(b < 0 for b in blocks):
         raise ValueError(f"blocks {blocks} do not sum to {n}")
-    blocks = tuple(b for b in blocks if b > 0)
-    values = []
-    for rho in partitions_of(n):
-        values.append(_young_value(rho, blocks))
-    return ClassFunction(n, tuple(values))
-
-
-# bounded: one gate-session pass makes ~440 entries
-@lru_cache(maxsize=1 << 14)
-def _young_value(rho: Partition, blocks: tuple[int, ...]):
-    if not blocks:
-        return 1 if not rho else 0
-    total = 0
-    for alpha, weight in _splittings(rho, blocks[0]):
-        beta = list(rho)
-        for part in alpha:
-            beta.remove(part)
-        total += weight * _young_value(tuple(beta), blocks[1:])
-    return total
+    chi = trivial_character(0)
+    for b in blocks:
+        if b:
+            chi = induced_character(chi, chi.n + b)
+    return chi
 
 
 def young_invariants_dim(lam: Partition, mu: Partition) -> int:

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from math import factorial
 
+from .arnold import _poly_mul
 from .e2 import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -28,7 +29,6 @@ from .e2 import (
     InvariantComplex,
     NotComputable,
     _cycle_trace,
-    _poly_mul,
     e2_cell_dim,
     graded_power,
 )

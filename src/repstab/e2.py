@@ -41,7 +41,7 @@ points, so the cost depends on k, not on n.  Agreement with the explicit
 backend is a test, not an assumption.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, compress, product
@@ -50,6 +50,7 @@ from operator import gt, itemgetter, mul, sub
 from typing import Callable, NamedTuple
 
 from .arnold import (
+    _poly_mul,
     act_monomial,
     all_monomials,
     induced_cyclic_sign_character,
@@ -61,7 +62,7 @@ from .characters import ClassFunction, induced_character, young_permutation_char
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .manifolds import ManifoldDescriptor
 from .partitions import Partition, make_partition, partitions_of
-from .perms import Perm, class_representative, cycles, from_cycles
+from .perms import Perm, class_representative, cycles, from_cycles, inversion_sign
 from .rep import LinearIndex, Rep
 
 Monomial = tuple[tuple[int, int], ...]
@@ -88,34 +89,19 @@ class NotComputable(Exception):
 # Bounded: the explicit page of s2 at n = 7 enumerates 5040 monomials, once each.
 @lru_cache(maxsize=4096)
 def blocks_of(mono: Monomial, n: int) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the edge graph, singletons included, by min."""
-    parent = list(range(n + 1))
+    """The blocks of a normal-form monomial on 1..n, singletons included,
+    each sorted and ordered by minimum.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    A normal-form monomial is an increasing forest sorted by second index,
+    so each edge (a, b) meets a's block already rooted at its minimum, and
+    b joins it: one pass over the edges, then one over the points."""
+    root: dict[int, int] = {}  # the minimum of each non-minimal point's block
     for a, b in mono:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        root[b] = root.get(a, a)
     groups: dict[int, list[int]] = {}
     for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
-
-
-def _inversion_sign(values) -> int:
-    """(-1)^(number of inversions) of a sequence of distinct values."""
-    seen: list = []
-    odd = 0
-    for v in values:
-        at = bisect_right(seen, v)
-        odd ^= (len(seen) - at) & 1
-        seen.insert(at, v)
-    return -1 if odd else 1
+        groups.setdefault(root.get(x, x), []).append(x)
+    return tuple(map(tuple, groups.values()))
 
 
 class E2Page:
@@ -189,7 +175,7 @@ class E2Page:
         edges = [(sigma[a - 1], sigma[b - 1]) for a, b in mono]
         if any(a > b for a, b in edges):
             raise AssertionError(f"{sigma} reverses an edge of {key}")
-        edge_sign = _inversion_sign([b for _, b in edges]) if self.desc.d % 2 == 0 else 1
+        edge_sign = inversion_sign([b for _, b in edges]) if self.desc.d % 2 == 0 else 1
         mins = [sigma[blk[0] - 1] for blk in blocks_of(mono, self.n)]
         new_word, koszul = self._move_word(mins, word)
         return (tuple(sorted(edges, key=itemgetter(1))), new_word), edge_sign * koszul
@@ -199,7 +185,7 @@ class E2Page:
         (-1) for each pair of odd-degree classes that changes order."""
         degrees = self.desc.degrees
         order = sorted(range(len(word)), key=mins.__getitem__)
-        sign = _inversion_sign([m for m, cls in zip(mins, word) if degrees[cls] % 2])
+        sign = inversion_sign([m for m, cls in zip(mins, word) if degrees[cls] % 2])
         return tuple(word[t] for t in order), sign
 
     def act_vec(self, sigma: Perm, v: dict) -> dict:
@@ -651,7 +637,7 @@ class InvariantComplex:
                 run = choice[start:stop]
                 if odd and len(set(run)) < len(run):
                     break
-                c *= _inversion_sign(run) if odd else 1
+                c *= inversion_sign(run) if odd else 1
                 choice[start:stop] = sorted(run)
             else:
                 add_into(out, {self._assemble(rep, choice): c})
@@ -738,38 +724,12 @@ def set_partitions_of_shape(n: int, shape: Partition) -> tuple:
     return tuple(rec(tuple(range(1, n + 1)), tuple(shape)))
 
 
-def _orbits_of_blocks(sigma: Perm, blocks: tuple) -> list[list[int]] | None:
-    """The cycles of sigma on the blocks, as lists of block indices, or None
-    when sigma does not permute the blocks."""
-    index = {blk: t for t, blk in enumerate(blocks)}
-    image = []
-    for blk in blocks:
-        t = index.get(tuple(sorted(sigma[x - 1] for x in blk)))
-        if t is None:
-            return None
-        image.append(t)
-    seen = [False] * len(blocks)
-    orbits = []
-    for start in range(len(blocks)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        t = image[start]
-        while t != start:
-            orbit.append(t)
-            seen[t] = True
-            t = image[t]
-        orbits.append(orbit)
-    return orbits
-
-
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            out[da + db] = out.get(da + db, 0) + ca * cb
-    return out
+def _orbits_of_blocks(sigma: Perm, blocks: tuple) -> list[tuple[int, ...]] | None:
+    """The cycles of sigma on the blocks, as tuples of block indices from 1,
+    or None when sigma does not permute the blocks."""
+    index = {blk: t for t, blk in enumerate(blocks, 1)}
+    image = tuple(index.get(tuple(sorted(sigma[x - 1] for x in blk))) for blk in blocks)
+    return None if None in image else cycles(image)
 
 
 def graded_power(poincare: dict[int, int], count: int, repeating: int, top: int) -> list[int]:
@@ -806,7 +766,7 @@ def _block_orbit_factor(desc: ManifoldDescriptor, cycle_of: dict, orbit, blocks)
     of sigma, whose cycle through each point is cycle_of[point]."""
     d = desc.d
     t = len(orbit)
-    block = blocks[orbit[0]]
+    block = blocks[orbit[0] - 1]
     s = len(block)
     # sigma^t maps the block to itself, and a sigma-cycle of length L through
     # the block meets it in one sigma^t-cycle of length L / t
@@ -883,12 +843,6 @@ def block_character_on_k(desc: ManifoldDescriptor, mu: Partition, r: int, alpha:
     return ClassFunction(k, tuple(values))
 
 
-def block_character_at_n(desc: ManifoldDescriptor, n: int, mu: Partition, r: int, alpha: Partition) -> ClassFunction:
-    """Character of E(mu, r, alpha)_n = Ind(V(mu, r, alpha) boxtimes triv)."""
-    chi_k = block_character_on_k(desc, mu, r, alpha)
-    return induced_character(chi_k, n)
-
-
 def _block_trace(desc, sigma, k, mu, r, alpha):
     """Trace over sigma-fixed (partition, degree-function) pairs on {1..k},
     every singleton carrying a positive degree from alpha."""
@@ -906,7 +860,7 @@ def _block_trace(desc, sigma, k, mu, r, alpha):
         scalar = 1
         single_orbits = []
         for orbit in orbits:
-            block = blocks[orbit[0]]
+            block = blocks[orbit[0] - 1]
             if len(block) == 1:
                 single_orbits.append(orbit)
                 continue
@@ -947,11 +901,12 @@ def _blocks(desc: ManifoldDescriptor, p: int, q: int, max_k: int | None = None):
     """(mu, r, alpha, k, character on S_k) for each nonzero block
     E(mu, r, alpha) of cell (p, q) with k <= max_k; a label's character is
     computed only once its k is known to fit."""
+    poincare = desc.poincare()
     for mu in partitions_of(q):
         for r in range(p + 1):
             for alpha in partitions_of(p - r):
                 k = q + len(mu) + len(alpha)
-                if (max_k is not None and k > max_k) or any(betti_missing(desc, v) for v in alpha):
+                if (max_k is not None and k > max_k) or not all(poincare.get(v) for v in alpha):
                     continue
                 chi = block_character_on_k(desc, mu, r, alpha)
                 if chi.degree():
@@ -975,7 +930,3 @@ def block_rows(desc: ManifoldDescriptor, p: int, qd1: int) -> list[dict]:
         }
         for mu, r, alpha, k, chi in _blocks(desc, p, q)
     ]
-
-
-def betti_missing(desc: ManifoldDescriptor, v: int) -> bool:
-    return desc.poincare().get(v, 0) == 0

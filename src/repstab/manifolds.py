@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
+from .linalg import Echelon
+
 
 class DescriptorError(Exception):
     pass
@@ -161,21 +163,17 @@ def _install_products(desc: ManifoldDescriptor, raw_products, source: str) -> No
     desc.products = {key: val for key, val in desc.products.items() if val}
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+def _invert(matrix: list[list]) -> list[list[Fraction]]:
+    """The inverse of a square matrix, read off one Echelon over the rows
+    [matrix | 1]: the matrix is invertible exactly when every pivot falls
+    left of the bar, and then the reduced rows are [1 | matrix^-1]."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise DescriptorError("duality pairing is degenerate")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    ech = Echelon(
+        {**{j: x for j, x in enumerate(row) if x}, n + i: 1} for i, row in enumerate(matrix)
+    )
+    if any(pivot >= n for pivot, _ in ech.rows):
+        raise DescriptorError("duality pairing is degenerate")
+    return [[row.get(n + i, 0) for i in range(n)] for row in ech.basis()]
 
 
 def _check_connected(desc: ManifoldDescriptor) -> None:
@@ -196,6 +194,10 @@ def validate_descriptor(desc: ManifoldDescriptor) -> None:
 
 
 def _validate_diagonal(desc: ManifoldDescriptor) -> None:
+    """Check the diagonal class against Poincare duality: the pairing
+    <e_i, e_j> = coefficient of the top class in e_i * e_j must be
+    invertible (_invert raises on a degenerate one), and the diagonal must be
+    sum_i (-1)^deg(e_i) e_i (x) e_i^vee over the dual basis it gives."""
     tops = [i for i, deg in enumerate(desc.degrees) if deg == desc.d]
     if len(tops) != 1:
         raise DescriptorError(f"{desc.name}: diagonal requires a unique top class")

@@ -24,10 +24,6 @@ def check_partition(p: Partition) -> None:
         raise ValueError(f"{p!r} is not a partition")
 
 
-def size(p: Partition) -> int:
-    return sum(p)
-
-
 # bounded: one entry per n; one gate-session pass asks for 9
 @lru_cache(maxsize=64)
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -5,6 +5,7 @@ Everything here is pure and exact; group enumeration is only used at desk
 scale (n <= 8).
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import permutations as _itp
 from math import factorial
@@ -18,10 +19,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def apply(p: Perm, x: int) -> int:
-    return p[x - 1]
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (p*q)(x) = p(q(x))."""
     return tuple(p[q[i] - 1] for i in range(len(p)))
@@ -32,6 +29,18 @@ def inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v - 1] = i + 1
     return tuple(out)
+
+
+def inversion_sign(values) -> int:
+    """(-1)^(number of inversions) of a sequence: pairs i < j with
+    values[i] > values[j], so equal values count as no inversion."""
+    seen: list = []
+    odd = 0
+    for v in values:
+        at = bisect_right(seen, v)
+        odd ^= (len(seen) - at) & 1
+        seen.insert(at, v)
+    return -1 if odd else 1
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:

@@ -44,6 +44,7 @@ from .tabloids import (
     pseudo_tabloids,
     row_labels,
     row_major_tableau,
+    row_splits,
     strip,
 )
 
@@ -77,7 +78,7 @@ Subspace = Rep
 # One pass of the acceptance gate's calls builds 49 modules; every lam with
 # |lam| <= 3 at n <= 9 is 63.
 @lru_cache(maxsize=64)
-def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
+def specht_module(lam: Partition, n: int) -> Rep:
     """I_n(V_lam): the span of all polytabloids of shape lam in ambient n.
 
     As a vector space I_n(V_lam) is the direct sum, over the k-subsets S of
@@ -90,15 +91,14 @@ def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
     without any elimination.
 
     At n = k only column-sorted tableaux are inserted (v_T = +/- v_T' when T'
-    reorders columns of T), until the rank reaches dim_irrep(lam).  full=True
-    inserts every polytabloid at any n: the oracle the tests compare against.
+    reorders columns of T), until the rank reaches dim_irrep(lam).
     """
     k = sum(lam)
     if n < k:
         raise ValueError(f"ambient {n} too small for {lam}")
     index = tabloid_index(lam, n)
     sub = Rep(n, index)
-    if n > k and not full:
+    if n > k:
         base = specht_module(lam, k)
         rows = []
         for subset in combinations(range(1, n + 1), k):
@@ -110,14 +110,12 @@ def specht_module(lam: Partition, n: int, full: bool = False) -> Rep:
             rows.extend((pos[p], {pos[i]: c for i, c in row.items()}) for p, row in base.echelon.rows)
         sub.echelon = Echelon.from_reduced(rows)
         return sub
-    target = None if full else dim_irrep(lam)
+    target = dim_irrep(lam)
     for t in pseudo_tableaux(lam, n):
-        if not full and any(
-            col != tuple(sorted(col)) for col in t.columns() if len(col) > 1
-        ):
+        if any(col != tuple(sorted(col)) for col in t.columns() if len(col) > 1):
             continue
         sub.echelon.insert(index.encode(polytabloid(t)))
-        if target is not None and sub.dim == target:
+        if sub.dim == target:
             break
     return sub
 
@@ -133,19 +131,6 @@ def tabloid_module_dim(lam: Partition, n: int) -> int:
 def iota(v: Vec) -> Vec:
     """Reinterpret every basis tabloid one ambient level up (coefficientwise)."""
     return {PseudoTabloid(t.n + 1, t.rows): c for t, c in v.items()}
-
-
-def _row_splits(items, sizes):
-    """Every way to deal the items into consecutive groups of the given sizes
-    (sum(sizes) == len(items)), each group a combination in sorted order:
-    nested combinations, in the lex order of the concatenated groups."""
-    if not sizes:
-        yield ()
-        return
-    for first in combinations(items, sizes[0]):
-        rest = [x for x in items if x not in first]
-        for tail in _row_splits(rest, sizes[1:]):
-            yield (first,) + tail
 
 
 def _added_per_row(lam: Partition, mu: Partition) -> list[int]:
@@ -173,7 +158,7 @@ def pi_mu(v: Vec, mu: Partition, lam: Partition, n: int) -> Vec:
         if len(complement) != sum(sizes):
             raise ValueError("pi_mu: |mu| must equal the ambient n")
         base = t.rows + ((),) * (len(mu) - len(t.rows))
-        for groups in _row_splits(complement, sizes):
+        for groups in row_splits(complement, sizes):
             rows = tuple(tuple(sorted(row + group)) for row, group in zip(base, groups))
             add_into(out, {PseudoTabloid(n, rows): c * fillings})
     return out
@@ -310,7 +295,7 @@ def _bad_bijections_vanish(t_mu, lam, mu, targets, report) -> bool:
         if lex_compare(nu, mu) < 0:
             continue
         failed = set()
-        for groups in _row_splits(range(len(boxes_mu)), _added_per_row(lam, nu)):
+        for groups in row_splits(range(len(boxes_mu)), _added_per_row(lam, nu)):
             row_map = [0] * len(boxes_mu)
             for i, group in enumerate(groups):
                 for k in group:

@@ -8,10 +8,10 @@ levels n and n+1 are distinct basis vectors.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from .partitions import Partition, check_partition
-from .perms import Perm
+from .perms import Perm, inversion_sign
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -109,14 +109,6 @@ def row_labels(t: PseudoTabloid) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _arrangement_sign(base: tuple[int, ...], arranged: tuple[int, ...]) -> int:
-    pos = [base.index(x) for x in arranged]
-    inversions = sum(
-        1 for i in range(len(pos)) for j in range(i + 1, len(pos)) if pos[i] > pos[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def column_stabilizer(t: PseudoTableau):
     """Yield (sigma, sign) over the group preserving each column's entry set.
 
@@ -131,7 +123,7 @@ def column_stabilizer(t: PseudoTableau):
             return
         base = cols[i]
         for arranged in permutations(base):
-            s = _arrangement_sign(base, arranged)
+            s = inversion_sign([base.index(x) for x in arranged])
             for orig, new in zip(base, arranged):
                 sigma[orig - 1] = new
             yield from rec(i + 1, sigma, sgn * s)
@@ -175,44 +167,43 @@ def strip(t: PseudoTableau, lam: Partition) -> PseudoTableau:
     return PseudoTableau(t.n, tuple(rows))
 
 
+def row_splits(items, sizes):
+    """Every way to deal the items into consecutive groups of the given sizes
+    (sum(sizes) == len(items)), each group a combination in sorted order:
+    nested combinations, in the lex order of the concatenated groups."""
+    if not sizes:
+        yield ()
+        return
+    for first in combinations(items, sizes[0]):
+        rest = [x for x in items if x not in first]
+        for tail in row_splits(rest, sizes[1:]):
+            yield (first,) + tail
+
+
 def pseudo_tabloids(lam: Partition, n: int) -> list[PseudoTabloid]:
-    """All pseudo-tabloids of shape lam in ambient n, in sorted order."""
+    """All pseudo-tabloids of shape lam in ambient n, in sorted order: each
+    k-subset of 1..n dealt into rows of lam's sizes."""
     check_partition(lam)
-    k = sum(lam)
-    out = []
-
-    def split(rest: tuple[int, ...], shape: Partition, rows: Rows):
-        if not shape:
-            out.append(PseudoTabloid(n, rows))
-            return
-        for chosen in combinations(rest, shape[0]):
-            remaining = tuple(x for x in rest if x not in chosen)
-            split(remaining, shape[1:], rows + (chosen,))
-
-    for supp in combinations(range(1, n + 1), k):
-        split(supp, lam, ())
-    return sorted(out)
+    return sorted(
+        PseudoTabloid(n, rows)
+        for supp in combinations(range(1, n + 1), sum(lam))
+        for rows in row_splits(supp, lam)
+    )
 
 
 def pseudo_tableaux(lam: Partition, n: int):
     """Iterate all pseudo-tableaux of shape lam in ambient n."""
     check_partition(lam)
-    k = sum(lam)
-    for supp in combinations(range(1, n + 1), k):
+    for supp in combinations(range(1, n + 1), sum(lam)):
         for arranged in permutations(supp):
-            rows = []
-            pos = 0
-            for row_len in lam:
-                rows.append(tuple(arranged[pos:pos + row_len]))
-                pos += row_len
-            yield PseudoTableau(n, tuple(rows))
+            yield _filled(lam, n, arranged)
 
 
 def row_major_tableau(mu: Partition, n: int) -> PseudoTableau:
     """The canonical generating tableau: boxes filled 1, 2, ... row by row."""
-    rows = []
-    nxt = 1
-    for row_len in mu:
-        rows.append(tuple(range(nxt, nxt + row_len)))
-        nxt += row_len
-    return PseudoTableau(n, tuple(rows))
+    return _filled(mu, n, range(1, sum(mu) + 1))
+
+
+def _filled(lam: Partition, n: int, labels) -> PseudoTableau:
+    """The tableau of shape lam whose rows, top to bottom, read the labels."""
+    return PseudoTableau(n, tuple(tuple(labels[end - part:end]) for part, end in zip(lam, accumulate(lam))))

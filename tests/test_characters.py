@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -100,7 +101,7 @@ def test_character_caches_are_bounded():
         mn_character,
         characters._abacus_table,
         characters._class_index,
-        characters._young_value,
+        young_permutation_character,
         partitions_of,
         dim_irrep,
         class_size,
@@ -242,6 +243,53 @@ def test_young_invariants_brute_force():
             total += mn_character(lam, cycle_type(g))
             count += 1
         assert young_invariants_dim(lam, mu) == total / count
+
+
+def reference_young_permutation_character(n, blocks):
+    """young_permutation_character by the _young_value recursion over
+    _splittings, before it induced one block at a time, copied verbatim."""
+
+    @lru_cache(maxsize=1 << 14)
+    def _young_value(rho, blocks):
+        if not blocks:
+            return 1 if not rho else 0
+        total = 0
+        for alpha, weight in characters._splittings(rho, blocks[0]):
+            beta = list(rho)
+            for part in alpha:
+                beta.remove(part)
+            total += weight * _young_value(tuple(beta), blocks[1:])
+        return total
+
+    if sum(blocks) != n or any(b < 0 for b in blocks):
+        raise ValueError(f"blocks {blocks} do not sum to {n}")
+    blocks = tuple(b for b in blocks if b > 0)
+    values = []
+    for rho in partitions_of(n):
+        values.append(_young_value(rho, blocks))
+    return ClassFunction(n, tuple(values))
+
+
+def weak_compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in weak_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_young_permutation_character_matches_splitting_recursion():
+    # every composition of n <= 8 with up to four parts, zeros included
+    for n in range(9):
+        for parts in range(1, 5):
+            for blocks in weak_compositions(n, parts):
+                expected = reference_young_permutation_character(n, blocks)
+                assert young_permutation_character(n, blocks) == expected, blocks
+    with pytest.raises(ValueError):
+        young_permutation_character(3, (2, 2))
+    with pytest.raises(ValueError):
+        young_permutation_character(1, (2, -1))
 
 
 def test_young_permutation_character_degree():

@@ -9,11 +9,17 @@ import pytest
 
 import repstab.e2 as e2_module
 from repstab.arnold import act_monomial, all_monomials, top_character
-from repstab.characters import ClassFunction, decompose, young_invariants_dim, young_permutation_character
+from repstab.characters import (
+    ClassFunction,
+    decompose,
+    induced_character,
+    young_invariants_dim,
+    young_permutation_character,
+)
 from repstab.e2 import (
     E2Page,
     InvariantComplex,
-    block_character_at_n,
+    block_character_on_k,
     block_dim,
     block_rows,
     block_space,
@@ -40,6 +46,33 @@ def test_blocks_of():
     assert blocks_of((), 3) == ((1,), (2,), (3,))
     assert blocks_of(((1, 2),), 3) == ((1, 2), (3,))
     assert blocks_of(((1, 2), (2, 3)), 4) == ((1, 2, 3), (4,))
+
+
+def reference_blocks_of(mono, n):
+    """blocks_of by union-find, before it read the blocks off the forest,
+    copied verbatim."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in mono:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
+
+
+def test_blocks_of_matches_union_find():
+    for n in range(8):
+        for mono in all_monomials(n):
+            assert blocks_of(mono, n) == reference_blocks_of(mono, n), mono
 
 
 def test_set_partitions_of_shape_counts():
@@ -236,7 +269,7 @@ def test_block_sharpness_fixture():
     assert row["stable_from"] == 4 * q + 2 * p == 6
     # multiplicities really do change at n = 5 and settle from n = 6 onward
     mults = {
-        n: stable_multiplicities(block_character_at_n(TORUS, n, (1,), 0, (1,)))
+        n: stable_multiplicities(induced_character(block_character_on_k(TORUS, (1,), 0, (1,)), n))
         for n in (5, 6, 7, 8)
     }
     assert mults[5] != mults[6]

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from repstab.manifolds import (
     DescriptorError,
+    _invert,
     load_manifold,
     parse_descriptor,
 )
@@ -117,3 +119,49 @@ def test_integral_coefficients_parse_to_int():
     assert desc.product(x, x) == {pt: 2}
     [half] = parse_descriptor(base + "mul x x pt 1/2\n").product(x, x).values()
     assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+def reference_invert(matrix):
+    """The dense Gauss-Jordan inverse before the Echelon one, copied verbatim."""
+    n = len(matrix)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise DescriptorError("duality pairing is degenerate")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _outcome(invert, matrix):
+    try:
+        return invert(matrix)
+    except DescriptorError as exc:
+        return str(exc)
+
+
+def test_echelon_inverse_matches_gauss_jordan():
+    rng = random.Random(24)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        matrix = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if trial % 3 == 0 and n > 1:
+            # a row that is a combination of two others makes it singular
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            matrix[i] = [c * x + y for x, y in zip(matrix[j], matrix[k])] if i not in (j, k) else [0] * n
+        expected = _outcome(reference_invert, [[Fraction(x) for x in row] for row in matrix])
+        got = _outcome(_invert, matrix)
+        assert got == expected, matrix
+        singular += isinstance(expected, str)
+    assert 50 < singular < 350

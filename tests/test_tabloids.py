@@ -1,8 +1,11 @@
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repstab.perms import all_perms, compose, identity
+from repstab.partitions import check_partition, partitions_of
+from repstab.perms import all_perms, compose, identity, inversion_sign
 from repstab.tabloids import (
     PseudoTableau,
     PseudoTabloid,
@@ -129,3 +132,47 @@ def test_ambient_is_part_of_identity():
     a = PseudoTabloid(3, ((1, 2), (3,)))
     b = PseudoTabloid(4, ((1, 2), (3,)))
     assert a != b
+
+
+def reference_arrangement_sign(base, arranged):
+    """The column-stabilizer sign before perms.inversion_sign, copied verbatim."""
+    pos = [base.index(x) for x in arranged]
+    inversions = sum(
+        1 for i in range(len(pos)) for j in range(i + 1, len(pos)) if pos[i] > pos[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True), st.randoms(use_true_random=False))
+def test_arrangement_sign_matches_quadratic_count(base, rng):
+    arranged = list(base)
+    rng.shuffle(arranged)
+    expected = reference_arrangement_sign(tuple(base), tuple(arranged))
+    assert inversion_sign([base.index(x) for x in arranged]) == expected
+
+
+def reference_pseudo_tabloids(lam, n):
+    """pseudo_tabloids with its nested split, before row_splits, copied verbatim."""
+    check_partition(lam)
+    k = sum(lam)
+    out = []
+
+    def split(rest, shape, rows):
+        if not shape:
+            out.append(PseudoTabloid(n, rows))
+            return
+        for chosen in combinations(rest, shape[0]):
+            remaining = tuple(x for x in rest if x not in chosen)
+            split(remaining, shape[1:], rows + (chosen,))
+
+    for supp in combinations(range(1, n + 1), k):
+        split(supp, lam, ())
+    return sorted(out)
+
+
+def test_pseudo_tabloids_match_nested_split():
+    for k in range(5):
+        for lam in partitions_of(k):
+            for n in range(k, 9):
+                assert pseudo_tabloids(lam, n) == reference_pseudo_tabloids(lam, n), (lam, n)
