@@ -808,6 +808,16 @@ def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
     return _row_dims(tuple(desc.poincare().items()), n, q).get(p, 0)
 
 
+@lru_cache(maxsize=64)
+def _forest_counts(n: int) -> tuple[int, ...]:
+    """Forests on n points by edge count q < max(n, 1): the coefficients of
+    (1 + t)(1 + 2t)...(1 + (n-1)t), computed once per n for every row."""
+    if not n:
+        return (1,)
+    coeffs = poincare_polynomial(n, 2)
+    return tuple(coeffs[q] for q in range(n))
+
+
 # cached: the e2 table and the cell sums walk a row one degree at a time
 @lru_cache(maxsize=256)
 def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int, int]:
@@ -816,7 +826,7 @@ def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int
     P_M(x)^(n-q) on its n - q blocks."""
     if q >= max(n, 1):
         return {}
-    forests = poincare_polynomial(n, 2)[q] if n else 1
+    forests = _forest_counts(n)[q]
     factor, words = dict(poincare), {0: 1}
     for _ in range(n - q):
         words = _poly_mul(words, factor)

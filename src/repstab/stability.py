@@ -1,15 +1,18 @@
 """Consistent sequences of S_n-representations and their stability checkers.
 
-A sequence provides, per level n, an explicit representation (a rep.Rep: a
-span inside a free module acting through an index, possibly as a quotient),
-plus the connecting maps phi_n.  The checkers verify, on a finite window,
-the three uniform-stability conditions and the monotonicity condition; the
-latter quantifies over isotypic components, which suffices by
-semisimplicity.
+Every sequence is a Sequence: per level n an explicit representation (a
+rep.Rep: a span inside a free module acting through an index, possibly as
+a quotient) and the connecting maps phi_n, with n_min and the starts of its
+monotone and stable ranges set once, as attributes, by its construction's
+proposition.  The checkers verify, on a finite window, the three
+uniform-stability conditions and the monotonicity condition; the latter
+quantifies over isotypic components, which suffices by semisimplicity.
+Both walk one level loop, whose builder _level decomposes each level once.
 
 Two backends coexist: multiplicity bookkeeping through induced characters
-(fast, used for Condition III) and explicit linear algebra (needed for
-Conditions I/II and for monotonicity, which quantifies over subspaces).
+(fast; _level takes a hint whose degree is the level's dimension) and
+explicit linear algebra (needed for Conditions I/II, for monotonicity, which
+quantifies over subspaces, and for levels without a usable hint).
 On the explicit side, Rep.character reads traces off the pivots of the
 reduced echelon basis, and central projection (products of Jucys-Murphy
 power sums) gives both the isotypic components (Rep.isotypic projects every
@@ -39,34 +42,38 @@ from .characters import (
 from .linalg import Echelon, add_into, kernel_basis, span_dim
 from .partitions import Partition, curly_pad, dim_irrep, partitions_of, unpad
 from .rep import KeyIndex, Rep
-from .specht import specht_module, tabloid_index
+from .specht import iota, specht_module, tabloid_index
 from .tabloids import PseudoTabloid
-
-
-def stable_multiplicities(chi: ClassFunction) -> dict[Partition, int]:
-    """Multiplicities keyed by stable label (the partition with its first part dropped)."""
-    return {unpad(mu): c for mu, c in decompose(chi).counts.items()}
 
 
 # ---------------------------------------------------------------------------
 # sequences
 
 
-class InducedModuleSequence:
+class Sequence:
+    """A consistent sequence: level n >= n_min is rep(n), phi(n, v) maps it
+    into level n + 1, and character_hint(n), when not None, is its character.
+    Its construction's proposition puts the monotone range at
+    n >= monotone_start and the stable range at n >= stable_start."""
+
+    def __init__(self, label: str, n_min: int, monotone_start: int, stable_start: int):
+        self.label = label
+        self.n_min = n_min
+        self.monotone_start = monotone_start
+        self.stable_start = stable_start
+
+    def character_hint(self, n: int) -> ClassFunction | None:
+        return None
+
+
+class InducedModuleSequence(Sequence):
     """I_n(M^lam): free on pseudo-tabloids, phi reinterprets the ambient."""
 
     def __init__(self, lam: Partition):
         self.lam = lam
-        self.label = f"I_n(M^{lam})"
-
-    def n_min(self) -> int:
-        return sum(self.lam)
-
-    def monotone_start(self) -> int:
-        return sum(self.lam)
-
-    def stable_start(self) -> int:
-        return 2 * sum(self.lam)
+        k = sum(lam)
+        # Prop: an induced sequence is monotone from |lam| and stable from 2|lam|
+        super().__init__(f"I_n(M^{lam})", k, k, 2 * k)
 
     def rep(self, n: int) -> Rep:
         index = tabloid_index(self.lam, n)
@@ -77,7 +84,7 @@ class InducedModuleSequence:
         return young_permutation_character(n, tuple(self.lam) + ((n - k,) if n > k else ()))
 
     def phi(self, n: int, v: dict) -> dict:
-        return {PseudoTabloid(t.n + 1, t.rows): c for t, c in v.items()}
+        return iota(v)
 
 
 class InducedSpechtSequence(InducedModuleSequence):
@@ -94,20 +101,16 @@ class InducedSpechtSequence(InducedModuleSequence):
         return induced_character(irreducible_character(self.lam), n)
 
 
-class SumSequence:
+class SumSequence(Sequence):
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.label = f"{left.label} (+) {right.label}"
-
-    def n_min(self) -> int:
-        return max(self.left.n_min(), self.right.n_min())
-
-    def monotone_start(self) -> int:
-        return max(self.left.monotone_start(), self.right.monotone_start())
-
-    def stable_start(self) -> int:
-        return max(self.left.stable_start(), self.right.stable_start())
+        super().__init__(
+            f"{left.label} (+) {right.label}",
+            max(left.n_min, right.n_min),
+            max(left.monotone_start, right.monotone_start),
+            max(left.stable_start, right.stable_start),
+        )
 
     def rep(self, n: int) -> Rep:
         """Keys tagged ("L" | "R", key) on one KeyIndex, whose key action
@@ -127,8 +130,9 @@ class SumSequence:
         vectors = [tag(t, v) for t, part in parts.items() for v in part.basis()]
         return Rep(n, index, vectors, modulus=Echelon(moduli) if moduli else None)
 
-    def character_hint(self, n: int) -> ClassFunction:
-        return self.left.character_hint(n) + self.right.character_hint(n)
+    def character_hint(self, n: int) -> ClassFunction | None:
+        left, right = self.left.character_hint(n), self.right.character_hint(n)
+        return None if left is None or right is None else left + right
 
     def phi(self, n: int, v: dict) -> dict:
         lpart = {k: c for (tag, k), c in v.items() if tag == "L"}
@@ -138,31 +142,28 @@ class SumSequence:
         return out
 
 
-class QuotientSequence:
+class QuotientSequence(Sequence):
     """V_n / W_n for a subsequence W < V over the same ambient keys."""
 
     def __init__(self, big, small):
         self.big = big
         self.small = small
-        self.label = f"({big.label}) / ({small.label})"
-
-    def n_min(self) -> int:
-        return max(self.big.n_min(), self.small.n_min())
-
-    def monotone_start(self) -> int:
         # Prop: the quotient is monotone once the subsequence is stable
-        return max(self.big.monotone_start(), self.small.stable_start())
-
-    def stable_start(self) -> int:
-        return max(self.big.stable_start(), self.small.stable_start())
+        super().__init__(
+            f"({big.label}) / ({small.label})",
+            max(big.n_min, small.n_min),
+            max(big.monotone_start, small.stable_start),
+            max(big.stable_start, small.stable_start),
+        )
 
     def rep(self, n: int) -> Rep:
         w_rep = self.small.rep(n)
         v_rep = self.big.rep(n)
         return Rep(n, w_rep.index, v_rep.basis(), modulus=w_rep.echelon)
 
-    def character_hint(self, n: int) -> ClassFunction:
-        return self.big.character_hint(n) - self.small.character_hint(n)
+    def character_hint(self, n: int) -> ClassFunction | None:
+        big, small = self.big.character_hint(n), self.small.character_hint(n)
+        return None if big is None or small is None else big - small
 
     def phi(self, n: int, v: dict) -> dict:
         return self.big.phi(n, v)
@@ -185,19 +186,17 @@ class MapSequence:
         return out
 
 
-class KernelSequence:
+def _map_ranges(fmap: MapSequence) -> tuple[int, int, int]:
+    """n_min, monotone_start and stable_start of ker f and of im f."""
+    # Prop: both are monotone and stable once the domain is stable and the codomain monotone
+    start = max(fmap.domain.stable_start, fmap.codomain.monotone_start)
+    return fmap.domain.n_min, start, start
+
+
+class KernelSequence(Sequence):
     def __init__(self, fmap: MapSequence):
         self.fmap = fmap
-        self.label = f"ker({fmap.label})"
-
-    def n_min(self) -> int:
-        return self.fmap.domain.n_min()
-
-    def monotone_start(self) -> int:
-        return max(self.fmap.domain.stable_start(), self.fmap.codomain.monotone_start())
-
-    def stable_start(self) -> int:
-        return self.monotone_start()
+        super().__init__(f"ker({fmap.label})", *_map_ranges(fmap))
 
     def rep(self, n: int) -> Rep:
         domain = self.fmap.domain.rep(n)
@@ -205,26 +204,14 @@ class KernelSequence:
         kernel = kernel_basis([self.fmap.apply(v) for v in basis], basis)
         return Rep(n, domain.index, kernel)
 
-    def character_hint(self, n: int):
-        return None
-
     def phi(self, n: int, v: dict) -> dict:
         return self.fmap.domain.phi(n, v)
 
 
-class ImageSequence:
+class ImageSequence(Sequence):
     def __init__(self, fmap: MapSequence):
         self.fmap = fmap
-        self.label = f"im({fmap.label})"
-
-    def n_min(self) -> int:
-        return self.fmap.domain.n_min()
-
-    def monotone_start(self) -> int:
-        return max(self.fmap.domain.stable_start(), self.fmap.codomain.monotone_start())
-
-    def stable_start(self) -> int:
-        return self.monotone_start()
+        super().__init__(f"im({fmap.label})", *_map_ranges(fmap))
 
     def rep(self, n: int) -> Rep:
         domain = self.fmap.domain.rep(n)
@@ -232,33 +219,21 @@ class ImageSequence:
         images = [self.fmap.apply(v) for v in domain.basis()]
         return Rep(n, codomain.index, images)
 
-    def character_hint(self, n: int):
-        return None
-
     def phi(self, n: int, v: dict) -> dict:
         return self.fmap.codomain.phi(n, v)
 
 
-class ZeroPhiSequence:
+class ZeroPhiSequence(Sequence):
     """A deliberately broken sequence: phi_n = 0 (monotonicity must fail)."""
 
     def __init__(self, base):
         self.base = base
-        self.label = f"{base.label} with phi = 0"
-
-    def n_min(self) -> int:
-        return self.base.n_min()
-
-    def monotone_start(self) -> int:
-        return self.base.monotone_start()
-
-    def stable_start(self) -> int:
-        return self.base.stable_start()
+        super().__init__(f"{base.label} with phi = 0", base.n_min, base.monotone_start, base.stable_start)
 
     def rep(self, n: int) -> Rep:
         return self.base.rep(n)
 
-    def character_hint(self, n: int):
+    def character_hint(self, n: int) -> ClassFunction | None:
         return self.base.character_hint(n)
 
     def phi(self, n: int, v: dict) -> dict:
@@ -269,16 +244,6 @@ def row_merge_key(t: PseudoTabloid):
     """Row symmetrization onto the one-row shape: stack all rows, sorted."""
     merged = tuple(sorted(x for row in t.rows for x in row))
     return PseudoTabloid(t.n, (merged,)), 1
-
-
-def _sequence_character(seq, n: int, level: Rep) -> ClassFunction:
-    """The character of level n: the sequence's hint, or the trace on level,
-    which is seq.rep(n) built by the caller.  A hint whose degree is not
-    level's dimension (one that drops or adds a constituent) is not used."""
-    hinted = seq.character_hint(n)
-    if hinted is not None and hinted.degree() == level.dim:
-        return hinted
-    return level.character()
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +282,13 @@ class StabilityReport:
     def multiplicity_stable_from(self, label: Partition | None = None):
         """First window level from which multiplicities are constant; restrict
         to one stable label when given."""
+
+        def at(n: int):
+            counts = self.multiplicities[n]
+            return counts if label is None else counts.get(label, 0)
+
         ns = sorted(self.multiplicities)
-        good = None
-        for i in range(len(ns) - 1):
-            a, b = self.multiplicities[ns[i]], self.multiplicities[ns[i + 1]]
-            if label is not None:
-                a, b = a.get(label, 0), b.get(label, 0)
-            if a == b:
-                if good is None:
-                    good = ns[i]
-            else:
-                good = None
-        return good
+        return self._from({a: at(a) == at(b) for a, b in zip(ns, ns[1:])})
 
     @property
     def ok(self) -> bool:
@@ -339,31 +299,44 @@ class InsufficientWindow(Exception):
     pass
 
 
+def _level(seq, n: int, report: StabilityReport) -> tuple[Rep, dict]:
+    """Level n of seq and its decomposition, whose multiplicities are
+    recorded in report by stable label.  The character is the sequence's
+    hint when its degree is the level's dimension, the traces otherwise (a
+    hint that drops or adds a constituent is not used)."""
+    level = seq.rep(n)
+    hinted = seq.character_hint(n)
+    chi = hinted if hinted is not None and hinted.degree() == level.dim else level.character()
+    counts = decompose(chi).counts
+    report.multiplicities[n] = {unpad(mu): c for mu, c in counts.items()}
+    return level, counts
+
+
+def _levels(seq, n_start: int, n_max: int, report: StabilityReport):
+    """The level loop of both checkers: (n, level n, its counts, level n + 1,
+    its counts) for n_start <= n < n_max, each level built once by _level."""
+    if n_max <= n_start:
+        return
+    target = _level(seq, n_start, report)
+    for n in range(n_start, n_max):
+        source, target = target, _level(seq, n + 1, report)
+        yield n, *source, *target
+
+
 def check_uniform_stability(seq, n_start: int, n_max: int) -> StabilityReport:
     """Conditions I (injective), II (spanning), III (constant multiplicities)
     of uniform representation stability, on the window [n_start, n_max].
 
-    Condition III runs on the character backend when the sequence provides
-    one (and its degree is the level's dimension); Conditions I and II
-    always run on the explicit backend.  Condition II compares the dimension
+    Condition III compares the multiplicities _level records; Conditions I
+    and II run on the explicit backend.  Condition II compares the dimension
     of span(S_{n+1} . phi_n(basis)), summed over the constituents that
-    Rep.span_multiplicities finds in it with the decomposition Condition III
-    computed, with the dimension of level n + 1.  Each level is built and
-    decomposed once.
+    Rep.span_multiplicities finds in it with the decomposition of level
+    n + 1, with the dimension of level n + 1.
     """
     if n_max < n_start + 1:
         raise InsufficientWindow(f"window [{n_start}, {n_max}] has no map to check")
     report = StabilityReport(seq.label, (n_start, n_max))
-
-    def level(n: int) -> tuple[Rep, dict]:
-        rep = seq.rep(n)
-        counts = decompose(_sequence_character(seq, n, rep)).counts
-        report.multiplicities[n] = {unpad(mu): c for mu, c in counts.items()}
-        return rep, counts
-
-    target, _ = level(n_start)
-    for n in range(n_start, n_max):
-        source, (target, counts) = target, level(n + 1)
+    for n, source, _, target, counts in _levels(seq, n_start, n_max, report):
         images = [target.nf(seq.phi(n, v)) for v in source.basis()]
         inj = span_dim(images) == source.dim
         report.injectivity[n] = inj
@@ -397,18 +370,11 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
     for every default_seeds() sequence
     (test_phi_is_equivariant_on_default_seeds).  `only` restricts to
     components with the given stable label, e.g. () for the trivial
-    representation.  Each level is built and decomposed once, and its
-    isotypic components come from one Rep.isotypic call.
+    representation.  A level's isotypic components come from one
+    Rep.isotypic call.
     """
     report = StabilityReport(seq.label, (n_start, n_max))
-    target = None
-    for n in range(n_start, n_max):
-        if target is None:
-            target = seq.rep(n)
-            target_counts = decompose(_sequence_character(seq, n, target)).counts
-        source, counts = target, target_counts
-        target = seq.rep(n + 1)
-        target_counts = decompose(_sequence_character(seq, n + 1, target)).counts
+    for n, source, counts, target, target_counts in _levels(seq, n_start, n_max, report):
         level_ok = True
         wanted = sorted((mu for mu in counts if only is None or unpad(mu) == only), reverse=True)
         components = source.isotypic(counts, wanted)
@@ -445,22 +411,11 @@ def default_seeds() -> list:
     seeds.append(SumSequence(InducedModuleSequence((1,)), InducedSpechtSequence((1, 1))))
     seeds.append(QuotientSequence(InducedModuleSequence((1, 1)), InducedSpechtSequence((1, 1))))
     seeds.append(QuotientSequence(InducedModuleSequence((2, 1)), InducedSpechtSequence((2, 1))))
-    merge = MapSequence(
-        InducedModuleSequence((1, 1)),
-        InducedModuleSequence((2,)),
-        row_merge_key,
-        label="row merge (1,1)->(2)",
-    )
-    seeds.append(KernelSequence(merge))
-    seeds.append(ImageSequence(merge))
-    merge3 = MapSequence(
-        InducedModuleSequence((2, 1)),
-        InducedModuleSequence((3,)),
-        row_merge_key,
-        label="row merge (2,1)->(3)",
-    )
-    seeds.append(KernelSequence(merge3))
-    seeds.append(ImageSequence(merge3))
+    for lam, row, shapes in (((1, 1), (2,), "(1,1)->(2)"), ((2, 1), (3,), "(2,1)->(3)")):
+        merge = MapSequence(
+            InducedModuleSequence(lam), InducedModuleSequence(row), row_merge_key, label=f"row merge {shapes}"
+        )
+        seeds += [KernelSequence(merge), ImageSequence(merge)]
     return seeds
 
 
@@ -486,12 +441,12 @@ def property_suite(seeds=None, n_max: int = 5) -> SuiteReport:
     report = SuiteReport(seed_count=len(seeds))
 
     for seq in seeds:
-        start = max(seq.monotone_start(), 1)
+        start = max(seq.monotone_start, 1)
         if start + 1 > n_max:
             continue
         mono = check_monotone(seq, start, n_max)
         report.checks.append(("monotone", seq.label, mono.ok, mono.witnesses))
-        stable_from = max(seq.stable_start(), 1)
+        stable_from = max(seq.stable_start, 1)
         if stable_from + 1 <= n_max:
             stab = check_uniform_stability(seq, stable_from, n_max)
             # Prop: monotone + uniformly multiplicity stable => uniformly stable

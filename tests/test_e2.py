@@ -32,9 +32,8 @@ from repstab.e2 import (
 )
 from repstab.linalg import Echelon, add_into, span_dim
 from repstab.manifolds import load_manifold
-from repstab.partitions import partitions_of
+from repstab.partitions import partitions_of, unpad
 from repstab.perms import all_perms, class_representative
-from repstab.stability import stable_multiplicities
 
 TORUS = load_manifold("torus")
 S2 = load_manifold("s2")
@@ -268,12 +267,27 @@ def test_block_sharpness_fixture():
     assert row["k"] == 2 * q + p == 3
     assert row["stable_from"] == 4 * q + 2 * p == 6
     # multiplicities really do change at n = 5 and settle from n = 6 onward
-    mults = {
-        n: stable_multiplicities(induced_character(block_character_on_k(TORUS, (1,), 0, (1,)), n))
-        for n in (5, 6, 7, 8)
-    }
+    mults = {}
+    for n in (5, 6, 7, 8):
+        counts = decompose(induced_character(block_character_on_k(TORUS, (1,), 0, (1,)), n)).counts
+        mults[n] = {unpad(mu): c for mu, c in counts.items()}
     assert mults[5] != mults[6]
     assert mults[6] == mults[7] == mults[8]
+
+
+def test_row_dims_expand_the_forest_polynomial_once_per_n(monkeypatch):
+    # every row of the page reads its forest count off one cached tuple
+    calls = []
+    expand = e2_module.poincare_polynomial
+    monkeypatch.setattr(e2_module, "poincare_polynomial", lambda m, d: calls.append(m) or expand(m, d))
+    e2_module._forest_counts.cache_clear()
+    e2_module._row_dims.cache_clear()
+    poincare = tuple(TORUS.poincare().items())
+    rows = [e2_module._row_dims(poincare, 9, q) for q in range(9)]
+    assert calls == [9]
+    assert e2_module._forest_counts(9) == tuple(expand(9, 2).values())
+    assert sum(row[0] for row in rows) == factorial(9)  # P_M(0) = 1: row q starts at its forest count
+    assert e2_module._forest_counts.cache_info().maxsize is not None
 
 
 def test_epsilon_invariants_degree_floor():

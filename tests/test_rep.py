@@ -79,7 +79,7 @@ def _sequences():
 @pytest.mark.parametrize("seq", _sequences(), ids=lambda seq: seq.label)
 def test_indexed_rep_agrees_with_generic_action(seq):
     # the keyed tabloid action, reduced by the keyed modulus, is the oracle
-    for n in range(max(seq.n_min(), 2), 6):
+    for n in range(max(seq.n_min, 2), 6):
         fast = seq.rep(n)
         modulus = Echelon(fast.modulus_basis())
 

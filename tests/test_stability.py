@@ -5,7 +5,7 @@ import pytest
 
 from repstab.characters import content_power_sums, decompose, explicit_character, irreducible_character
 from repstab.linalg import Echelon, add_into, span_dim
-from repstab.partitions import contents, curly_pad, dim_irrep, pad
+from repstab.partitions import contents, curly_pad, dim_irrep, pad, unpad
 from repstab.perms import from_cycles, generators
 from repstab.rep import KeyIndex
 from repstab.specht import act_vec, project_tabloid
@@ -169,7 +169,7 @@ def test_sum_sequence_acts_per_summand():
 
 def test_quotient_sequence_monotone_from_stable_start():
     quot = QuotientSequence(InducedModuleSequence((1, 1)), InducedSpechtSequence((1, 1)))
-    report = check_monotone(quot, quot.monotone_start(), 6)
+    report = check_monotone(quot, quot.monotone_start, 6)
     assert report.ok, report.witnesses
 
 
@@ -274,6 +274,65 @@ def test_checkers_build_each_level_once(monkeypatch):
     assert built == [3, 4, 5, 6]
 
 
+SEED_RANGES = [
+    ("I_n(V_())", 0, 0, 0),
+    ("I_n(V_(1,))", 1, 1, 2),
+    ("I_n(M^(1,))", 1, 1, 2),
+    ("I_n(V_(2,))", 2, 2, 4),
+    ("I_n(M^(2,))", 2, 2, 4),
+    ("I_n(V_(1, 1))", 2, 2, 4),
+    ("I_n(M^(1, 1))", 2, 2, 4),
+    ("I_n(V_(3,))", 3, 3, 6),
+    ("I_n(M^(3,))", 3, 3, 6),
+    ("I_n(V_(2, 1))", 3, 3, 6),
+    ("I_n(M^(2, 1))", 3, 3, 6),
+    ("I_n(V_(1, 1, 1))", 3, 3, 6),
+    ("I_n(M^(1, 1, 1))", 3, 3, 6),
+    ("I_n(V_(1,)) (+) I_n(V_(2,))", 2, 2, 4),
+    ("I_n(M^(1,)) (+) I_n(V_(1, 1))", 2, 2, 4),
+    ("(I_n(M^(1, 1))) / (I_n(V_(1, 1)))", 2, 4, 4),
+    ("(I_n(M^(2, 1))) / (I_n(V_(2, 1)))", 3, 6, 6),
+    ("ker(row merge (1,1)->(2))", 2, 4, 4),
+    ("im(row merge (1,1)->(2))", 2, 4, 4),
+    ("ker(row merge (2,1)->(3))", 3, 6, 6),
+    ("im(row merge (2,1)->(3))", 3, 6, 6),
+]
+
+
+def test_default_seed_ranges():
+    # (label, n_min, monotone_start, stable_start): every construction's
+    # range proposition, pinned on the seeds
+    assert [(s.label, s.n_min, s.monotone_start, s.stable_start) for s in default_seeds()] == SEED_RANGES
+
+
+@pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
+def test_checkers_record_equal_multiplicities(seq):
+    # both checkers build and decompose their levels through one level loop
+    start = max(seq.n_min, 1)
+    mono, stab = check_monotone(seq, start, 5), check_uniform_stability(seq, start, 5)
+    assert sorted(mono.multiplicities) == list(range(start, 6))
+    assert mono.multiplicities == stab.multiplicities
+
+
+MERGE = MapSequence(InducedModuleSequence((1, 1)), InducedModuleSequence((2,)), row_merge_key, label="row merge")
+HINTLESS = [
+    SumSequence(KernelSequence(MERGE), InducedModuleSequence((1,))),
+    QuotientSequence(InducedModuleSequence((2,)), ImageSequence(MERGE)),
+    QuotientSequence(InducedModuleSequence((1, 1)), KernelSequence(MERGE)),
+]
+
+
+@pytest.mark.parametrize("seq", HINTLESS, ids=lambda seq: seq.label)
+def test_sum_and_quotient_with_a_hintless_part_read_traces(seq):
+    # a kernel or an image has no hint, so neither has a sum or a quotient
+    # with one as a part: its levels are decomposed off their traces
+    assert seq.character_hint(4) is None
+    stab, mono = check_uniform_stability(seq, 4, 5), check_monotone(seq, 4, 5)
+    for n in (4, 5):
+        expected = {unpad(mu): c for mu, c in decompose(seq.rep(n).character()).counts.items()}
+        assert stab.multiplicities[n] == mono.multiplicities[n] == expected
+
+
 # ---------------------------------------------------------------------------
 # the checkers against S_{n+1}-span closures
 
@@ -328,7 +387,7 @@ COMPOSITE = [
 
 @pytest.mark.parametrize("seq", COMPOSITE, ids=lambda seq: seq.label)
 def test_checkers_match_closure_oracle(seq):
-    start = max(seq.n_min(), 1)
+    start = max(seq.n_min, 1)
     report = check_monotone(seq, start, 6)
     assert (report.monotone, report.witnesses) == closure_monotone(seq, start, 6)
     assert structural(check_uniform_stability(seq, start, 6)) == closure_uniform(seq, start, 6)
@@ -338,7 +397,7 @@ def test_checkers_match_closure_oracle(seq):
 def test_span_multiplicities_match_closure_oracle(seq):
     # the span of one vector, and of a whole isotypic component, of each
     # constituent of level n: partial spans, with multiplicities above one
-    for n in range(max(seq.n_min(), 1), 5):
+    for n in range(max(seq.n_min, 1), 5):
         source, target = seq.rep(n), seq.rep(n + 1)
         counts = decompose(target.character()).counts
         for part in source.isotypic(decompose(source.character()).counts).values():
@@ -394,7 +453,7 @@ def equivariance_failures(seq, n_max):
     generators g of S_n acting on level n + 1 with n + 1 fixed, over a basis
     of each level n_min .. n_max."""
     failures = []
-    for n in range(max(seq.n_min(), 1), n_max + 1):
+    for n in range(max(seq.n_min, 1), n_max + 1):
         source, target = seq.rep(n), seq.rep(n + 1)
         for g in generators(n):
             lifted = g + (n + 1,)
@@ -422,7 +481,7 @@ def test_phi_is_equivariant_on_default_seeds(seq):
 @pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
 def test_central_projections_lie_in_their_isotypic_parts(seq):
     # one nonzero vector per constituent, inside that constituent's part
-    for n in range(max(seq.n_min(), 1), 5):
+    for n in range(max(seq.n_min, 1), 5):
         level = seq.rep(n)
         counts = level.decompose().counts
         parts = level.isotypic(counts)
@@ -436,7 +495,7 @@ def test_central_projections_lie_in_their_isotypic_parts(seq):
 def test_every_default_seed_level_acts_through_a_key_index(seq):
     # a sum's index is over its tagged keys ("L" | "R", key), acted on by the
     # summands' own indices
-    for n in range(max(seq.n_min(), 1), 5):
+    for n in range(max(seq.n_min, 1), 5):
         level = seq.rep(n)
         assert isinstance(level.index, KeyIndex) and not hasattr(level, "act")
         if isinstance(seq, SumSequence):
