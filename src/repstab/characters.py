@@ -14,15 +14,19 @@ The same module reads characters off explicit representations, as traces
 from the pivots of a reduced echelon basis, and gives the scalars
 (content_power_sums) by which the Jucys-Murphy power sums act on each
 irreducible, which rep.Rep's central projections use.
+
+ClassFunction and MultiplicityVector are frozen value types
+(_record.Frozen): equal when their fields are, and a ClassFunction hashes
+as (n, values), so it can key a cache.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
 from types import MappingProxyType
 
+from ._record import Frozen
 from .linalg import Echelon
 from .partitions import (
     Partition,
@@ -36,16 +40,22 @@ from .partitions import (
 from .perms import class_representative, class_size, generators, inverse
 
 
+_set = object.__setattr__
+
+
 class NotACharacter(Exception):
     """Decomposition produced a negative or fractional multiplicity."""
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Exact class function on S_n, stored as values per cycle type."""
+class ClassFunction(Frozen):
+    """ClassFunction(n, values): an exact class function on S_n, stored as
+    values per cycle type, aligned with partitions_of(n)."""
 
-    n: int
-    values: tuple  # aligned with partitions_of(n)
+    __slots__ = _fields = ("n", "values")
+
+    def __init__(self, n: int, values: tuple):
+        _set(self, "n", n)
+        _set(self, "values", values)
 
     @property
     def classes(self) -> tuple[Partition, ...]:
@@ -82,17 +92,18 @@ class ClassFunction:
         return Fraction(total, factorial(self.n))
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
-    """Nonnegative integer multiplicities per partition of n; zero entries omitted."""
+class MultiplicityVector(Frozen):
+    """MultiplicityVector(n, counts): nonnegative integer multiplicities per
+    partition of n; zero entries omitted.  Unhashable, as counts is a dict."""
 
-    n: int
-    counts: dict
+    __slots__ = _fields = ("n", "counts")
 
-    def __post_init__(self):
-        for lam, c in self.counts.items():
+    def __init__(self, n: int, counts: dict):
+        for lam, c in counts.items():
             if c < 0 or (isinstance(c, Fraction) and c.denominator != 1):
                 raise NotACharacter(f"multiplicity of {lam} is {c}")
+        _set(self, "n", n)
+        _set(self, "counts", counts)
 
     def __getitem__(self, lam: Partition) -> int:
         return self.counts.get(lam, 0)

@@ -7,7 +7,6 @@ stdout; every table is emitted in a fixed sorted order.
 
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -77,6 +76,8 @@ def _emit(rows: list[list[str]], fmt: str) -> str:
 
 
 def _write_witness(lines: list[str]) -> str:
+    import tempfile  # only a failed verification writes a witness
+
     fd, path = tempfile.mkstemp(prefix="repstab-witness-", suffix=".txt")
     with os.fdopen(fd, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -364,7 +365,16 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     code, text = dispatch(sys.argv[1:] if argv is None else argv)
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed early (`repstab e2 ... | head -1`): the rest
+            # of the answer goes to devnull, so the interpreter's own flush
+            # at exit raises nothing either
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -42,12 +42,12 @@ backend is a test, not an assumption.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, compress, product
 from math import prod
 from operator import gt, itemgetter, mul, sub
-from typing import Callable, NamedTuple
 
 from .arnold import (
     _poly_mul,
@@ -400,15 +400,12 @@ def block_space(comp: tuple[int, ...], parity: int) -> tuple[tuple[Monomial, ...
     return basis, classes
 
 
-class Representative(NamedTuple):
-    """A pattern's representative partition and the factors of its
-    coinvariants."""
-
-    blocks: list[tuple[int, ...]]  # in pattern order
-    word: tuple[int, ...]  # the classes in block-minimum order
-    spaces: list[tuple]  # block_space of each block
-    runs: list[tuple[int, int, bool]]  # (start, stop, odd) per run of identical blocks
-    plain: bool  # every block space is one monomial: a key's image is a basis key
+# A pattern's representative partition and the factors of its coinvariants:
+# blocks, in pattern order; word, the classes in block-minimum order; spaces,
+# the block_space of each block; runs, (start, stop, odd) per run of
+# identical blocks; plain, whether every block space is one monomial, so a
+# key's image is a basis key.
+Representative = namedtuple("Representative", "blocks word spaces runs plain")
 
 
 class InvariantComplex:
@@ -458,7 +455,7 @@ class InvariantComplex:
         size, _, cls = signature
         return ((size - 1) * (self.page.desc.d - 1) + self.page.desc.degrees[cls]) % 2 == 1
 
-    def _signature_table(self, q: int) -> tuple[list, list, Callable]:
+    def _signature_table(self, q: int) -> tuple:
         """(signatures, kinds, stop) for cells with q edges: the block
         signatures (size, colour counts, class) of at most q + 1 points and a
         non-zero block space, largest first; per signature (size, colour
@@ -818,6 +815,23 @@ def _forest_counts(n: int) -> tuple[int, ...]:
     return tuple(coeffs[q] for q in range(n))
 
 
+# bounded by descriptor; each list holds the powers some row has asked for
+@lru_cache(maxsize=8)
+def _powers(poincare: tuple[tuple[int, int], ...]) -> list[dict[int, int]]:
+    """P_M(x)^0, P_M(x)^1, ... as far as _power has computed them."""
+    return [{0: 1}]
+
+
+def _power(poincare: tuple[tuple[int, int], ...], e: int) -> dict[int, int]:
+    """P_M(x)^e, one product per power not computed before: the n rows of a
+    page at n make n products between them."""
+    powers = _powers(poincare)
+    factor = dict(poincare)
+    while len(powers) <= e:
+        powers.append(_poly_mul(powers[-1], factor))
+    return powers[e]
+
+
 # cached: the e2 table and the cell sums walk a row one degree at a time
 @lru_cache(maxsize=256)
 def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int, int]:
@@ -827,10 +841,7 @@ def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int
     if q >= max(n, 1):
         return {}
     forests = _forest_counts(n)[q]
-    factor, words = dict(poincare), {0: 1}
-    for _ in range(n - q):
-        words = _poly_mul(words, factor)
-    return {p: forests * c for p, c in words.items()}
+    return {p: forests * c for p, c in _power(poincare, n - q).items()}
 
 
 # ---------------------------------------------------------------------------

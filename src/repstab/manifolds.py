@@ -15,26 +15,45 @@ a descriptor that contradicts graded commutativity or (when a diagonal is
 present) Poincare duality is rejected.
 """
 
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
-from importlib import resources
 
+from ._record import Record
 from .linalg import Echelon
+
+
+# where the package data installs the bundled descriptors
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class DescriptorError(Exception):
     pass
 
 
-@dataclass
-class ManifoldDescriptor:
-    name: str
-    d: int
-    class_names: list[str]
-    degrees: list[int]
-    products: dict  # (i, j) -> {k: int | Fraction}
-    diagonal: list | None  # [(i, j, int | Fraction)]
-    flags: set = field(default_factory=set)
+class ManifoldDescriptor(Record):
+    """A parsed descriptor: products maps (i, j) -> {k: int | Fraction}, and
+    diagonal is [(i, j, int | Fraction)] or None; flags starts empty when
+    omitted."""
+
+    _fields = ("name", "d", "class_names", "degrees", "products", "diagonal", "flags")
+
+    def __init__(
+        self,
+        name: str,
+        d: int,
+        class_names: list[str],
+        degrees: list[int],
+        products: dict,
+        diagonal: list | None,
+        flags: set | None = None,
+    ):
+        self.name = name
+        self.d = d
+        self.class_names = class_names
+        self.degrees = degrees
+        self.products = products
+        self.diagonal = diagonal
+        self.flags = set() if flags is None else flags
 
     @property
     def dim_total(self) -> int:
@@ -235,8 +254,6 @@ def _validate_diagonal(desc: ManifoldDescriptor) -> None:
 
 def load_manifold(path_or_name: str) -> ManifoldDescriptor:
     """Load a descriptor from a path, or from the bundled set by name."""
-    import os
-
     if os.path.exists(path_or_name):
         try:
             with open(path_or_name, encoding="utf-8") as fh:
@@ -246,7 +263,8 @@ def load_manifold(path_or_name: str) -> ManifoldDescriptor:
         return parse_descriptor(text, source=path_or_name)
     base = path_or_name if path_or_name.endswith(".desc") else path_or_name + ".desc"
     try:
-        data = resources.files("repstab.data").joinpath(base).read_text()
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
+        with open(os.path.join(_DATA, base), encoding="utf-8") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise DescriptorError(f"no descriptor file or bundled name {path_or_name!r}") from exc
     return parse_descriptor(data, source=base)

@@ -21,12 +21,12 @@ reads the ones an S_{n+1}-span holds off central projections.  The n! group-sum 
 project_tabloid is kept only as the oracle the tests compare against.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
+from ._record import Record
 from .characters import mn_character
 from .linalg import Echelon, add_into
 from .partitions import Partition, curly_pad, dim_irrep, leadsto, lex_compare
@@ -172,14 +172,17 @@ def w_element(t: PseudoTableau, lam: Partition) -> Vec:
     return out
 
 
-@dataclass
-class ClaimsReport:
-    """Per-mu entries and failures of verify_claims or monotonicity_witness."""
+class ClaimsReport(Record):
+    """Per-mu entries (dicts) and failures of verify_claims or
+    monotonicity_witness; each omitted list starts empty."""
 
-    lam: Partition
-    n: int
-    entries: list = field(default_factory=list)  # per-mu dicts
-    failures: list = field(default_factory=list)
+    _fields = ("lam", "n", "entries", "failures")
+
+    def __init__(self, lam: Partition, n: int, entries: list | None = None, failures: list | None = None):
+        self.lam = lam
+        self.n = n
+        self.entries = [] if entries is None else entries
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

@@ -29,9 +29,9 @@ and reduce.
 All verdicts are statements about the tested window only.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Frozen, Record
 from .characters import (
     ClassFunction,
     decompose,
@@ -250,15 +250,29 @@ def row_merge_key(t: PseudoTabloid):
 # reports and checkers
 
 
-@dataclass
-class StabilityReport:
-    label: str
-    window: tuple[int, int]
-    injectivity: dict = field(default_factory=dict)
-    surjectivity: dict = field(default_factory=dict)
-    multiplicities: dict = field(default_factory=dict)
-    monotone: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
+class StabilityReport(Record):
+    """Per-level verdicts of a checker on the window (n_start, n_max); each
+    omitted container starts empty."""
+
+    _fields = ("label", "window", "injectivity", "surjectivity", "multiplicities", "monotone", "witnesses")
+
+    def __init__(
+        self,
+        label: str,
+        window: tuple[int, int],
+        injectivity: dict | None = None,
+        surjectivity: dict | None = None,
+        multiplicities: dict | None = None,
+        monotone: dict | None = None,
+        witnesses: list | None = None,
+    ):
+        self.label = label
+        self.window = window
+        self.injectivity = {} if injectivity is None else injectivity
+        self.surjectivity = {} if surjectivity is None else surjectivity
+        self.multiplicities = {} if multiplicities is None else multiplicities
+        self.monotone = {} if monotone is None else monotone
+        self.witnesses = [] if witnesses is None else witnesses
 
     def _from(self, flags: dict):
         good = None
@@ -419,10 +433,14 @@ def default_seeds() -> list:
     return seeds
 
 
-@dataclass
-class SuiteReport:
-    checks: list = field(default_factory=list)  # (name, subject, ok, detail)
-    seed_count: int = 0
+class SuiteReport(Record):
+    """The property suite's checks, each (name, subject, ok, detail)."""
+
+    _fields = ("checks", "seed_count")
+
+    def __init__(self, checks: list | None = None, seed_count: int = 0):
+        self.checks = [] if checks is None else checks
+        self.seed_count = seed_count
 
     @property
     def ok(self) -> bool:
@@ -487,14 +505,16 @@ def property_suite(seeds=None, n_max: int = 5) -> SuiteReport:
 # range arithmetic (the spectral-sequence induction, symbolically)
 
 
-@dataclass(frozen=True)
-class RangeParams:
-    m: Fraction
-    ell: int
+class RangeParams(Frozen):
+    """RangeParams(m, ell): the slope m > 0 and offset ell of a range."""
 
-    def __post_init__(self):
-        if self.m <= 0:
+    __slots__ = _fields = ("m", "ell")
+
+    def __init__(self, m: Fraction, ell: int):
+        if m <= 0:
             raise ValueError("m must be positive")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ell", ell)
 
 
 def _format_bound(m: Fraction, offset: int) -> str:

@@ -5,30 +5,48 @@ labeling of the Young diagram by a k-element subset of {1..n}.  A pseudo-
 tabloid is its row-equivalence class; the canonical representative sorts each
 row ascending.  Ambient n is part of the identity: the same labeling at
 levels n and n+1 are distinct basis vectors.
+
+Both are frozen value types on the fields (n, rows) (_record.Frozen):
+hashed, compared and ordered as that tuple, and equal only within their
+class, so a tableau never equals the tabloid or the plain tuple with the
+same rows.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
 
+from ._record import Frozen
 from .partitions import Partition, check_partition
 from .perms import Perm, inversion_sign
 
 Rows = tuple[tuple[int, ...], ...]
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
-class PseudoTableau:
-    n: int
-    rows: Rows
+class _Rows(Frozen):
+    """Fields n and rows, ordered as the tuple (n, rows) within one class,
+    as @dataclass(frozen=True, order=True) would."""
 
-    def __post_init__(self):
-        labels = [x for row in self.rows for x in row]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"labels not injective: {self.rows}")
-        if labels and (min(labels) < 1 or max(labels) > self.n):
-            raise ValueError(f"labels outside 1..{self.n}: {self.rows}")
-        shape = tuple(len(r) for r in self.rows)
-        check_partition(shape)
+    __slots__ = _fields = ("n", "rows")
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) < (other.n, other.rows)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) <= (other.n, other.rows)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) > (other.n, other.rows)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) >= (other.n, other.rows)
+        return NotImplemented
 
     @property
     def shape(self) -> Partition:
@@ -36,6 +54,27 @@ class PseudoTableau:
 
     def supp(self) -> frozenset:
         return frozenset(x for row in self.rows for x in row)
+
+    def render(self) -> str:
+        """Rows joined by `;`, entries by `,` (the CLI text form)."""
+        return ";".join(",".join(str(x) for x in row) for row in self.rows)
+
+
+class PseudoTableau(_Rows):
+    """PseudoTableau(n, rows): an injective labeling of a Young diagram by
+    labels in 1..n, row by row."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, rows: Rows):
+        labels = [x for row in rows for x in row]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"labels not injective: {rows}")
+        if labels and (min(labels) < 1 or max(labels) > n):
+            raise ValueError(f"labels outside 1..{n}: {rows}")
+        check_partition(tuple(len(r) for r in rows))
+        _set(self, "n", n)
+        _set(self, "rows", rows)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows if len(row) > j)
@@ -47,32 +86,18 @@ class PseudoTableau:
     def tabloid(self) -> "PseudoTabloid":
         return PseudoTabloid(self.n, tuple(tuple(sorted(r)) for r in self.rows))
 
-    def render(self) -> str:
-        """Rows joined by `;`, entries by `,` (the CLI text form)."""
-        return ";".join(",".join(str(x) for x in row) for row in self.rows)
 
-
-@dataclass(frozen=True, order=True)
-class PseudoTabloid:
+class PseudoTabloid(_Rows):
     """Canonical row-sorted representative of a row-equivalence class."""
 
-    n: int
-    rows: Rows
+    __slots__ = ()
 
-    def __post_init__(self):
-        for row in self.rows:
+    def __init__(self, n: int, rows: Rows):
+        for row in rows:
             if tuple(sorted(row)) != row:
-                raise ValueError(f"tabloid rows must be sorted: {self.rows}")
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
-
-    def supp(self) -> frozenset:
-        return frozenset(x for row in self.rows for x in row)
-
-    def render(self) -> str:
-        return ";".join(",".join(str(x) for x in row) for row in self.rows)
+                raise ValueError(f"tabloid rows must be sorted: {rows}")
+        _set(self, "n", n)
+        _set(self, "rows", rows)
 
 
 def parse_tableau(text: str, n: int) -> PseudoTableau:

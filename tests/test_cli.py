@@ -264,6 +264,10 @@ def test_bad_manifold_exits_2():
     code, text = run("betti", "--manifold", "nowhere", "--n", "2", "--i", "1")
     assert code == 2
     assert "error" in text
+    assert run("betti", "--manifold", "nosuch", "--n", "1", "--i", "0") == (
+        2,
+        "error: no descriptor file or bundled name 'nosuch'",
+    )
 
 
 def test_directory_as_manifold_exits_2(tmp_path):
@@ -396,6 +400,43 @@ def test_valid_command_imports_no_argparse():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_import_loads_no_dataclasses_typing_or_tempfile():
+    # -S: without site, which on some hosts preloads these modules itself
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repstab.cli, repstab.characters, repstab.manifolds\n"
+        "assert repstab.manifolds.load_manifold('torus').name == 'torus'\n"
+        "heavy = ['dataclasses', 'inspect', 'typing', 'tempfile', 'importlib.resources', 'argparse']\n"
+        "print(sorted(set(heavy) & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_closed_pipe_prints_no_traceback():
+    # the answer (about 160 kB) outgrows the pipe, so the write after the
+    # reader closes fails
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "repstab.cli", "e2", "--manifold", "torus", "--n", "60"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"p\tq\tdim\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, ""), err  # no BrokenPipeError traceback
 
 
 # The README's examples, the CI entry-point checks and the benchmark's queries

@@ -290,6 +290,30 @@ def test_row_dims_expand_the_forest_polynomial_once_per_n(monkeypatch):
     assert e2_module._forest_counts.cache_info().maxsize is not None
 
 
+def test_row_dims_multiply_once_per_power(monkeypatch):
+    # row q reads P_M(x)^(n-q): the powers are built up one product each, so
+    # the n rows of a page take n products, not n(n+1)/2
+    calls = []
+    multiply = e2_module._poly_mul
+    monkeypatch.setattr(e2_module, "_poly_mul", lambda a, b: calls.append(1) or multiply(a, b))
+    e2_module._powers.cache_clear()
+    e2_module._row_dims.cache_clear()
+    poincare = tuple(TORUS.poincare().items())
+    n = 12
+    rows = [e2_module._row_dims(poincare, n, q) for q in range(n)]
+    assert len(calls) == n
+    for q, row in enumerate(rows):
+        words = {0: 1}
+        for _ in range(n - q):
+            words = multiply(words, dict(poincare))
+        assert row == {p: e2_module._forest_counts(n)[q] * c for p, c in words.items()}
+    calls.clear()
+    for q in range(n - 1):
+        e2_module._row_dims(poincare, n - 1, q)
+    assert calls == []  # a smaller page reuses the powers
+    assert e2_module._powers.cache_info().maxsize is not None
+
+
 def test_epsilon_invariants_degree_floor():
     # the sign-isotypic part of H^*(M^q) vanishes below degree kq - k, where
     # k is the lowest positive degree carrying cohomology
