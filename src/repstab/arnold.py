@@ -11,7 +11,7 @@ second indices strictly decreases, so the rewriting terminates.
 """
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import factorial
 
 from .characters import ClassFunction, decompose
@@ -54,10 +54,10 @@ def format_polynomial(coeffs: dict[int, int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def straighten(factors, d: int, coeff=1) -> dict[Monomial, int]:
+def straighten(factors, d: int) -> dict[Monomial, int]:
     """Normal form of a product of generators G_xy as a sparse combination."""
     out: dict[Monomial, int] = {}
-    _straighten_into(list(factors), d, coeff, out)
+    _straighten_into(list(factors), d, 1, out)
     return {k: v for k, v in out.items() if v}
 
 
@@ -130,8 +130,8 @@ def top_character(m: int, d: int) -> ClassFunction:
     return _top_character_by_parity(m, d % 2)
 
 
-# bounded by top_character's m <= 8 cap: at most 16 entries
-@cache
+# top_character's m <= 8 cap allows at most 16 entries
+@lru_cache(maxsize=16)
 def _top_character_by_parity(m: int, parity: int) -> ClassFunction:
     return top_character_direct(m, 2 + parity)
 
@@ -150,8 +150,6 @@ def top_character_direct(m: int, d: int) -> ClassFunction:
     return ClassFunction(m, tuple(values))
 
 
-# bounded: one gate-session pass asks for ~10 (m, d)
-@lru_cache(maxsize=256)
 def induced_cyclic_sign_character(m: int, d: int = 2) -> ClassFunction:
     """Ind from the cyclic group C_m to S_m of (sign x faithful 1-dim) for
     even d, and of the faithful 1-dim character alone (the Lie character)

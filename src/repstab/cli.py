@@ -12,13 +12,12 @@ from types import SimpleNamespace
 
 from .arnold import arnold_report, format_polynomial
 from .characters import format_table
-from .e2 import DEFAULT_BUDGET, BudgetExceeded, MissingDiagonal
+from .e2 import DEFAULT_BUDGET, BudgetExceeded, MissingDiagonal, page_rows
 from .configspaces import (
     NotComputable,
     betti_unordered,
     colored_betti,
     colored_pattern_bound,
-    e2_cell_dim,
     e2_page,
     load_manifold,
     stable_range_report,
@@ -156,9 +155,16 @@ def cmd_stable(args) -> tuple[int, str]:
     return 0, out
 
 
+# every page from 2 on has page 2's bounds (propagate_ranges), so a longer
+# table only repeats a row; the cap keeps the table's size bounded
+MAX_PAGES = 1000
+
+
 def cmd_ranges(args) -> tuple[int, str]:
     if args.pages < 2:
         return 2, f"ranges: need pages >= 2, got {args.pages}"
+    if args.pages > MAX_PAGES:
+        return 2, f"ranges: need pages <= {MAX_PAGES}, got {args.pages}"
     try:
         m = Fraction(args.m)
     except (ValueError, ZeroDivisionError):
@@ -190,14 +196,12 @@ def cmd_e2(args) -> tuple[int, str]:
         raise ValueError(f"need n >= 0, got {n}")
     desc = load_manifold(args.manifold)
     d = desc.d
-    rows = []
-    max_p = n * max(desc.degrees)
-    for q in range(n // 2 + 1):
-        for p in range(max_p + 1):
-            dim = e2_cell_dim(desc, n, p, q * (d - 1))
-            if dim:
-                rows.append([str(p), str(q * (d - 1)), str(dim)])
-    rows.sort(key=lambda r: (int(r[1]), int(r[0])))
+    rows = [
+        [str(p), str(q * (d - 1)), str(dim)]
+        for q, row in enumerate(page_rows(desc, n)[: n // 2 + 1])
+        for p, dim in sorted(row.items())
+        if dim
+    ]
     out = [["p", "q", "dim"]] + rows
     if args.explicit:
         page = e2_page(desc, n, budget=_budget())
@@ -207,7 +211,7 @@ def cmd_e2(args) -> tuple[int, str]:
             if explicit.get((p, qd1), 0) != int(row[2]):
                 return 1, _emit(out, args.format) + "\nexplicit\tMISMATCH"
         top = max(p + qd1 for (p, qd1) in explicit)
-        betti = [["betti_ordered", str(i), str(page.betti_ordered(i))] for i in range(top + 1)]
+        betti = [["betti_ordered", str(i), str(page.betti(i))] for i in range(top + 1)]
         out += [["explicit", "agree", str(page.total_dim)]] + betti
     return 0, _emit(out, args.format)
 

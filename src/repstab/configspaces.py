@@ -32,7 +32,7 @@ from .e2 import (
     e2_cell_dim,
     graded_power,
 )
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon
 from .manifolds import ManifoldDescriptor, load_manifold
 from .partitions import Partition, make_partition, partitions_of
 from .perms import centralizer_order
@@ -146,7 +146,7 @@ def ordered_betti(desc: ManifoldDescriptor, n: int, i: int, budget: int = DEFAUL
     """dim H^i(C_n(M); Q) from the degenerate explicit page."""
     if desc.diagonal is None or "single_differential" not in desc.flags:
         raise NotComputable(f"{desc.name}: ordered Betti needs the explicit complex")
-    return e2_page(desc, n, budget).betti_ordered(i)
+    return e2_page(desc, n, budget).betti(i)
 
 
 def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition) -> int:
@@ -167,8 +167,6 @@ def colored_betti(desc: ManifoldDescriptor, n: int, i: int, mu: Partition) -> in
             f"{desc.name}: colored Betti numbers need a diagonal class and the "
             "single_differential flag"
         )
-    if desc.d < 2:
-        raise NotComputable(f"{desc.name}: the E2 bigrading (p, q(d-1)) needs dim >= 2, got {desc.d}")
     return _invariant_complex(desc, n, mu).betti(i)
 
 
@@ -191,23 +189,14 @@ def correspondence_injective(desc: ManifoldDescriptor, n: int, i: int) -> bool:
     """
     inv_n = _invariant_complex(desc, n)
     inv_m = _invariant_complex(desc, n + 1)
-    d = desc.d
-
-    def boundaries(inv: InvariantComplex, q: int) -> list[dict]:
-        """Images of d in degree i, row q."""
-        return [inv.diff(key) for key in inv.basis(i - q * (d - 1) - d, q + 1)]
-
     # cocycle representatives of the degree-i cohomology at level n
     reps: list[dict] = []
-    for q in range(inv_n.max_edges + 1):
-        chosen = Echelon(boundaries(inv_n, q))
-        keys = inv_n.basis(i - q * (d - 1), q)
-        for v in kernel_basis([inv_n.diff(key) for key in keys], [{key: 1} for key in keys]):
-            if chosen.insert(v):
-                reps.append(v)
+    for p, q in inv_n.cells_in_degree(i):
+        chosen = Echelon(inv_n.boundaries(p, q))
+        reps += [v for v in inv_n.cycles(p, q) if chosen.insert(v)]
     if not reps:
         return True
-    check = Echelon([v for q in range(inv_m.max_edges + 1) for v in boundaries(inv_m, q)])
+    check = Echelon([v for p, q in inv_m.cells_in_degree(i) for v in inv_m.boundaries(p, q)])
     # iota adds point n+1 carrying the unit class
     lifted = [{(mono, word + (desc.unit,)): c for (mono, word), c in v.items()} for v in reps]
     return all(check.insert(inv_m.classes(v)) for v in lifted)
@@ -218,7 +207,7 @@ def euler_characteristic_consistency(desc: ManifoldDescriptor, n: int, budget: i
     page = e2_page(desc, n, budget)
     from_cells = page.euler_characteristic()
     top = max(p + qd1 for (p, qd1) in page.cell_dims())
-    from_cohomology = sum((-1) ** i * page.betti_ordered(i) for i in range(top + 1))
+    from_cohomology = sum((-1) ** i * page.betti(i) for i in range(top + 1))
     return from_cells == from_cohomology
 
 

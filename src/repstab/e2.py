@@ -34,6 +34,10 @@ powers of block spaces: the top monomials of one block modulo its
 same-colour transpositions, solved once per block shape.  It never
 enumerates a page cell.
 
+Both complexes share one cochain core, Cochains: cohomology dimensions,
+Betti sums, cycles, boundaries and the d o d check are stated once over a
+complex's basis(p, q), its d on a key and its own differential_rank.
+
 Character backend: a cell's character is the sum of its blocks
 E(mu, r, alpha)_n = Ind_{S_k x S_{n-k}}(V boxtimes 1) over the labels with
 k <= n.  V's trace runs over the sigma-fixed set partitions of the k block
@@ -48,6 +52,7 @@ from functools import cache, cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, compress, product
 from math import prod
 from operator import gt, itemgetter, mul, sub
+from types import MappingProxyType
 
 from .arnold import (
     _poly_mul,
@@ -86,6 +91,71 @@ class NotComputable(Exception):
     pass
 
 
+def _check_bigrading(desc: ManifoldDescriptor) -> None:
+    """Refuse d < 2: the bigrading (p, q(d-1)) puts every row of a d = 1
+    page in degree 0, so their cells would collide."""
+    if desc.d < 2:
+        raise NotComputable(f"{desc.name}: the E2 bigrading (p, q(d-1)) needs dim >= 2, got {desc.d}")
+
+
+class Cochains:
+    """The cohomology of a complex on the page's bigrading, stated once.
+
+    A subclass has desc and n, the basis keys basis(p, q) of each cell
+    (M-degree p, q edges), d on a key as diff_key, sending cell (p, q) to
+    (p + d, q - 1), and differential_rank(p, q), the rank of d out of a
+    cell, computed by its own routine."""
+
+    desc: ManifoldDescriptor
+    n: int
+
+    @property
+    def max_edges(self) -> int:
+        """The most edges a key has: a forest on n points has at most n - 1."""
+        return max(self.n - 1, 0)
+
+    def cells_in_degree(self, i: int) -> list[tuple[int, int]]:
+        """The cells (p, q) of total degree p + q(d-1) = i."""
+        d = self.desc.d
+        return [(i - q * (d - 1), q) for q in range(self.max_edges + 1) if i - q * (d - 1) >= 0]
+
+    def diff_vec(self, v: dict) -> dict:
+        out: dict = {}
+        for key, c in v.items():
+            add_into(out, self.diff_key(key), c)
+        return out
+
+    def cohomology_dim(self, p: int, q: int) -> int:
+        """dim of ker / im at cell (p, q): d out of it, and d into it from
+        cell (p - d, q + 1)."""
+        rank_in = self.differential_rank(p - self.desc.d, q + 1)
+        return len(self.basis(p, q)) - self.differential_rank(p, q) - rank_in
+
+    def betti(self, i: int) -> int:
+        """dim H^i: the cohomology of the cells of total degree i."""
+        return sum(self.cohomology_dim(p, q) for p, q in self.cells_in_degree(i))
+
+    def cycles(self, p: int, q: int) -> list[dict]:
+        """A basis of the kernel of d on cell (p, q)."""
+        keys = self.basis(p, q)
+        return kernel_basis([self.diff_key(key) for key in keys], [{key: 1} for key in keys])
+
+    def boundaries(self, p: int, q: int) -> list[dict]:
+        """The images of d in cell (p, q), one per key of cell (p - d, q + 1)."""
+        return [self.diff_key(key) for key in self.basis(p - self.desc.d, q + 1)]
+
+    def check_d_squared(self) -> bool:
+        """Whether d(d(key)) = 0 for every basis key: a key with q edges has
+        n - q blocks, so its M-degree is at most (n - q) times the top degree."""
+        top = max(self.desc.degrees)
+        return not any(
+            self.diff_vec(self.diff_key(key))
+            for q in range(self.max_edges + 1)
+            for p in range(top * (self.n - q) + 1)
+            for key in self.basis(p, q)
+        )
+
+
 # Bounded: the explicit page of s2 at n = 7 enumerates 5040 monomials, once each.
 @lru_cache(maxsize=4096)
 def blocks_of(mono: Monomial, n: int) -> tuple[tuple[int, ...], ...]:
@@ -104,7 +174,7 @@ def blocks_of(mono: Monomial, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-class E2Page:
+class E2Page(Cochains):
     """Explicit cells, action, and differential for one (M, n).
 
     Constructing a page allocates nothing: total_dim is the closed-form
@@ -114,12 +184,12 @@ class E2Page:
     """
 
     def __init__(self, desc: ManifoldDescriptor, n: int):
+        _check_bigrading(desc)
         self.desc = desc
         self.n = n
         # sum over forests of D^blocks: the rising factorial D(D+1)...(D+n-1)
         self.total_dim = prod(range(desc.dim_total, desc.dim_total + n))
         self._ranks: dict[tuple[int, int], int] = {}
-        self._cohomology: dict[tuple[int, int], int] | None = None
         self._edges: dict[Monomial, tuple] = {}  # forest -> its edge table
 
     @cached_property
@@ -148,7 +218,7 @@ class E2Page:
 
     # -- grading helpers ---------------------------------------------------
 
-    def cell(self, p: int, q: int) -> list[Key]:
+    def basis(self, p: int, q: int) -> list[Key]:
         return self.cells.get((p, q), [])
 
     def cell_dims(self) -> dict[tuple[int, int], int]:
@@ -270,12 +340,6 @@ class E2Page:
                     del out[image]
         return out
 
-    def diff_vec(self, v: dict) -> dict:
-        out: dict = {}
-        for key, c in v.items():
-            add_into(out, self.diff_key(key), c)
-        return out
-
     # -- ranks and cohomology ------------------------------------------------
 
     def differential_rank(self, p: int, q: int) -> int:
@@ -286,37 +350,18 @@ class E2Page:
         and compares ints, and the rows go in in reverse cell order: on
         these pages that keeps the stored rows sparser than cell order does
         (at torus n = 6 the elimination runs about 8 times faster)."""
-        if (p, q) not in self._ranks:
-            keys = self.cell(p, q)
-            index = {key: t for t, key in enumerate(self.cell(p + self.desc.d, q - 1))} if keys else {}
+        keys = self.basis(p, q)
+        if keys and (p, q) not in self._ranks:
+            index = {key: t for t, key in enumerate(self.basis(p + self.desc.d, q - 1))}
             rows = [{index[k]: c for k, c in self.diff_key(key).items()} for key in reversed(keys)]
             self._ranks[(p, q)] = span_dim(rows)
-        return self._ranks[(p, q)]
-
-    def check_d_squared(self) -> bool:
-        for keys in self.cells.values():
-            for key in keys:
-                if self.diff_vec(self.diff_key(key)):
-                    return False
-        return True
+        return self._ranks.get((p, q), 0)
 
     def cohomology_dims(self) -> dict[tuple[int, int], int]:
-        """E3 = Einfty cell dimensions, keyed by (p, q(d-1)); computed once per page."""
-        if self._cohomology is None:
-            d = self.desc.d
-            self._cohomology = {
-                (p, q * (d - 1)): len(keys)
-                - self.differential_rank(p, q)
-                - self.differential_rank(p - d, q + 1)
-                for (p, q), keys in self.cells.items()
-            }
-        return dict(self._cohomology)
-
-    def betti_ordered(self, i: int) -> int:
-        """dim H^i(C_n(M);Q) from the degenerate page."""
-        if self._cohomology is None:
-            self.cohomology_dims()
-        return sum(v for (p, qd1), v in self._cohomology.items() if p + qd1 == i)
+        """E3 = Einfty cell dimensions, keyed by (p, q(d-1)); betti(i) is
+        dim H^i(C_n(M); Q), the page degenerating there."""
+        d = self.desc.d
+        return {(p, q * (d - 1)): self.cohomology_dim(p, q) for p, q in self.cells}
 
     def euler_characteristic(self) -> int:
         d = self.desc.d
@@ -332,12 +377,9 @@ class E2Page:
         The cycles and the boundaries both lie in cell (p, q), so their Reps
         share one LinearIndex over its keys: each permutation's action is
         tabulated once per key and dropped when this call returns."""
-        keys = self.cell(p, q)
-        index = LinearIndex(keys, self.act_key)
-        cycles = kernel_basis([self.diff_key(key) for key in keys], [{key: 1} for key in keys])
-        boundaries = [self.diff_key(key) for key in self.cell(p - self.desc.d, q + 1)]
-        kernel = Rep(self.n, index, cycles).character()
-        return kernel - Rep(self.n, index, boundaries).character()
+        index = LinearIndex(self.basis(p, q), self.act_key)
+        kernel = Rep(self.n, index, self.cycles(p, q)).character()
+        return kernel - Rep(self.n, index, self.boundaries(p, q)).character()
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +450,7 @@ def block_space(comp: tuple[int, ...], parity: int) -> tuple[tuple[Monomial, ...
 Representative = namedtuple("Representative", "blocks word spaces runs plain")
 
 
-class InvariantComplex:
+class InvariantComplex(Cochains):
     """H^*(C_n(M))^G for the Young subgroup G = S_{n-k} x S_mu, k = |mu|, on
     the G-coinvariants of the page; mu = () gives H^*(B_n(M)).
 
@@ -432,8 +474,8 @@ class InvariantComplex:
 
     def __init__(self, page: E2Page, mu: Partition = ()):
         self.page = page
+        self.desc, self.n = page.desc, page.n
         self.mu = mu
-        self.max_edges = max(page.n - 1, 0)
         self.colour_counts = (page.n - sum(mu),) + tuple(mu)
         # colour of point x at x - 1; each colour is a run of consecutive points
         self.colours = tuple(c for c, m in enumerate(self.colour_counts) for _ in range(m))
@@ -453,7 +495,7 @@ class InvariantComplex:
     def _odd(self, signature: tuple) -> bool:
         """Whether a block type's total degree (s-1)(d-1) + deg cls is odd."""
         size, _, cls = signature
-        return ((size - 1) * (self.page.desc.d - 1) + self.page.desc.degrees[cls]) % 2 == 1
+        return ((size - 1) * (self.desc.d - 1) + self.desc.degrees[cls]) % 2 == 1
 
     def _signature_table(self, q: int) -> tuple:
         """(signatures, kinds, stop) for cells with q edges: the block
@@ -463,7 +505,7 @@ class InvariantComplex:
         signature that every colour with points left still has.  Computed
         once per q."""
         if q not in self._tables:
-            desc, n = self.page.desc, self.page.n
+            desc, n = self.desc, self.n
             parity = desc.d % 2
             comps = [()]
             for m in self.colour_counts:
@@ -492,7 +534,7 @@ class InvariantComplex:
         counts, class) that use every point once, q edges and total class
         degree p, with no block of a zero-dimensional shape and no more
         copies of an odd type than its block space has dimensions."""
-        desc, n = self.page.desc, self.page.n
+        desc, n = self.desc, self.n
         if not 0 <= q <= self.max_edges or p < 0:
             return []
         signatures, kinds, stop = self._signature_table(q)
@@ -543,7 +585,7 @@ class InvariantComplex:
         if pattern in self._representatives:
             return self._representatives[pattern]
         self._representatives[pattern] = None
-        parity = self.page.desc.d % 2
+        parity = self.desc.d % 2
         runs: list[tuple[int, int, bool]] = []
         spaces = []
         for t, sig in enumerate(pattern):
@@ -653,7 +695,7 @@ class InvariantComplex:
             add_into(out, image, c)
         return out
 
-    def diff(self, key: Key) -> dict:
+    def diff_key(self, key: Key) -> dict:
         """d of a key, in basis coordinates."""
         return self.classes(self.page.diff_key(key))
 
@@ -662,7 +704,7 @@ class InvariantComplex:
         the closed form at mu = (); computed once per cell."""
         if (p, q) not in self._bases:
             basis = [key for pattern in self.patterns(p, q) for key in self._pattern_basis(pattern)]
-            expected = invariant_cell_dim(self.page.desc, self.page.n, p, q) if not self.mu else len(basis)
+            expected = invariant_cell_dim(self.desc, self.n, p, q) if not self.mu else len(basis)
             if len(basis) != expected:
                 raise AssertionError(f"invariant cell ({p},{q}) has dim {len(basis)}, closed form {expected}")
             self._bases[(p, q)] = basis
@@ -671,23 +713,8 @@ class InvariantComplex:
     def differential_rank(self, p: int, q: int) -> int:
         """Rank of d out of invariant cell (p, q); computed once per cell."""
         if (p, q) not in self._ranks:
-            self._ranks[(p, q)] = span_dim([self.diff(key) for key in self.basis(p, q)])
+            self._ranks[(p, q)] = span_dim([self.diff_key(key) for key in self.basis(p, q)])
         return self._ranks[(p, q)]
-
-    def cohomology_dim(self, p: int, q: int) -> int:
-        dim = len(self.basis(p, q))
-        rank_out = self.differential_rank(p, q)
-        rank_in = self.differential_rank(p - self.page.desc.d, q + 1)
-        return dim - rank_out - rank_in
-
-    def betti(self, i: int) -> int:
-        d = self.page.desc.d
-        total = 0
-        for q in range(self.max_edges + 1):
-            p = i - q * (d - 1)
-            if p >= 0:
-                total += self.cohomology_dim(p, q)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +802,9 @@ def _block_orbit_factor(desc: ManifoldDescriptor, cycle_of: dict, orbit, blocks)
 
 def _row(desc: ManifoldDescriptor, qd1: int) -> int | None:
     """The edge count q of the page row in degree qd1 = q(d-1), or None when
-    no row has that degree.  The bigrading needs d >= 2: for d = 1 every row
-    sits in degree 0."""
+    no row has that degree."""
+    _check_bigrading(desc)
     d = desc.d
-    if d < 2:
-        raise NotComputable(f"{desc.name}: the E2 bigrading (p, q(d-1)) needs dim >= 2, got {d}")
     if qd1 % (d - 1) != 0 or qd1 < 0:
         return None
     return qd1 // (d - 1)
@@ -800,48 +825,30 @@ def e2_cell_character(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> Cla
 def e2_cell_dim(desc: ManifoldDescriptor, n: int, p: int, qd1: int) -> int:
     """Cell dimension, combinatorially (no basis enumeration)."""
     q = _row(desc, qd1)
-    if q is None:
-        return 0
-    return _row_dims(tuple(desc.poincare().items()), n, q).get(p, 0)
+    rows = page_rows(desc, n)
+    return rows[q].get(p, 0) if q is not None and q < len(rows) else 0
 
 
-@lru_cache(maxsize=64)
-def _forest_counts(n: int) -> tuple[int, ...]:
-    """Forests on n points by edge count q < max(n, 1): the coefficients of
-    (1 + t)(1 + 2t)...(1 + (n-1)t), computed once per n for every row."""
-    if not n:
-        return (1,)
-    coeffs = poincare_polynomial(n, 2)
-    return tuple(coeffs[q] for q in range(n))
+def page_rows(desc: ManifoldDescriptor, n: int) -> tuple[MappingProxyType, ...]:
+    """The page's cell dimensions in closed form, row q = 0 .. max(n - 1, 0)
+    as a read-only {p: dim E2^{p, q(d-1)}}."""
+    _check_bigrading(desc)
+    return _page_rows(tuple(desc.poincare().items()), n)
 
 
-# bounded by descriptor; each list holds the powers some row has asked for
-@lru_cache(maxsize=8)
-def _powers(poincare: tuple[tuple[int, int], ...]) -> list[dict[int, int]]:
-    """P_M(x)^0, P_M(x)^1, ... as far as _power has computed them."""
-    return [{0: 1}]
-
-
-def _power(poincare: tuple[tuple[int, int], ...], e: int) -> dict[int, int]:
-    """P_M(x)^e, one product per power not computed before: the n rows of a
-    page at n make n products between them."""
-    powers = _powers(poincare)
-    factor = dict(poincare)
-    while len(powers) <= e:
-        powers.append(_poly_mul(powers[-1], factor))
-    return powers[e]
-
-
-# cached: the e2 table and the cell sums walk a row one degree at a time
-@lru_cache(maxsize=256)
-def _row_dims(poincare: tuple[tuple[int, int], ...], n: int, q: int) -> dict[int, int]:
+# bounded: a query reads the table of one (M, n), and a sweep over n keeps a few
+@lru_cache(maxsize=16)
+def _page_rows(poincare: tuple[tuple[int, int], ...], n: int) -> tuple[MappingProxyType, ...]:
     """Row q of the page by M-degree: the forests on n points with q edges,
     [t^q] of (1 + t)(1 + 2t)...(1 + (n-1)t), each carrying the words
-    P_M(x)^(n-q) on its n - q blocks."""
-    if q >= max(n, 1):
-        return {}
-    forests = _forest_counts(n)[q]
-    return {p: forests * c for p, c in _power(poincare, n - q).items()}
+    P_M(x)^(n-q) on its n - q blocks.  One forest expansion and n products."""
+    forests = poincare_polynomial(n, 2) if n else {0: 1}
+    factor = dict(poincare)
+    powers = [{0: 1}]  # P_M(x)^0 .. P_M(x)^n
+    for _ in range(n):
+        powers.append(_poly_mul(powers[-1], factor))
+    rows = ({p: forests[q] * c for p, c in powers[n - q].items()} for q in range(max(n, 1)))
+    return tuple(map(MappingProxyType, rows))
 
 
 # ---------------------------------------------------------------------------

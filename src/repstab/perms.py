@@ -77,10 +77,8 @@ def from_cycles(n: int, cycs) -> Perm:
     return tuple(out)
 
 
-def class_representative(rho: Partition, n: int | None = None) -> Perm:
+def class_representative(rho: Partition, n: int) -> Perm:
     """Canonical permutation of cycle type rho: cycles on consecutive blocks."""
-    if n is None:
-        n = sum(rho)
     out = []
     start = 1
     for part in rho:
@@ -96,7 +94,6 @@ def class_size(rho: Partition) -> int:
     return factorial(sum(rho)) // centralizer_order(rho)
 
 
-@lru_cache(maxsize=4096)
 def centralizer_order(rho: Partition) -> int:
     z = 1
     mult: dict[int, int] = {}

@@ -96,8 +96,21 @@ def test_character_table_is_read_only():
 
 
 def test_character_caches_are_bounded():
-    # every cache whose keys grow with a runtime n holds a stated number of entries
-    bounded = [
+    # every module-level cache holds a stated number of entries
+    import importlib
+    import pkgutil
+
+    import repstab
+
+    caches = {}
+    for info in pkgutil.iter_modules(repstab.__path__):
+        module = importlib.import_module(f"repstab.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == module.__name__:
+                caches[f"{module.__name__}.{name}"] = fn
+    unbounded = [name for name, fn in caches.items() if fn.cache_info().maxsize is None]
+    assert not unbounded, unbounded
+    for fn in (
         mn_character,
         characters._abacus_table,
         characters._class_index,
@@ -105,11 +118,9 @@ def test_character_caches_are_bounded():
         partitions_of,
         dim_irrep,
         class_size,
-        perms.centralizer_order,
-        arnold.induced_cyclic_sign_character,
-    ]
-    for fn in bounded:
-        assert fn.cache_info().maxsize is not None, fn.__name__
+        arnold._top_character_by_parity,
+    ):
+        assert f"{fn.__module__}.{fn.__name__}" in caches, fn.__name__
 
 
 def test_single_rows_at_large_n_build_no_table():

@@ -200,6 +200,17 @@ def test_ranges_rejects_too_few_pages():
         assert text == f"ranges: need pages >= 2, got {pages}"
 
 
+def test_ranges_rejects_too_many_pages():
+    # every page past 2 repeats page 2, and the table is refused before it is built
+    from repstab.cli import MAX_PAGES
+
+    for pages in (MAX_PAGES + 1, 10**12):
+        code, text = run("ranges", "--m", "2", "--ell", "0", "--pages", str(pages))
+        assert (code, text) == (2, f"ranges: need pages <= {MAX_PAGES}, got {pages}")
+    code, text = run("ranges", "--m", "2", "--ell", "0", "--pages", str(MAX_PAGES))
+    assert code == 0 and len(text.splitlines()) == MAX_PAGES - 1
+
+
 def test_ranges_for_rejects_negative_degree():
     code, text = run("ranges-for", "--manifold", "torus", "--i", "-1")
     assert (code, text) == (2, "error: need i >= 0, got -1")

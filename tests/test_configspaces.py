@@ -1,3 +1,4 @@
+import re
 from math import factorial, prod
 
 import pytest
@@ -108,6 +109,22 @@ def test_not_computable_without_flag():
         betti_unordered(desc, 2, 1)
 
 
+def test_dim_one_pages_refuse():
+    # every row of a d = 1 page would sit in degree q(d-1) = 0, so the cells
+    # of C_n(S^1), (n-1)! circles, would collide
+    s1 = parse_descriptor(
+        "name s1\ndim 1\nflag single_differential\nclass 1 0\nclass t 1\ndiag 1 t 1\ndiag t 1 -1\n"
+    )
+    message = re.escape("s1: the E2 bigrading (p, q(d-1)) needs dim >= 2, got 1")
+    for n in (2, 3, 4):
+        with pytest.raises(NotComputable, match=message):
+            ordered_betti(s1, n, 1)
+        with pytest.raises(NotComputable, match=message):
+            configspaces.e2_page(s1, n)
+        with pytest.raises(NotComputable, match=message):
+            euler_characteristic_consistency(s1, n)
+
+
 def test_colored_reduces_to_unordered():
     for n in (2, 3):
         for i in range(0, 4):
@@ -127,7 +144,7 @@ def _colored_via_characters(desc, n: int, i: int, mu) -> int:
         counts: dict = {}
         for q in range(n):
             p = i - q * (desc.d - 1)
-            if p < 0 or not page.cell(p, q):
+            if p < 0 or not page.basis(p, q):
                 continue
             for lam, mult in decompose(page.cohomology_cell_character(p, q)).counts.items():
                 counts[lam] = counts.get(lam, 0) + mult

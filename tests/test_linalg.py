@@ -221,7 +221,7 @@ def test_span_dim_of_explicit_differentials_matches_the_row_scan(name, n_max):
     for n in range(1, n_max + 1):
         page = E2Page(desc, n)
         for p, q in page.cells:
-            images = [page.diff_key(key) for key in page.cell(p, q)]
+            images = [page.diff_key(key) for key in page.basis(p, q)]
             assert span_dim(images) == RowScanEchelon(images).dim, (name, n, p, q)
 
 

@@ -173,9 +173,9 @@ def test_linear_index_tables_are_the_page_action(name):
 
 def generic_cell_character(page, p, q):
     """cohomology_cell_character on the keyed page action: the oracle."""
-    keys = page.cell(p, q)
+    keys = page.basis(p, q)
     cycles = kernel_basis([page.diff_key(key) for key in keys], [{key: 1} for key in keys])
-    boundaries = [page.diff_key(key) for key in page.cell(p - page.desc.d, q + 1)]
+    boundaries = [page.diff_key(key) for key in page.basis(p - page.desc.d, q + 1)]
     kernel = explicit_character(Echelon(cycles), page.n, page.act_vec)
     return kernel - explicit_character(Echelon(boundaries), page.n, page.act_vec)
 
@@ -200,7 +200,7 @@ def test_cell_character_acts_once_per_permutation_and_key(monkeypatch):
 
 def test_linear_index_keeps_the_invariance_check():
     page = E2Page(load_manifold("torus"), 3)
-    keys = page.cell(1, 1)
+    keys = page.basis(1, 1)
     index = LinearIndex(keys, page.act_key)
     with pytest.raises(ValueError):
         Rep(3, index, [{keys[0]: 1}]).character()
