@@ -144,6 +144,16 @@ def contents(lam: Partition) -> tuple[int, ...]:
     return tuple(j - i for i, row in enumerate(lam) for j in range(row))
 
 
+def added_box_content(mu: Partition, nu: Partition) -> int | None:
+    """The content j - i of the one box (i, j) of Y_nu outside Y_mu, or None
+    unless nu is mu with one box added."""
+    below = mu + (0,) * (len(nu) - len(mu))
+    grown = [i for i, (a, b) in enumerate(zip(nu, below)) if a != b]
+    if sum(nu) != sum(mu) + 1 or len(grown) != 1 or nu[grown[0]] != below[grown[0]] + 1:
+        return None
+    return nu[grown[0]] - 1 - grown[0]
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not lam:

@@ -20,13 +20,18 @@ follow the key order, pivots and bases are those of the keyed computation.
   act on the rows.
 
 Traces come from characters.explicit_character.  Isotypic components and the
-constituents of span(S_n . seeds) both come from central projections,
-products of Jucys-Murphy power sums read off one Krylov sequence per vector.
-One loop (_projections) feeds them into one Echelon per constituent until it
-is full: isotypic projects the echelon rows, central_projections a
-combination of the seeds and then the seeds, and span_multiplicities the
-seeds, whose span is not closed.  sn_span, the span-closure loop, closes only
-the parts of constituents that occur more than once and stay short of full.
+constituents of span(S_n . seeds) come from projections read off one Krylov
+sequence per vector, fed by one loop (_projections) into one Echelon per
+constituent until it is full.  Central projections are products of
+Jucys-Murphy power sums: isotypic projects the echelon rows,
+central_projections a combination of the seeds and then the seeds, and
+span_multiplicities the seeds, whose span is not closed; sn_span, the
+span-closure loop, closes only the parts of constituents that occur more
+than once and stay short of full.  Seeds inside one V_mu-isotypic part of the
+restriction to S_{n-1}, as the monotonicity checks have, are projected
+through the branching rule instead (branch_multiplicities): the last
+Jucys-Murphy element J_n alone tells the constituents mu + box apart, and
+each multiplicity is a rank, so no span is closed.
 """
 
 from functools import cached_property, lru_cache
@@ -34,7 +39,7 @@ from itertools import repeat
 
 from .characters import ClassFunction, MultiplicityVector, content_power_sums, decompose, explicit_character
 from .linalg import Echelon, _integral, add_into
-from .partitions import dim_irrep
+from .partitions import Partition, added_box_content, dim_irrep
 from .perms import from_cycles, generators
 
 
@@ -61,8 +66,9 @@ class KeyIndex(_Positions):
     act_key(sigma, keys[i]).  Tables are built on first use and kept in a
     bounded LRU cache; a Rep asks for the adjacent transpositions, the
     generators, the inverses of the p(n) class representatives and the
-    n(n-1)/2 transpositions, and one pass of the acceptance gate's calls
-    keeps at most 26 tables per index.
+    n(n-1)/2 transpositions (the n - 1 transpositions (a n) alone for a
+    branching projection), and one pass of the acceptance gate's calls
+    keeps at most 35 tables per index (an index at n = 7).
 
     labels, when given, writes a key as a function of the points: a tuple
     holding the key's label of point x at index x, which determines the key,
@@ -164,18 +170,32 @@ def _combine(coeffs, vectors) -> dict:
     return out
 
 
-class _CentralAction:
-    """The Jucys-Murphy power sums p_j(J) = sum_i J_i^j, J_i = sum_{a<i} (a i),
-    on the vectors of one Rep in index positions, through its index's action
-    (integer vectors stay integer).
+class _JucysMurphy:
+    """The Jucys-Murphy elements J_i = sum_{a<i} (a i) of S_n and their power
+    sums p_j(J) = sum_i J_i^j, on the vectors of one Rep in index positions,
+    through its index's action (integer vectors stay integer).
 
     The vectors are not reduced by the modulus on the way: W is invariant,
     so reducing once at the end gives the same normal form."""
 
     def __init__(self, rep: "Rep"):
-        n = rep.n
-        self.jm = [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
+        self.n = rep.n
         self.act = rep.index.act
+
+    @cached_property
+    def jm(self) -> list[list]:
+        """The transpositions (a i), a < i, of J_i, for i = 2 .. n."""
+        n = self.n
+        return [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
+
+    @cached_property
+    def _all(self) -> list:
+        return [tau for taus in self.jm for tau in taus]
+
+    @cached_property
+    def _last(self) -> list:
+        n = self.n
+        return [from_cycles(n, [(a, n)]) for a in range(1, n)]
 
     def _transpositions(self, taus, w: dict) -> dict:
         """sum of tau . w over the transpositions taus."""
@@ -184,10 +204,14 @@ class _CentralAction:
             add_into(out, self.act(tau, w))
         return out
 
+    def last(self, w: dict) -> dict:
+        """J_n w: n - 1 transpositions."""
+        return self._transpositions(self._last, w)
+
     def power_sum(self, w: dict, j: int) -> dict:
         """p_j(J) w."""
         if j == 1:
-            return self._transpositions([tau for taus in self.jm for tau in taus], w)
+            return self._transpositions(self._all, w)
         powers = []
         for taus in self.jm:
             v = w
@@ -262,20 +286,27 @@ class Rep:
             raise ValueError("counts is not the decomposition of this level")
         return sorted(nu for nu, m in counts.items() if m)
 
-    def _projections(self, xs: list, counts: dict, full: dict) -> dict:
-        """{nu: Echelon of the central projections e_nu x} for the nu of
-        full, xs being integer vectors in internal normal form and counts the
-        level's decomposition (_check_counts).  Each x is projected for every
-        open part at once (_project); a part takes _nf(e_nu x) until it holds
-        full[nu] dimensions (none if 0), and the loop stops when none is open."""
+    def _central(self, counts: dict):
+        """The central projector of _projections: (x, wanted) -> {nu: nonzero
+        multiple of e_nu x} for the wanted constituents (_project), counts
+        being the level's decomposition (_check_counts)."""
         constituents = self._check_counts(counts)
+        action = _JucysMurphy(self)
+        return lambda x, wanted: self._project(action, x, constituents, wanted)
+
+    def _projections(self, xs: list, full: dict, project) -> dict:
+        """{nu: Echelon of the projections of the xs onto nu} for the nu of
+        full, xs being integer vectors in internal normal form.  Each x is
+        projected for every open part at once (project(x, open parts)); a
+        part takes the normal forms of its projections until it holds
+        full[nu] dimensions (none if 0), and the loop stops when none is
+        open."""
         parts = {nu: Echelon() for nu in full}
         open_parts = {nu for nu, d in full.items() if d}
-        action = _CentralAction(self)
         for x in xs:
             if not open_parts:
                 break
-            for nu, y in self._project(action, x, constituents, open_parts).items():
+            for nu, y in project(x, open_parts).items():
                 if parts[nu].insert(self._nf(y)) and parts[nu].dim == full[nu]:
                     open_parts.discard(nu)
         return parts
@@ -290,9 +321,10 @@ class Rep:
         decomposition; nus restricts the answer to some partitions (empty for
         one that is not a constituent).  The echelon rows are projected until
         each part holds m_nu f^nu dimensions."""
+        project = self._central(counts)
         nus = self._check_counts(counts) if nus is None else nus
         full = {nu: counts.get(nu, 0) * dim_irrep(nu) for nu in nus}
-        parts = self._projections([row for _, row in self.echelon.rows], counts, full)
+        parts = self._projections([row for _, row in self.echelon.rows], full, project)
         return {nu: [self.index.decode(v) for v in part.basis()] for nu, part in parts.items()}
 
     def central_projections(self, seeds, counts: dict, nus=None) -> dict:
@@ -312,12 +344,13 @@ class Rep:
         projected first, and the seeds one by one only for the parts it
         cancels.
         """
+        project = self._central(counts)
         xs = self._seeds(seeds)
         combined: dict = {}
         for i, x in enumerate(xs):
             add_into(combined, x, i + 1)
         full = {nu: min(counts.get(nu, 0), 1) for nu in (counts if nus is None else nus)}
-        parts = self._projections([combined, *xs] if len(xs) > 1 else xs, counts, full)
+        parts = self._projections([combined, *xs] if len(xs) > 1 else xs, full, project)
         return {nu: self.index.decode(part.rows[0][1]) for nu, part in parts.items() if part.dim}
 
     def span_multiplicities(self, seeds, counts: dict, nus=None) -> dict:
@@ -329,7 +362,9 @@ class Rep:
         span exactly when central_projections finds it, once if m_nu = 1.
         For each one found with m_nu > 1, the seeds are projected until its
         part holds m_nu f^nu dimensions, and a part that stays short is
-        closed (sn_span).
+        closed (sn_span).  branch_multiplicities answers the same question
+        without closing a span, for seeds that lie in one V_mu-isotypic part
+        of the restriction to S_{n-1}.
         """
         mult = dict.fromkeys(counts if nus is None else nus, 0)
         full = {}
@@ -339,13 +374,74 @@ class Rep:
             else:
                 full[nu] = counts[nu] * dim_irrep(nu)
         if full:
-            for nu, part in self._projections(self._seeds(seeds), counts, full).items():
+            parts = self._projections(self._seeds(seeds), full, self._central(counts))
+            for nu, part in parts.items():
                 if part.dim < full[nu]:
                     part = self.sn_span([self.index.decode(row) for _, row in part.rows]).echelon
                 mult[nu] = part.dim // dim_irrep(nu)
         return mult
 
-    def _project(self, action: _CentralAction, x, constituents: list, wanted: set, j: int = 1) -> dict:
+    def branch_multiplicities(self, seeds: list, below: Partition, counts: dict, nus=None) -> tuple[dict, list]:
+        """({nu: multiplicity of V_nu in span(S_n . seeds)}, faults) for the
+        constituents nu of this level, counts = {nu: m_nu} being its
+        decomposition and nus restricting the answer to some partitions, when
+        the seeds lie in the V_mu-isotypic part of the level restricted to
+        S_{n-1}, mu = below: either one vector of an irreducible
+        S_{n-1}-submodule W, which stands for W, or a spanning set of an
+        S_{n-1}-invariant subspace.
+
+        By the branching rule that part is the sum over the constituents
+        nu = mu + box of the mu-parts of their isotypic parts U_nu, and on the
+        mu-part of U_nu = V_nu (x) C^{m_nu}, which is V_mu (x) C^{m_nu}, the
+        last Jucys-Murphy element J_n acts by the content of the added box,
+        distinct for each nu.  So prod_{c' != c_nu} (J_n - c') is a nonzero
+        multiple of the projection onto the mu-part of U_nu, read off one
+        Krylov sequence x, J_n x, ... of n - 1 transpositions a step.  An
+        S_{n-1}-submodule V_mu (x) L there generates the S_n-module
+        V_nu (x) L, so the multiplicity of nu is the rank of the projected
+        seeds over f^mu, and 1 for a nonzero projection of one seed; every
+        other constituent has multiplicity 0.  No span is closed.
+
+        Seeds outside that part break the count, so each projected seed x
+        must satisfy prod_c (J_n - c) x = 0 modulo the modulus, and each rank
+        must be a multiple of f^mu.  The faults list what fails, as
+        ("off_branching", number of seeds) and ("rank", nu, rank); a
+        multiplicity is meaningful only when there are none.
+        """
+        added = {}  # nu = below + box: the content of the box
+        for nu in self._check_counts(counts):
+            c = added_box_content(below, nu)
+            if c is not None:
+                added[nu] = c
+        roots = sorted(added.values())
+        vanishing = _vanishing_poly(roots)
+        projector = {nu: _vanishing_poly([r for r in roots if r != c]) for nu, c in added.items()}
+        action = _JucysMurphy(self)
+        off = []
+
+        def project(x, wanted):
+            krylov = [x]
+            for _ in roots:
+                krylov.append(action.last(krylov[-1]))
+            if self._nf(_combine(vanishing, krylov)):
+                off.append(x)
+            return {nu: _combine(projector[nu], krylov) for nu in wanted}
+
+        f = dim_irrep(below)
+        mult = dict.fromkeys(counts if nus is None else nus, 0)
+        full = {nu: counts[nu] * f for nu in mult if nu in added}
+        parts = self._projections(self._seeds(seeds), full, project)
+        faults = [("off_branching", len(off))] if off else []
+        for nu, part in parts.items():
+            if len(seeds) == 1:
+                mult[nu] = part.dim
+            elif part.dim % f:
+                faults.append(("rank", nu, part.dim))
+            else:
+                mult[nu] = part.dim // f
+        return mult, faults
+
+    def _project(self, action: _JucysMurphy, x, constituents: list, wanted: set, j: int = 1) -> dict:
         """{nu: nonzero multiple of e_nu x} for the wanted constituents, given
         x in the sum of the constituents' isotypic parts, all of which agree
         on p_1 .. p_{j-1}; a zero projection may be left out."""

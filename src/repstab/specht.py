@@ -15,10 +15,10 @@ them at desk scale.  A Specht span is a rep.Rep on tabloid_index(lam, n), so
 its traces, isotypic components, central projections and span closures are
 Rep's: it computes on integer positions, acts by permutation tables, and
 reads each trace off a pivot without acting on a row.
-monotonicity_witness closes no span: the constituents of I_{n+1}(V_lam),
-read off its trace, are Pieri's, each once, so Rep.span_multiplicities
-reads the ones an S_{n+1}-span holds off central projections.  The n! group-sum projector
-project_tabloid is kept only as the oracle the tests compare against.
+monotonicity_witness closes no span: it reads the constituents an
+S_{n+1}-span holds off the branching projection of one vector
+(Rep.branch_multiplicities).  The n! group-sum projector project_tabloid is
+kept only as the oracle the tests compare against.
 """
 
 from fractions import Fraction
@@ -121,11 +121,17 @@ def specht_module(lam: Partition, n: int) -> Rep:
 
 
 def tabloid_module_dim(lam: Partition, n: int) -> int:
-    k = sum(lam)
-    ways = factorial(k)
+    """The number of pseudo-tabloids of shape lam in ambient n: 0 when
+    |lam| > n, else n! / (lam_1! ... lam_l! (n - |lam|)!), the product of
+    the binomials C(n - lam_1 - ... - lam_{i-1}, lam_i), so no factorial of
+    |lam| is taken."""
+    ways = 1
     for part in lam:
-        ways //= factorial(part)
-    return comb(n, k) * ways
+        if part > n:
+            return 0
+        ways *= comb(n, part)
+        n -= part
+    return ways
 
 
 def iota(v: Vec) -> Vec:
@@ -362,11 +368,13 @@ def monotonicity_witness(lam: Partition, n: int) -> ClaimsReport:
     recorded unless it is f^mu and central projection of the basis
     (Rep.central_projections) finds a w != 0 in W.  W is then irreducible
     and iota is S_n-equivariant, so span(S_{n+1} . iota(W)) =
-    span(S_{n+1} . iota(w)); Rep.span_multiplicities reads which
-    constituents of I_{n+1}(V_lam) that span holds off central projections
-    of iota(w), and span_dim sums their dimensions.  No isotypic basis is
-    computed, and a span is closed only where I_{n+1}(V_lam) holds a
-    constituent more than once, which Pieri's rule rules out.
+    span(S_{n+1} . iota(w)), and iota(w) lies in the V_mu-isotypic part of
+    I_{n+1}(V_lam) restricted to S_n.  Rep.branch_multiplicities reads which
+    constituents that span holds off the projections of iota(w) by the last
+    Jucys-Murphy element onto the constituents mu + box (every other one has
+    multiplicity 0), and span_dim sums their dimensions; what its guard finds
+    is a "branching" failure.  No isotypic basis is computed and no span is
+    closed.
     """
     if n > MAX_VERIFY_N:
         raise ValueError(f"monotonicity_witness capped at n = {MAX_VERIFY_N}")
@@ -382,7 +390,8 @@ def monotonicity_witness(lam: Partition, n: int) -> ClaimsReport:
         entry = {"mu": mu, "component_dim": component_dim}
         if component_dim != dim_irrep(mu) or not w:
             report.failures.append((mu, "isotypic_dim", component_dim))
-        mults = level.span_multiplicities([iota(w)] if w else [], counts)
+        mults, faults = level.branch_multiplicities([iota(w)] if w else [], mu, counts)
+        report.failures.extend((mu, "branching", fault) for fault in faults)
         target = curly_pad(mu)
         entry["target"] = target
         entry["target_multiplicity"] = mults.get(target, 0)

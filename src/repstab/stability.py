@@ -14,18 +14,22 @@ Two backends coexist: multiplicity bookkeeping through induced characters
 explicit linear algebra (needed for Conditions I/II, for monotonicity, which
 quantifies over subspaces, and for levels without a usable hint).
 On the explicit side, Rep.character reads traces off the pivots of the
-reduced echelon basis, and central projection (products of Jucys-Murphy
-power sums) gives both the isotypic components (Rep.isotypic projects every
-echelon row) and the constituents an S_{n+1}-span holds (monotonicity, and
-spanning: Rep.span_multiplicities projects the seeds, and closes with
-Rep.sn_span only a part, of a constituent that occurs more than once, that
-the projected seeds leave short); none sums over S_n.  Every level acts
-through a KeyIndex: levels inside a tabloid module (induced modules and
-Specht spans, and the quotients, kernels and images built from them, which
-reuse their source's index) through specht.tabloid_index, and a sum through
-one index over its tagged keys whose key action is its summands'.  Without a
-modulus traces are read off the pivots with no action, while quotients act
-and reduce.
+reduced echelon basis.  Central projection (products of Jucys-Murphy power
+sums) gives the isotypic components (Rep.isotypic projects every echelon
+row) and the constituents of the S_{n+1}-span that spanning asks about
+(Rep.span_multiplicities projects the seeds, and closes with Rep.sn_span
+only a part, of a constituent that occurs more than once, that the
+projected seeds leave short).  Monotonicity projects through the branching
+rule instead (Rep.branch_multiplicities): the images of one V_mu-isotypic
+component are told apart by the last Jucys-Murphy element alone, and no
+span is closed.  None sums over S_n.
+
+Every level acts through a KeyIndex: levels inside a tabloid module
+(induced modules and Specht spans, and the quotients, kernels and images
+built from them, which reuse their source's index) through
+specht.tabloid_index, and a sum through one index over its tagged keys
+whose key action is its summands'.  Without a modulus traces are read off
+the pivots with no action, while quotients act and reduce.
 All verdicts are statements about the tested window only.
 """
 
@@ -375,16 +379,17 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
     """Monotonicity on the window: for each isotypic component W = V_mu^k of
     V_n, the S_{n+1}-span of phi_n(W) contains V_{mu{n+1}}^k.
 
-    The multiplicity of V_{mu{n+1}} in that span is read off central
-    projections (Rep.span_multiplicities) of phi_n of one vector of W when
-    k = 1, of a basis of W otherwise; only projections onto V_{mu{n+1}} are
-    ever closed, where it occurs more than once in V_{n+1}.  The one vector
-    stands for W because phi_n is S_n-equivariant; this checker does not
-    check that, and a phi_n that is not can pass here, so the tests check it
-    for every default_seeds() sequence
-    (test_phi_is_equivariant_on_default_seeds).  `only` restricts to
-    components with the given stable label, e.g. () for the trivial
-    representation.  A level's isotypic components come from one
+    phi_n(W) lies in the V_mu-isotypic part of V_{n+1} restricted to S_n, so
+    the multiplicity of V_{mu{n+1}} in that span is read off the branching
+    projection (Rep.branch_multiplicities) of phi_n of one vector of W when
+    k = 1, of a basis of W otherwise: one Jucys-Murphy element, and no span
+    is closed.  The one vector stands for W because phi_n is S_n-equivariant;
+    this checker does not check that in full, so the tests check it for every
+    default_seeds() sequence (test_phi_is_equivariant_on_default_seeds), but
+    an image outside the V_mu-isotypic part, or a rank that is not a
+    multiple of f^mu, is recorded as a "branching" witness.  `only`
+    restricts to components with the given stable label, e.g. () for the
+    trivial representation.  A level's isotypic components come from one
     Rep.isotypic call.
     """
     report = StabilityReport(seq.label, (n_start, n_max))
@@ -401,7 +406,12 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
             # one vector generates an irreducible W; phi is assumed S_n-equivariant
             seeds = [seq.phi(n, v) for v in (component[:1] if k == 1 else component)]
             mu_next = curly_pad(mu)
-            achieved = target.span_multiplicities(seeds, target_counts, [mu_next])[mu_next]
+            mults, faults = target.branch_multiplicities(seeds, mu, target_counts, [mu_next])
+            if faults:
+                level_ok = False
+                report.witnesses.extend((n, mu, "branching", fault) for fault in faults)
+                continue
+            achieved = mults[mu_next]
             if achieved < k:
                 level_ok = False
                 report.witnesses.append((n, mu, "monotone", achieved))

@@ -82,6 +82,32 @@ def test_sequence_budget_checks_n_max(monkeypatch, command):
     assert text.endswith("(raise REPSTAB_BUDGET to override)")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["branch", "--lambda", "99999999999999999999", "--n", "3"], "ambient 3 too small for (99999999999999999999,)"),
+        (["stable", "--lambda", "99999999999999999999", "--n-max", "3"], "window [99999999999999999999, 3]"),
+        (["branch", "--lambda", "5000000000", "--n", "3"], "ambient 3 too small for (5000000000,)"),
+    ],
+    ids=["branch-huge", "stable-huge", "branch-large"],
+)
+def test_a_partition_larger_than_n_is_refused_in_one_line(argv, message, capsys):
+    # the budget check counts no tabloid of a shape that does not fit in n
+    # (no factorial of |lambda|), and the command then refuses
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("error: ") and message in out and out.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_tabloid_module_dim_of_a_shape_that_does_not_fit_is_zero():
+    from repstab.specht import tabloid_module_dim
+
+    assert tabloid_module_dim((99999999999999999999,), 3) == 0
+    assert tabloid_module_dim((2, 2), 3) == 0
+    assert tabloid_module_dim((3, 2, 1), 7) == 420
+
+
 def test_chartable_n10_golden(capsys):
     assert main(["chartable", "--n", "10"]) == 0
     golden = Path(__file__).parent / "golden" / "chartable_n10.txt"

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repstab.partitions import (
+    added_box_content,
     angle_pad,
     conjugate,
+    contents,
     curly_pad,
     dim_irrep,
     format_partition,
@@ -181,6 +183,24 @@ def test_conjugate():
     assert conjugate((3, 2, 1)) == (3, 2, 1)
     assert conjugate((4, 1)) == (2, 1, 1, 1)
     assert conjugate(()) == ()
+
+
+def test_added_box_content():
+    assert [added_box_content((2, 1), nu) for nu in ((3, 1), (2, 2), (2, 1, 1))] == [2, 0, -2]
+    assert added_box_content((), (1,)) == 0
+    for nu in ((4,), (3, 2), (2, 1), (1, 1, 1, 1)):
+        assert added_box_content((2, 1), nu) is None
+    assert added_box_content((1, 1, 1), (3, 1)) is None
+
+
+@given(partition_strategy())
+def test_added_box_contents_are_the_content_differences(mu):
+    # the box added to mu in each nu = mu + box: distinct contents, each the
+    # difference of the content sums
+    grown = [nu for nu in partitions_of(sum(mu) + 1) if added_box_content(mu, nu) is not None]
+    found = [added_box_content(mu, nu) for nu in grown]
+    assert len(set(found)) == len(found)
+    assert found == [sum(contents(nu)) - sum(contents(mu)) for nu in grown]
 
 
 @given(partition_strategy())

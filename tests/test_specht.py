@@ -511,6 +511,20 @@ def test_monotonicity_witness_matches_closure_oracle(lam):
         assert witness_entries(report) == closure_witness(lam, n)
 
 
+@pytest.mark.parametrize("lam", [lam for k in range(4) for lam in partitions_of(k)])
+def test_monotonicity_witness_branching_matches_span_multiplicities(lam):
+    # the one seed monotonicity_witness projects, iota(w) for the w that
+    # central projection finds in each V_mu piece; every constituent
+    for n in range(max(sum(lam), 1), 8):
+        sub, level = specht_module(lam, n), specht_module(lam, n + 1)
+        counts = level.decompose().counts
+        found = sub.central_projections(sub.basis(), sub.decompose().counts, leadsto(lam, n))
+        for mu, w in found.items():
+            mults, faults = level.branch_multiplicities([iota(w)], mu, counts)
+            assert faults == []
+            assert mults == level.span_multiplicities([iota(w)], counts)
+
+
 def test_monotonicity_witness_splits_content_sum_ties_without_closure(monkeypatch):
     # I_6(V_(3,1)) holds (4,1,1) and (3,3), whose content sums agree, so p_1 of
     # the Jucys-Murphy elements alone cannot tell them apart

@@ -448,6 +448,60 @@ def test_check_monotone_takes_isotypic_parts_once_per_level(monkeypatch):
     assert calls == [3, 4, 5]
 
 
+@pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
+def test_branch_multiplicities_match_span_multiplicities(seq):
+    # the seeds check_monotone projects: one vector of a multiplicity-one
+    # component, a basis of any other; every constituent of level n + 1
+    for n in range(max(seq.n_min, 1), 6):
+        source, target = seq.rep(n), seq.rep(n + 1)
+        counts, target_counts = source.decompose().counts, target.decompose().counts
+        for mu, part in source.isotypic(counts).items():
+            seeds = [seq.phi(n, v) for v in (part[:1] if counts[mu] == 1 else part)]
+            mults, faults = target.branch_multiplicities(seeds, mu, target_counts)
+            assert faults == []
+            assert mults == target.span_multiplicities(seeds, target_counts)
+
+
+def test_branch_multiplicities_flag_a_rank_that_is_not_a_multiple():
+    # two vectors of the V_(3,1)^2 part of I_4(M^(2,1)) span no S_4-submodule,
+    # and their projections have rank 2 where f^(3,1) = 3
+    seq = InducedModuleSequence((2, 1))
+    source, target = seq.rep(4), seq.rep(5)
+    counts = source.decompose().counts
+    assert counts[(3, 1)] == 2
+    seeds = [seq.phi(4, v) for v in source.isotypic(counts, [(3, 1)])[(3, 1)][:2]]
+    _, faults = target.branch_multiplicities(seeds, (3, 1), target.decompose().counts)
+    assert faults == [("rank", nu, 2) for nu in ((4, 1), (3, 2), (3, 1, 1))]
+
+
+class ShiftedLabelsSequence(InducedModuleSequence):
+    """A deliberately broken sequence: phi_n sends label x to x + 1, which
+    does not commute with S_n, yet its image still generates level n + 1."""
+
+    def phi(self, n: int, v: dict) -> dict:
+        return {PseudoTabloid(t.n + 1, tuple(tuple(x + 1 for x in row) for row in t.rows)): c for t, c in v.items()}
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [ShiftedLabelsSequence(lam) for lam in ((1,), (2,), (1, 1))]
+    + [QuotientSequence(ShiftedLabelsSequence((1, 1)), InducedSpechtSequence((1, 1)))],
+    ids=lambda seq: seq.label,
+)
+def test_check_monotone_flags_a_phi_that_is_not_equivariant(seq):
+    # the S_{n+1}-span of the image is all of level n + 1, so every closed
+    # span passes; the images leave the V_mu-isotypic parts of the
+    # restriction to S_n, which the branching projection catches at every
+    # level but n = 1, where S_1 is trivial and phi_1 equivariant
+    start = seq.n_min
+    assert equivariance_failures(seq, 4)
+    assert closure_monotone(seq, start, 5) == ({n: True for n in range(start, 5)}, [])
+    report = check_monotone(seq, start, 5)
+    assert report.monotone == {n: n == 1 for n in range(start, 5)}
+    assert {w[0] for w in report.witnesses} == set(range(max(start, 2), 5))
+    assert {(w[2], w[3][0]) for w in report.witnesses} == {("branching", "off_branching")}
+
+
 def equivariance_failures(seq, n_max):
     """(n, g, v) where nf(phi_n(g . v)) != g . nf(phi_n(v)), for the
     generators g of S_n acting on level n + 1 with n + 1 fixed, over a basis
