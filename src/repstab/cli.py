@@ -28,7 +28,7 @@ from .specht import (
     check_claims_level,
     monotonicity_witness,
     specht_module,
-    tabloid_module_dim,
+    tabloid_counts,
     verify_claims,
 )
 from .stability import (
@@ -54,12 +54,16 @@ def _check_module_budget(lam, n: int) -> None:
     """Refuse before building anything when I_n(M^lam), the tabloid module
     that the largest level a command builds lives in, exceeds the budget."""
     budget = _budget()
-    size = tabloid_module_dim(lam, n)
-    if size > budget:
-        raise BudgetExceeded(
-            f"I_n(M^lambda) for lambda = {format_partition(lam)}, n = {n} has {size} tabloids, "
-            f"over the {budget}-element budget"
-        )
+    counts = tabloid_counts(lam, n)
+    for size in counts:
+        if size > budget:
+            # the running counts strictly increase: a further one means that
+            # size is not the count yet, and the count is never formed
+            text = str(size) if next(counts, None) is None else f"more than {budget}"
+            raise BudgetExceeded(
+                f"I_n(M^lambda) for lambda = {format_partition(lam)}, n = {n} has {text} tabloids, "
+                f"over the {budget}-element budget"
+            )
 
 
 def _emit(rows: list[list[str]], fmt: str) -> str:

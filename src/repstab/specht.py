@@ -6,10 +6,18 @@ the direct sum over the k-subsets S of 1..n of a copy of V_lam on S, so it
 is built once at ambient k = |lam| and its reduced rows are relabelled onto
 every S, in the FI-module picture of Church-Farb.  The inclusion iota to
 ambient n+1 and the generators w_T are implemented literally from their
-defining sums; the fill-the-boxes maps pi_mu and the bad-bijection sums of
-verify_claims are grouped by row assignment, since a tabloid depends only on
-the row each label lands in, so they cost the number of row assignments
-rather than (n-k)! fillings or bijections.
+defining sums, on flat label tuples: one sum (_column_sum) reads the
+tableau's labels in row-major order through each (positions, sign) pair of
+column_group(shape), the column stabilizer of the shape cached once, and
+keeps the first lam_i labels of each row, since the boxes that strip
+removes form a horizontal strip at the ends of their rows.  It feeds v_T,
+w_T, the rewriting identity of verify_claims and the ambient-k Specht
+build; coefficients add up on raw row tuples, and each distinct nonzero
+tabloid is wrapped once.  The fill-the-boxes maps pi_mu and the
+bad-bijection sums of verify_claims are grouped by row assignment, since a
+tabloid depends only on the row each label lands in, so they cost the
+number of row assignments rather than (n-k)! fillings or bijections; both
+deal through deal_table(m, sizes), the dealings of m positions cached once.
 verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep on tabloid_index(lam, n), so
 its traces, isotypic components, central projections and span closures are
@@ -23,8 +31,8 @@ kept only as the oracle the tests compare against.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb, factorial
+from itertools import accumulate, combinations, permutations
+from math import factorial
 
 from ._record import Record
 from .characters import mn_character
@@ -35,16 +43,15 @@ from .rep import KeyIndex, Rep
 from .tabloids import (
     PseudoTableau,
     PseudoTabloid,
-    act,
     act_tabloid,
     added_boxes,
-    column_stabilizer,
+    column_group,
     column_stabilizer_order,
+    deal_table,
     pseudo_tableaux,
     pseudo_tabloids,
     row_labels,
     row_major_tableau,
-    row_splits,
     strip,
 )
 
@@ -63,12 +70,42 @@ def tabloid_index(lam: Partition, n: int) -> KeyIndex:
     return KeyIndex(pseudo_tabloids(lam, n), act_tabloid, row_labels)
 
 
+def _flat(t: PseudoTableau) -> list[int]:
+    """The labels of t in row-major order."""
+    return [x for row in t.rows for x in row]
+
+
+def _cuts(shape: Partition, lam: Partition) -> list[tuple[int, int]]:
+    """Row-major slices of a tableau of shape that hold the first lam_i labels
+    of each row i < len(lam): when lam leads to shape the added boxes form a
+    horizontal strip at the end of their rows, so these slices are strip(.,
+    lam), and with lam = shape they are the rows."""
+    return [(end - part, end - part + keep) for part, end, keep in zip(shape, accumulate(shape), lam)]
+
+
+def _column_sum(labels, shape: Partition, lam: Partition, coeff=1, acc=None) -> dict:
+    """acc[rows] += coeff * sign over column_group(shape), rows the sorted
+    labels that each element moves into the slices _cuts(shape, lam) of the
+    tableau with these row-major labels: the tabloids {strip(sigma T, lam)}
+    of w_T, or, with lam = shape, the {sigma T} of v_T, keyed by their raw
+    row tuples (zero coefficients are kept)."""
+    acc = {} if acc is None else acc
+    cuts = _cuts(shape, lam)
+    for p, sign in column_group(shape):
+        moved = [labels[i] for i in p]
+        rows = tuple(tuple(sorted(moved[a:b])) for a, b in cuts)
+        acc[rows] = acc.get(rows, 0) + coeff * sign
+    return acc
+
+
+def _tabloid_vec(acc: dict, n: int) -> Vec:
+    """The nonzero entries of a raw row-tuple sum, each key wrapped once."""
+    return {PseudoTabloid(n, rows): c for rows, c in acc.items() if c}
+
+
 def polytabloid(t: PseudoTableau) -> Vec:
     """v_T: signed sum of {qT} over the column stabilizer of T."""
-    out: Vec = {}
-    for sigma, sgn in column_stabilizer(t):
-        add_into(out, {act(sigma, t).tabloid(): sgn})
-    return out
+    return _tabloid_vec(_column_sum(_flat(t), t.shape, t.shape), t.n)
 
 
 # bench/tracer.py wraps Subspace.character by this name.
@@ -120,18 +157,34 @@ def specht_module(lam: Partition, n: int) -> Rep:
     return sub
 
 
+def tabloid_counts(lam: Partition, n: int):
+    """Yield running counts of the pseudo-tabloids of shape lam in ambient n:
+    0 alone when |lam| > n, else 1 and then the running product of the
+    binomials C(n - lam_1 - ... - lam_{i-1}, lam_i), each built up from its
+    smaller side one factor at a time.  The values strictly increase and the
+    last is the count, so a caller that compares with a bound can stop at
+    the first value past it without forming a large binomial."""
+    if sum(lam) > n:
+        yield 0
+        return
+    count = 1
+    yield count
+    for part in lam:
+        for j in range(min(part, n - part)):
+            # count * C(n, j) * (n - j) = count * (j + 1) * C(n, j + 1)
+            count = count * (n - j) // (j + 1)
+            yield count
+        n -= part
+
+
 def tabloid_module_dim(lam: Partition, n: int) -> int:
     """The number of pseudo-tabloids of shape lam in ambient n: 0 when
-    |lam| > n, else n! / (lam_1! ... lam_l! (n - |lam|)!), the product of
-    the binomials C(n - lam_1 - ... - lam_{i-1}, lam_i), so no factorial of
-    |lam| is taken."""
-    ways = 1
-    for part in lam:
-        if part > n:
-            return 0
-        ways *= comb(n, part)
-        n -= part
-    return ways
+    |lam| > n, else n! / (lam_1! ... lam_l! (n - |lam|)!), the last of the
+    tabloid_counts, so no factorial of |lam| is taken."""
+    count = 0
+    for count in tabloid_counts(lam, n):
+        pass
+    return count
 
 
 def iota(v: Vec) -> Vec:
@@ -153,29 +206,33 @@ def pi_mu(v: Vec, mu: Partition, lam: Partition, n: int) -> Vec:
     S_n-equivariant map I_n(M^lam) -> M^mu, defined on each tabloid through
     its canonical representative.  A filled tabloid depends only on the row
     each label lands in, so the sum runs over the splits of the complement
-    into rows of m_i labels, each split standing for its prod m_i! fillings
-    (good_bijection_count).
+    into rows of m_i labels (deal_table), each split standing for its
+    prod m_i! fillings (good_bijection_count).
     """
-    sizes = _added_per_row(lam, mu)
+    sizes = tuple(_added_per_row(lam, mu))
     fillings = good_bijection_count(mu, lam)
-    out: Vec = {}
+    acc: dict = {}
     for t, c in v.items():
         complement = sorted(set(range(1, n + 1)) - t.supp())
         if len(complement) != sum(sizes):
             raise ValueError("pi_mu: |mu| must equal the ambient n")
         base = t.rows + ((),) * (len(mu) - len(t.rows))
-        for groups in row_splits(complement, sizes):
-            rows = tuple(tuple(sorted(row + group)) for row, group in zip(base, groups))
-            add_into(out, {PseudoTabloid(n, rows): c * fillings})
-    return out
+        term = c * fillings
+        label = complement.__getitem__
+        for groups in deal_table(len(complement), sizes):
+            rows = tuple(
+                tuple(sorted(row + tuple(map(label, group))))
+                for row, group in zip(base, groups)
+            )
+            acc[rows] = acc.get(rows, 0) + term
+    return _tabloid_vec(acc, n)
 
 
 def w_element(t: PseudoTableau, lam: Partition) -> Vec:
-    """w_T: signed sum over ColStab(T) of the stripped tabloids."""
-    out: Vec = {}
-    for sigma, sgn in column_stabilizer(t):
-        add_into(out, {strip(act(sigma, t), lam).tabloid(): sgn})
-    return out
+    """w_T: signed sum over ColStab(T) of the stripped tabloids (ValueError
+    unless shape(T)/lam is a horizontal strip)."""
+    added_boxes(lam, t.shape)
+    return _tabloid_vec(_column_sum(_flat(t), t.shape, lam), t.n)
 
 
 class ClaimsReport(Record):
@@ -243,9 +300,15 @@ def verify_claims(lam: Partition, n: int) -> ClaimsReport:
         c = column_stabilizer_order(stripped)
         entry["rewrite_constant"] = c
         lhs = {k: c * x for k, x in w.items()}
-        rhs: Vec = {}
-        for sigma, sgn in column_stabilizer(t_mu):
-            add_into(rhs, polytabloid(strip(act(sigma, t_mu), lam)), sgn)
+        # sum over sigma of sgn(sigma) v_{strip(sigma T)}: the polytabloid
+        # sum of each stripped tableau, read off its row-major labels
+        labels = _flat(t_mu)
+        cuts = _cuts(mu, lam)
+        acc: dict = {}
+        for p, sgn in column_group(mu):
+            moved = [labels[i] for i in p]
+            _column_sum([x for a, b in cuts for x in moved[a:b]], lam, lam, sgn, acc)
+        rhs = _tabloid_vec(acc, n)
         entry["rewrite_identity"] = lhs == rhs
         if lhs != rhs:
             report.failures.append((mu, "rewrite", (lhs, rhs)))
@@ -294,17 +357,21 @@ def _bad_bijections_vanish(t_mu, lam, mu, targets, report) -> bool:
     # per element of ColStab(T): the labels left in Y_lam, row by row (and an
     # empty row below, since nu has at most one row more than lam), the
     # labels of B_mu, and the sign
+    labels = _flat(t_mu)
+    starts = [end - part for part, end in zip(mu, accumulate(mu))]
+    kept_cuts = _cuts(mu, lam)
+    moving_at = [starts[i] + j for i, j in boxes_mu]
     acted = []
-    for sigma, sgn in column_stabilizer(t_mu):
-        rows = act(sigma, t_mu).rows
-        kept = tuple(row[:part] for row, part in zip(rows, lam)) + ((),)
-        acted.append((kept, tuple(rows[i][j] for i, j in boxes_mu), sgn))
+    for p, sgn in column_group(mu):
+        moved = [labels[i] for i in p]
+        kept = tuple(tuple(moved[a:b]) for a, b in kept_cuts) + ((),)
+        acted.append((kept, [moved[i] for i in moving_at], sgn))
     ok = True
     for nu in targets:
         if lex_compare(nu, mu) < 0:
             continue
         failed = set()
-        for groups in row_splits(range(len(boxes_mu)), _added_per_row(lam, nu)):
+        for groups in deal_table(len(boxes_mu), tuple(_added_per_row(lam, nu))):
             row_map = [0] * len(boxes_mu)
             for i, group in enumerate(groups):
                 for k in group:
@@ -312,14 +379,14 @@ def _bad_bijections_vanish(t_mu, lam, mu, targets, report) -> bool:
             row_map = tuple(row_map)
             if nu == mu and row_map == home:
                 continue
-            total: Vec = {}
+            total: dict = {}
             for kept, moving, sgn in acted:
                 rows = tuple(
-                    tuple(sorted(row + tuple(moving[k] for k in group)))
+                    tuple(sorted(row + tuple(map(moving.__getitem__, group))))
                     for row, group in zip(kept, groups)
                 )
-                add_into(total, {rows: sgn})
-            if total:
+                total[rows] = total.get(rows, 0) + sgn
+            if any(total.values()):
                 failed.add(row_map)
         if failed:
             ok = False

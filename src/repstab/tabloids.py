@@ -10,9 +10,17 @@ Both are frozen value types on the fields (n, rows) (_record.Frozen):
 hashed, compared and ordered as that tuple, and equal only within their
 class, so a tableau never equals the tabloid or the plain tuple with the
 same rows.
+
+The sums over tableaux work below these types, on positions: column_group
+holds the column stabilizer of a shape once, as (position permutation,
+sign) pairs that any tableau of the shape reads its labels through
+(column_stabilizer is that relabelling), and deal_table holds the dealings
+of m positions into rows of given sizes once (row_splits of range(m)),
+which any m sorted labels are read through.  Both caches are bounded.
 """
 
-from itertools import accumulate, combinations, permutations
+from functools import lru_cache
+from itertools import accumulate, combinations, permutations, product
 
 from ._record import Frozen
 from .partitions import Partition, check_partition
@@ -134,28 +142,47 @@ def row_labels(t: PseudoTabloid) -> tuple[int, ...]:
     return tuple(labels)
 
 
+# One pass of the acceptance gate's calls reads 32 shapes.
+@lru_cache(maxsize=256)
+def column_group(shape: Partition) -> tuple:
+    """The column stabilizer of a tableau of this shape, on box positions:
+    one (p, sign) pair per element, p[i] the row-major position whose label
+    the element moves into position i (so sigma . T reads labels[p[i]] at
+    box i).  The order is the lex order of the product over the columns of
+    length > 1, left to right, each column's arrangements in the order of
+    itertools.permutations; the group has the product of the factorials of
+    the column lengths as its order."""
+    starts = [end - part for part, end in zip(shape, accumulate(shape))]
+    width = shape[0] if shape else 0
+    factors = []
+    for j in range(width):
+        col = [start + j for start, part in zip(starts, shape) if part > j]
+        if len(col) > 1:
+            # each arrangement as its (position, source) moves and its sign
+            factors.append(
+                [(list(zip(col, [col[i] for i in order])), inversion_sign(order)) for order in permutations(range(len(col)))]
+            )
+    out = []
+    for choice in product(*factors):
+        p = list(range(sum(shape)))
+        sign = 1
+        for moves, s in choice:
+            for at, source in moves:
+                p[at] = source
+            sign *= s
+        out.append((tuple(p), sign))
+    return tuple(out)
+
+
 def column_stabilizer(t: PseudoTableau):
-    """Yield (sigma, sign) over the group preserving each column's entry set.
-
-    Lazy product over columns; order of the group is the product of the
-    factorials of the column lengths.
-    """
-    cols = [c for c in t.columns() if len(c) > 1]
-
-    def rec(i: int, sigma: list[int], sgn: int):
-        if i == len(cols):
-            yield tuple(sigma), sgn
-            return
-        base = cols[i]
-        for arranged in permutations(base):
-            s = inversion_sign([base.index(x) for x in arranged])
-            for orig, new in zip(base, arranged):
-                sigma[orig - 1] = new
-            yield from rec(i + 1, sigma, sgn * s)
-        for orig in base:
-            sigma[orig - 1] = orig
-
-    yield from rec(0, list(range(1, t.n + 1)), 1)
+    """Yield (sigma, sign) over the group preserving each column's entry set:
+    column_group(t.shape) relabelled by the labels of t, in its order."""
+    labels = [x for row in t.rows for x in row]
+    for p, sign in column_group(t.shape):
+        sigma = list(range(1, t.n + 1))
+        for x, source in zip(labels, p):
+            sigma[x - 1] = labels[source]
+        yield tuple(sigma), sign
 
 
 def column_stabilizer_order(t: PseudoTableau) -> int:
@@ -205,15 +232,29 @@ def row_splits(items, sizes):
             yield (first,) + tail
 
 
+# One pass of the acceptance gate's calls reads 43 tables.
+@lru_cache(maxsize=256)
+def deal_table(m: int, sizes: tuple[int, ...]) -> tuple:
+    """row_splits(range(m), sizes) as a tuple: every dealing of the positions
+    0..m-1 into groups of the given sizes.  Dealing m sorted items is this
+    table read through the items, in the same order."""
+    return tuple(row_splits(range(m), sizes))
+
+
 def pseudo_tabloids(lam: Partition, n: int) -> list[PseudoTabloid]:
     """All pseudo-tabloids of shape lam in ambient n, in sorted order: each
-    k-subset of 1..n dealt into rows of lam's sizes."""
+    k-subset of 1..n dealt into rows of lam's sizes.  The row tuples are
+    sorted before they are wrapped, which gives the same order, since
+    tabloids of one ambient order as their rows."""
     check_partition(lam)
-    return sorted(
+    return [
         PseudoTabloid(n, rows)
-        for supp in combinations(range(1, n + 1), sum(lam))
-        for rows in row_splits(supp, lam)
-    )
+        for rows in sorted(
+            rows
+            for supp in combinations(range(1, n + 1), sum(lam))
+            for rows in row_splits(supp, lam)
+        )
+    ]
 
 
 def pseudo_tableaux(lam: Partition, n: int):

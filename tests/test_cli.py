@@ -108,6 +108,46 @@ def test_tabloid_module_dim_of_a_shape_that_does_not_fit_is_zero():
     assert tabloid_module_dim((3, 2, 1), 7) == 420
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["branch", "--lambda", "100000", "--n", "10000000"],
+        ["monotone", "--lambda", "100000", "--n-max", "10000000"],
+        ["branch", "--lambda", "1000000", "--n", "100000000"],
+    ],
+    ids=["branch", "monotone", "branch-larger"],
+)
+def test_an_over_budget_module_is_refused_before_its_count_is_formed(argv, capsys):
+    # the count has hundreds of thousands of digits; the refusal stops at the
+    # first running count past the budget and names no count
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    lam, n = argv[2], argv[4]
+    assert out == (
+        f"error: I_n(M^lambda) for lambda = {lam}, n = {n} has more than 200000 tabloids, "
+        "over the 200000-element budget (raise REPSTAB_BUDGET to override)\n"
+    )
+    assert "Traceback" not in err
+
+
+def test_tabloid_counts_increase_to_the_count():
+    from math import factorial
+
+    from repstab.partitions import partitions_of
+    from repstab.specht import tabloid_counts
+
+    for k in range(7):
+        for lam in partitions_of(k):
+            for n in range(k, 10):
+                counts = list(tabloid_counts(lam, n))
+                assert counts[0] == 1 and all(a < b for a, b in zip(counts, counts[1:]))
+                expected = factorial(n) // factorial(n - k)
+                for part in lam:
+                    expected //= factorial(part)
+                assert counts[-1] == expected, (lam, n)
+    assert list(tabloid_counts((2, 2), 3)) == [0]
+
+
 def test_chartable_n10_golden(capsys):
     assert main(["chartable", "--n", "10"]) == 0
     golden = Path(__file__).parent / "golden" / "chartable_n10.txt"

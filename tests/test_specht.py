@@ -1,10 +1,14 @@
+import json
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
 import repstab.specht as specht
+import repstab.tabloids as tabloids
 from repstab.characters import (
     content_power_sums,
     decompose,
@@ -40,6 +44,8 @@ from repstab.tabloids import (
     parse_tableau,
     pseudo_tableaux,
     row_major_tableau,
+    row_splits,
+    strip,
 )
 
 
@@ -239,7 +245,7 @@ def literal_bad_bijections_vanish(t_mu, lam, mu, targets, report):
             if good:
                 continue
             total = {}
-            for sigma, sgn in specht.column_stabilizer(t_mu):
+            for sigma, sgn in tabloids.column_stabilizer(t_mu):
                 moved = moved_tableau(act(sigma, t_mu), boxes_mu, boxes_nu, assignment)
                 add_into(total, {moved.tabloid(): sgn})
             if total:
@@ -290,10 +296,13 @@ def test_bad_bijection_failures_match_literal_loop(monkeypatch, lam, n):
     # cached) with the true column stabilizers first
     specht_module(lam, n)
 
-    def identity_only(t):
-        yield tuple(range(1, t.n + 1)), 1
+    def identity_only(shape):
+        return ((tuple(range(sum(shape))), 1),)
 
-    monkeypatch.setattr(specht, "column_stabilizer", identity_only)
+    # the flat sums of specht and the literal oracle (through
+    # tabloids.column_stabilizer) both read the patched group
+    monkeypatch.setattr(specht, "column_group", identity_only)
+    monkeypatch.setattr(tabloids, "column_group", identity_only)
     report = verify_claims(lam, n)
     oracle = literal_claims(monkeypatch, lam, n)
     targets = leadsto(lam, n)
@@ -306,6 +315,107 @@ def test_bad_bijection_failures_match_literal_loop(monkeypatch, lam, n):
     )
     assert report.failures == oracle.failures
     assert report.entries == oracle.entries
+
+
+LEVELS_TO_4 = [(lam, n) for k in range(5) for lam in partitions_of(k) for n in range(max(k, 1), 8)]
+
+
+def sample_tableaux(shape, n, rng, count=4):
+    """The row-major tableau of shape and count random relabellings of it."""
+    t = row_major_tableau(shape, n)
+    out = [t]
+    for _ in range(count):
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        out.append(act(tuple(sigma), t))
+    return out
+
+
+def literal_polytabloid(t):
+    out = {}
+    for sigma, sgn in tabloids.column_stabilizer(t):
+        add_into(out, {act(sigma, t).tabloid(): sgn})
+    return out
+
+
+def literal_w_element(t, lam):
+    out = {}
+    for sigma, sgn in tabloids.column_stabilizer(t):
+        add_into(out, {strip(act(sigma, t), lam).tabloid(): sgn})
+    return out
+
+
+def dealt_pi_mu(v, mu, lam, n):
+    """pi_mu with one filling per dealing of the complement by row_splits,
+    weighted by the row-preserving fillings."""
+    sizes = [0] * len(mu)
+    for i, _ in added_boxes(lam, mu):
+        sizes[i] += 1
+    out = {}
+    for t, c in v.items():
+        complement = sorted(set(range(1, n + 1)) - t.supp())
+        base = t.rows + ((),) * (len(mu) - len(t.rows))
+        for groups in row_splits(complement, sizes):
+            rows = tuple(tuple(sorted(row + group)) for row, group in zip(base, groups))
+            add_into(out, {PseudoTabloid(n, rows): c * good_bijection_count(mu, lam)})
+    return out
+
+
+def test_flat_sums_match_literal_sums():
+    # polytabloid, w_element and pi_mu against their defining sums through
+    # column_stabilizer, act, strip and row_splits, on the row-major and
+    # relabelled tableaux of every level with lam of size at most 4
+    rng = random.Random(30)
+    for lam, n in LEVELS_TO_4:
+        if n == sum(lam):
+            for t in sample_tableaux(lam, n, rng):
+                assert polytabloid(t) == literal_polytabloid(t), t
+        targets = leadsto(lam, n)
+        for mu in targets:
+            for t in sample_tableaux(mu, n, rng):
+                assert polytabloid(t) == literal_polytabloid(t), t
+                w = w_element(t, lam)
+                assert w == literal_w_element(t, lam), (t, lam)
+                for nu in targets:
+                    assert pi_mu(w, nu, lam, n) == dealt_pi_mu(w, nu, lam, n), (t, lam, nu)
+
+
+def test_w_element_refuses_a_shape_that_is_not_a_strip():
+    with pytest.raises(ValueError):
+        w_element(row_major_tableau((2, 2), 4), (1, 1))
+    with pytest.raises(ValueError):
+        w_element(row_major_tableau((2, 1), 3), (3,))
+
+
+GOLDEN_CLAIMS = Path(__file__).parent / "golden" / "verify_claims_small.json"
+
+
+def test_verify_claims_matches_recorded_values():
+    # entries and failures of verify_claims for every lam of size <= 4 at
+    # n <= 7, recorded before the sums ran on flat label tuples
+    cases = json.loads(GOLDEN_CLAIMS.read_text())
+    assert len(cases) == len(LEVELS_TO_4)
+    for case in cases:
+        lam, n = tuple(case["lam"]), case["n"]
+        report = verify_claims(lam, n)
+        entries = [{**e, "mu": tuple(e["mu"])} for e in case["entries"]]
+        assert report.entries == entries, (lam, n)
+        assert [repr(f) for f in report.failures] == case["failures"], (lam, n)
+
+
+@pytest.mark.parametrize("lam", [lam for k in range(1, 4) for lam in partitions_of(k)])
+def test_unsigned_column_group_fails_verify_claims(monkeypatch, lam):
+    # a column group with every sign +1 feeds w_T, v_T and pi_mu alike; the
+    # checks must still catch it at every level, and not only through the
+    # bad-bijection sums
+    real = tabloids.column_group
+    for n in range(sum(lam) + 1, 7):
+        specht_module(lam, n)
+    monkeypatch.setattr(specht, "column_group", lambda shape: tuple((p, 1) for p, _ in real(shape)))
+    for n in range(sum(lam) + 1, 7):
+        report = verify_claims(lam, n)
+        assert not report.ok, (lam, n)
+        assert {kind for _, kind, _ in report.failures} & {"membership", "projection", "vanishing"}, (lam, n)
 
 
 def expand_combination(terms, n):

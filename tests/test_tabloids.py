@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -12,12 +12,15 @@ from repstab.tabloids import (
     act,
     act_tabloid,
     added_boxes,
+    column_group,
     column_stabilizer,
     column_stabilizer_order,
+    deal_table,
     parse_tableau,
     pseudo_tabloids,
     pseudo_tableaux,
     row_major_tableau,
+    row_splits,
     strip,
 )
 
@@ -176,3 +179,58 @@ def test_pseudo_tabloids_match_nested_split():
         for lam in partitions_of(k):
             for n in range(k, 9):
                 assert pseudo_tabloids(lam, n) == reference_pseudo_tabloids(lam, n), (lam, n)
+
+
+def reference_column_stabilizer(t):
+    """column_stabilizer as a lazy recursion over the columns, before
+    column_group, copied verbatim."""
+    cols = [c for c in t.columns() if len(c) > 1]
+
+    def rec(i, sigma, sgn):
+        if i == len(cols):
+            yield tuple(sigma), sgn
+            return
+        base = cols[i]
+        for arranged in permutations(base):
+            s = inversion_sign([base.index(x) for x in arranged])
+            for orig, new in zip(base, arranged):
+                sigma[orig - 1] = new
+            yield from rec(i + 1, sigma, sgn * s)
+        for orig in base:
+            sigma[orig - 1] = orig
+
+    yield from rec(0, list(range(1, t.n + 1)), 1)
+
+
+def test_column_group_matches_the_row_major_column_stabilizer():
+    # the row-major tableau labels position i by i + 1, so its column
+    # stabilizer reads p off directly, in order and with its signs
+    for k in range(7):
+        for lam in partitions_of(k):
+            expected = [
+                (tuple(x - 1 for x in sigma), sign)
+                for sigma, sign in reference_column_stabilizer(row_major_tableau(lam, k))
+            ]
+            assert list(column_group(lam)) == expected, lam
+            assert len(column_group(lam)) == column_stabilizer_order(row_major_tableau(lam, k))
+
+
+def test_column_stabilizer_relabels_the_column_group():
+    for k in range(6):
+        for lam in partitions_of(k):
+            for n in (k, k + 2):
+                tableaux = list(pseudo_tableaux(lam, n))
+                for t in tableaux[:: max(1, len(tableaux) // 25)]:
+                    assert list(column_stabilizer(t)) == list(reference_column_stabilizer(t)), t
+
+
+def test_deal_table_is_row_splits_of_positions():
+    items = (2, 3, 5, 7, 11, 13)
+    for m in range(7):
+        for lam in partitions_of(m):
+            # pi_mu deals into rows with no added box too: sizes may hold 0
+            for sizes in {lam, lam[::-1], (0,) + lam}:
+                assert deal_table(m, sizes) == tuple(row_splits(range(m), sizes))
+                # dealing m sorted items reads the table through them
+                dealt = [tuple(tuple(items[i] for i in g) for g in split) for split in deal_table(m, sizes)]
+                assert dealt == list(row_splits(items[:m], sizes))
