@@ -11,9 +11,9 @@ is the cross-check of the table.  A non-integral or negative multiplicity
 raises NotACharacter instead of silently rounding.
 
 The same module reads characters off explicit representations, as traces
-from the pivots of a reduced echelon basis, and gives the scalars
-(content_power_sums) by which the Jucys-Murphy power sums act on each
-irreducible, which rep.Rep's central projections use.
+from the pivots of a reduced echelon basis (explicit_character, behind
+rep.Rep.character); the decompositions it returns are the multiplicities
+that rep.Rep's Gelfand-Tsetlin weight vectors are counted against.
 
 ClassFunction and MultiplicityVector are frozen value types
 (_record.Frozen): equal when their fields are, and a ClassFunction hashes
@@ -31,7 +31,6 @@ from .linalg import Echelon
 from .partitions import (
     Partition,
     check_partition,
-    contents,
     dim_irrep,
     leadsto,
     pad,
@@ -370,13 +369,6 @@ def explicit_character(ech: Echelon, n: int, act, table=None) -> ClassFunction:
             entries = (row.get(back[pivot], 0) for pivot, row in ech.rows)
         values.append(Fraction(sum(map(mul, entries, scales)), den))
     return ClassFunction(n, tuple(values))
-
-
-def content_power_sums(lam: Partition, k: int) -> tuple[int, ...]:
-    """p_1..p_k of the contents of lam: the scalars by which the Jucys-Murphy
-    power sums p_j(J_1, ..., J_n) act on V_lam."""
-    cs = contents(lam)
-    return tuple(sum(c**j for c in cs) for j in range(1, k + 1))
 
 
 def format_table(n: int) -> str:

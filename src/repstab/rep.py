@@ -19,26 +19,27 @@ follow the key order, pivots and bases are those of the keyed computation.
   of one key's image, so the key action runs once per (sigma, key); traces
   act on the rows.
 
-Traces come from characters.explicit_character.  Isotypic components and the
-constituents of span(S_n . seeds) come from projections read off one Krylov
-sequence per vector, fed by one loop (_projections) into one Echelon per
-constituent until it is full.  Central projections are products of
-Jucys-Murphy power sums: isotypic projects the echelon rows,
-central_projections a combination of the seeds and then the seeds, and
-span_multiplicities the seeds, whose span is not closed; sn_span, the
-span-closure loop, closes only the parts of constituents that occur more
-than once and stay short of full.  Seeds inside one V_mu-isotypic part of the
-restriction to S_{n-1}, as the monotonicity checks have, are projected
-through the branching rule instead (branch_multiplicities): the last
-Jucys-Murphy element J_n alone tells the constituents mu + box apart, and
-each multiplicity is a rank, so no span is closed.
+Traces come from characters.explicit_character.  Constituents are read
+through one mechanism, the Gelfand-Tsetlin weight vectors of the
+Jucys-Murphy elements J_i = sum_{a<i} (a i), after Okounkov-Vershik (A new
+approach to representation theory of symmetric groups, 1996): on a weight
+vector of a standard tableau T, J_i acts by the content c_T(i) of the box of
+i.  weight_vectors projects echelon rows onto the weights of the row-reading
+tableau of mu, one J_i at a time, until it holds m_mu of them.
+span_multiplicities takes the images of such vectors one level up, splits
+them by the last element J_n into the weight spaces of T + box, carries
+those onto the row-reading tableau of each constituent by Young's
+seminormal steps, and reads each multiplicity off one rank, with a weight
+guard that counts the images off their weights.  The checkers of stability
+and specht.monotonicity_witness run on these two methods and close no span.
+isotypic (the S_n-span of the weight vectors) and sn_span, the span-closure
+loop, are the oracles the tests compare them against.
 """
 
 from functools import cached_property, lru_cache
-from itertools import repeat
 
-from .characters import ClassFunction, MultiplicityVector, content_power_sums, decompose, explicit_character
-from .linalg import Echelon, _integral, add_into
+from .characters import ClassFunction, MultiplicityVector, decompose, explicit_character
+from .linalg import Echelon, _integral, _primitive, add_into
 from .partitions import Partition, added_box_content, dim_irrep
 from .perms import from_cycles, generators
 
@@ -66,9 +67,8 @@ class KeyIndex(_Positions):
     act_key(sigma, keys[i]).  Tables are built on first use and kept in a
     bounded LRU cache; a Rep asks for the adjacent transpositions, the
     generators, the inverses of the p(n) class representatives and the
-    n(n-1)/2 transpositions (the n - 1 transpositions (a n) alone for a
-    branching projection), and one pass of the acceptance gate's calls
-    keeps at most 35 tables per index (an index at n = 7).
+    n(n-1)/2 transpositions (a i) of the Jucys-Murphy elements, and one
+    pass of the acceptance gate's calls keeps at most 34 tables per index.
 
     labels, when given, writes a key as a function of the points: a tuple
     holding the key's label of point x at index x, which determines the key,
@@ -170,10 +170,41 @@ def _combine(coeffs, vectors) -> dict:
     return out
 
 
+def _row_reading(mu: Partition) -> list[tuple[int, int]]:
+    """The boxes (row, column) of the entries 1 .. n of the row-reading
+    tableau T of mu, which fills the rows in turn: the one standard tableau
+    of mu whose weight vectors the checkers take."""
+    return [(i, j) for i, part in enumerate(mu) for j in range(part)]
+
+
+def _addable(boxes) -> dict:
+    """{content: box} of the boxes (row, column) that can be added to the
+    Young diagram made of these boxes: one per row that may grow, and one
+    in a new row below."""
+    shape = [0] * len({i for i, _ in boxes}) + [0]
+    for i, _ in boxes:
+        shape[i] += 1
+    return {part - i: (i, part) for i, part in enumerate(shape) if i == 0 or shape[i - 1] > part}
+
+
+def _seminormal_path(mu: Partition, box: tuple[int, int]) -> list[tuple[int, int]]:
+    """Young's seminormal steps (a, r) from T + box, the row-reading tableau
+    T of mu with n = |mu| + 1 in box, to the row-reading tableau of mu + box:
+    n trades places with each entry of the rows below box, the last first,
+    so a runs down from n - 1 and r is the content of box less that of the
+    entry a.  The two entries share no row or column, so each swap is
+    standard, |r| >= 2, and r (a a+1) - 1 maps the weight vectors of the one
+    tableau isomorphically onto those of the other (Okounkov-Vershik)."""
+    row, col = box
+    below = [(i, j) for i, j in _row_reading(mu) if i > row]
+    n = sum(mu) + 1
+    return [(n - 1 - k, (col - row) - (j - i)) for k, (i, j) in enumerate(reversed(below))]
+
+
 class _JucysMurphy:
-    """The Jucys-Murphy elements J_i = sum_{a<i} (a i) of S_n and their power
-    sums p_j(J) = sum_i J_i^j, on the vectors of one Rep in index positions,
-    through its index's action (integer vectors stay integer).
+    """The Jucys-Murphy elements J_i = sum_{a<i} (a i) of S_n and Young's
+    seminormal steps, on the vectors of one Rep in index positions, through
+    its index's action (integer vectors stay integer).
 
     The vectors are not reduced by the modulus on the way: W is invariant,
     so reducing once at the end gives the same normal form."""
@@ -188,37 +219,26 @@ class _JucysMurphy:
         n = self.n
         return [[from_cycles(n, [(a, i)]) for a in range(1, i)] for i in range(2, n + 1)]
 
-    @cached_property
-    def _all(self) -> list:
-        return [tau for taus in self.jm for tau in taus]
-
-    @cached_property
-    def _last(self) -> list:
-        n = self.n
-        return [from_cycles(n, [(a, n)]) for a in range(1, n)]
-
-    def _transpositions(self, taus, w: dict) -> dict:
-        """sum of tau . w over the transpositions taus."""
-        out: dict = {}
-        for tau in taus:
-            add_into(out, self.act(tau, w))
+    def krylov(self, i: int, w: dict, length: int) -> list[dict]:
+        """w, J_i w, ..., J_i^length w: i - 1 transpositions a step."""
+        out = [w]
+        for _ in range(length):
+            image: dict = {}
+            for tau in self.jm[i - 2]:
+                add_into(image, self.act(tau, out[-1]))
+            out.append(image)
         return out
 
-    def last(self, w: dict) -> dict:
-        """J_n w: n - 1 transpositions."""
-        return self._transpositions(self._last, w)
+    def project(self, i: int, roots, w: dict) -> dict:
+        """prod over the roots r of (J_i - r), applied to w."""
+        return _combine(_vanishing_poly(roots), self.krylov(i, w, len(roots)))
 
-    def power_sum(self, w: dict, j: int) -> dict:
-        """p_j(J) w."""
-        if j == 1:
-            return self._transpositions(self._all, w)
-        powers = []
-        for taus in self.jm:
-            v = w
-            for _ in range(j):
-                v = self._transpositions(taus, v)
-            powers.append(v)
-        return _combine(repeat(1), powers)
+    def seminormal(self, a: int, r: int, w: dict) -> dict:
+        """r (a a+1) w - w: one step of _seminormal_path; (a a+1) is the last
+        transposition of J_{a+1}."""
+        out = {k: r * c for k, c in self.act(self.jm[a - 1][-1], w).items()}
+        add_into(out, w, -1)
+        return out
 
 
 class Rep:
@@ -231,12 +251,20 @@ class Rep:
         self.index = index
         self.modulus = modulus
         self.echelon = Echelon()
+        # mu -> independent weight vectors of the row-reading tableau of mu,
+        # in positions: weight_vectors keeps what it finds, and
+        # span_multiplicities a part that it fills
+        self._weight_spaces: dict = {}
         for v in vectors:
             self.echelon.insert(self._nf(index.encode(v)))
 
     @property
     def dim(self) -> int:
         return self.echelon.dim
+
+    @cached_property
+    def _jucys_murphy(self) -> _JucysMurphy:
+        return _JucysMurphy(self)
 
     # internal coordinates: the index's positions
 
@@ -279,190 +307,147 @@ class Rep:
 
     def _check_counts(self, counts: dict) -> list:
         """The constituents of counts = {nu: m_nu}, sorted; a constituent
-        left out of counts would leak into the central projections of the
+        left out of counts would leak into the projections by J_n of the
         others, so counts must add up to this level's dimension (ValueError
         otherwise)."""
         if sum(m * dim_irrep(nu) for nu, m in counts.items()) != self.dim:
             raise ValueError("counts is not the decomposition of this level")
         return sorted(nu for nu, m in counts.items() if m)
 
-    def _central(self, counts: dict):
-        """The central projector of _projections: (x, wanted) -> {nu: nonzero
-        multiple of e_nu x} for the wanted constituents (_project), counts
-        being the level's decomposition (_check_counts)."""
-        constituents = self._check_counts(counts)
-        action = _JucysMurphy(self)
-        return lambda x, wanted: self._project(action, x, constituents, wanted)
-
-    def _projections(self, xs: list, full: dict, project) -> dict:
-        """{nu: Echelon of the projections of the xs onto nu} for the nu of
-        full, xs being integer vectors in internal normal form.  Each x is
-        projected for every open part at once (project(x, open parts)); a
-        part takes the normal forms of its projections until it holds
-        full[nu] dimensions (none if 0), and the loop stops when none is
-        open."""
-        parts = {nu: Echelon() for nu in full}
-        open_parts = {nu for nu, d in full.items() if d}
-        for x in xs:
-            if not open_parts:
-                break
-            for nu, y in project(x, open_parts).items():
-                if parts[nu].insert(self._nf(y)) and parts[nu].dim == full[nu]:
-                    open_parts.discard(nu)
-        return parts
-
     def _seeds(self, seeds) -> list:
         """The nonzero normal forms of the seeds, integral, internal."""
         return [_integral(x)[0] for x in (self._nf(self.index.encode(s)) for s in seeds) if x]
 
-    def isotypic(self, counts: dict, nus=None) -> dict:
-        """{nu: echelon basis of the V_nu-isotypic part e_nu V} for the
+    def weight_vectors(self, mu: Partition, m: int) -> list[dict]:
+        """Up to m independent weight vectors of the row-reading tableau T of
+        mu (_row_reading): vectors v with J_i v = c_T(i) v for i = 2 .. n,
+        c_T(i) the content of the box of i.  They span a space of dimension
+        m_mu, the multiplicity of V_mu, whose S_n-span is the V_mu-isotypic
+        part (Okounkov-Vershik).
+
+        The echelon rows are projected bottom-up until m of them are
+        independent modulo the modulus.  On a vector whose J_2 .. J_{i-1}
+        eigenvalues are T's, J_i has its eigenvalues among the contents of
+        the boxes that can be added to T|_{i-1}, so the product of (J_i - c)
+        over those contents other than c_T(i) projects it, up to a nonzero
+        scalar, onto the eigenvalue c_T(i).  The vectors are kept, beside the
+        full parts of span_multiplicities at this level, so a level that the
+        previous step of a checker filled projects no row.
+        """
+        known = self._weight_spaces.get(mu, [])
+        if len(known) < m:
+            action = self._jucys_murphy
+            boxes = _row_reading(mu)
+            steps = [
+                (i, [c for c in _addable(boxes[: i - 1]) if c != col - row])
+                for i, (row, col) in enumerate(boxes[1:], 2)
+            ]
+            found = Echelon()
+            known = []
+            for _, y in self.echelon.rows:
+                if found.dim >= m:
+                    break
+                for i, roots in steps:
+                    y = self._nf(action.project(i, roots, y))
+                    if not y:
+                        break
+                    y = _primitive(_integral(y)[0], min(y))
+                if y and found.insert(y):
+                    known.append(y)
+            self._weight_spaces[mu] = known
+        return [self.index.decode(v) for v in known[:m]]
+
+    def span_multiplicities(self, weights: dict, counts: dict, nus=None) -> tuple[dict, list]:
+        """({nu: multiplicity of V_nu in span(S_n . Y)}, faults) for the
         constituents nu of this level, counts = {nu: m_nu} being its
-        decomposition; nus restricts the answer to some partitions (empty for
-        one that is not a constituent).  The echelon rows are projected until
-        each part holds m_nu f^nu dimensions."""
-        project = self._central(counts)
-        nus = self._check_counts(counts) if nus is None else nus
-        full = {nu: counts.get(nu, 0) * dim_irrep(nu) for nu in nus}
-        parts = self._projections([row for _, row in self.echelon.rows], full, project)
-        return {nu: [self.index.decode(v) for v in part.basis()] for nu, part in parts.items()}
+        decomposition and nus restricting the answer to some partitions.  Y
+        is the span of weights = {mu: images of weight vectors of the
+        row-reading tableau T of mu} over partitions mu of n - 1, the images
+        under an S_{n-1}-equivariant map (phi_{n-1} of weight_vectors).
 
-    def central_projections(self, seeds, counts: dict, nus=None) -> dict:
-        """{nu: a nonzero multiple of e_nu x, for some x in the span of the
-        seeds}, for each constituent nu of this level that e_nu does not
-        kill on the seeds; counts = {nu: m_nu} is the level's decomposition
-        and nus restricts the answer to some partitions.
+        Such an image y keeps J_i y = c_T(i) y for i < n, so by the
+        branching rule it lies in the sum, over the boxes b with nu = mu + b
+        a constituent, of the weight spaces of T + b, the tableau with n in b,
+        each inside the V_nu-isotypic part.  J_n acts on them by the contents
+        of the b, so the product of (J_n - c) over the other contents
+        projects y onto the one of T + b.  e_nu is central, so the V_nu-part
+        of span(S_n . Y) is the S_n-span of these projections over the
+        mu = nu - b.  Young's seminormal steps (_seminormal_path) carry each
+        weight space of T + b onto that of the row-reading tableau of nu,
+        respecting the multiplicity space, and the multiplicity of nu is the
+        rank there; a part that reaches m_nu takes no more vectors, and is
+        kept as the weight vectors of nu at this level.  No span is closed.
 
-        p_j(J) is central and acts on V_nu by the scalar
-        content_power_sums(nu)[j - 1].  Over the distinct content sums c' of
-        the constituents, P_c = prod_{c' != c} (p_1(J) - c') is a nonzero
-        multiple of the central idempotent onto the constituents of content
-        sum c; P_c x is read off one Krylov sequence x, p_1(J) x, ... shared by
-        every c, with integer coefficients.  Constituents that tie on p_1 are
-        split by p_2(J), p_3(J), ... the same way.  Each part needs one
-        nonzero projection: the combination sum (i+1) x_i of the seeds is
-        projected first, and the seeds one by one only for the parts it
-        cancels.
+        The guard: each image must satisfy J_i y = c_T(i) y for i < n modulo
+        the modulus (_is_weight); the images that do not are counted in one
+        ("off_branching", count) fault, and a multiplicity is meaningful
+        only when there is none.  J_n needs no check of its own: on the
+        weights of T its eigenvalues are the contents of the boxes that can
+        be added to mu, and a box whose nu is no constituent has no weight
+        space here.
         """
-        project = self._central(counts)
-        xs = self._seeds(seeds)
-        combined: dict = {}
-        for i, x in enumerate(xs):
-            add_into(combined, x, i + 1)
-        full = {nu: min(counts.get(nu, 0), 1) for nu in (counts if nus is None else nus)}
-        parts = self._projections([combined, *xs] if len(xs) > 1 else xs, full, project)
-        return {nu: self.index.decode(part.rows[0][1]) for nu, part in parts.items() if part.dim}
-
-    def span_multiplicities(self, seeds, counts: dict, nus=None) -> dict:
-        """{nu: multiplicity of V_nu in span(S_n . seeds)} for the constituents
-        nu of this level, counts = {nu: m_nu} being its decomposition; nus
-        restricts the answer to some partitions.
-
-        e_nu span(S_n . X) = span(S_n . e_nu X), so a constituent is in the
-        span exactly when central_projections finds it, once if m_nu = 1.
-        For each one found with m_nu > 1, the seeds are projected until its
-        part holds m_nu f^nu dimensions, and a part that stays short is
-        closed (sn_span).  branch_multiplicities answers the same question
-        without closing a span, for seeds that lie in one V_mu-isotypic part
-        of the restriction to S_{n-1}.
-        """
-        mult = dict.fromkeys(counts if nus is None else nus, 0)
-        full = {}
-        for nu in self.central_projections(seeds, counts, nus):
-            if counts[nu] == 1:
-                mult[nu] = 1
-            else:
-                full[nu] = counts[nu] * dim_irrep(nu)
-        if full:
-            parts = self._projections(self._seeds(seeds), full, self._central(counts))
-            for nu, part in parts.items():
-                if part.dim < full[nu]:
-                    part = self.sn_span([self.index.decode(row) for _, row in part.rows]).echelon
-                mult[nu] = part.dim // dim_irrep(nu)
-        return mult
-
-    def branch_multiplicities(self, seeds: list, below: Partition, counts: dict, nus=None) -> tuple[dict, list]:
-        """({nu: multiplicity of V_nu in span(S_n . seeds)}, faults) for the
-        constituents nu of this level, counts = {nu: m_nu} being its
-        decomposition and nus restricting the answer to some partitions, when
-        the seeds lie in the V_mu-isotypic part of the level restricted to
-        S_{n-1}, mu = below: either one vector of an irreducible
-        S_{n-1}-submodule W, which stands for W, or a spanning set of an
-        S_{n-1}-invariant subspace.
-
-        By the branching rule that part is the sum over the constituents
-        nu = mu + box of the mu-parts of their isotypic parts U_nu, and on the
-        mu-part of U_nu = V_nu (x) C^{m_nu}, which is V_mu (x) C^{m_nu}, the
-        last Jucys-Murphy element J_n acts by the content of the added box,
-        distinct for each nu.  So prod_{c' != c_nu} (J_n - c') is a nonzero
-        multiple of the projection onto the mu-part of U_nu, read off one
-        Krylov sequence x, J_n x, ... of n - 1 transpositions a step.  An
-        S_{n-1}-submodule V_mu (x) L there generates the S_n-module
-        V_nu (x) L, so the multiplicity of nu is the rank of the projected
-        seeds over f^mu, and 1 for a nonzero projection of one seed; every
-        other constituent has multiplicity 0.  No span is closed.
-
-        Seeds outside that part break the count, so each projected seed x
-        must satisfy prod_c (J_n - c) x = 0 modulo the modulus, and each rank
-        must be a multiple of f^mu.  The faults list what fails, as
-        ("off_branching", number of seeds) and ("rank", nu, rank); a
-        multiplicity is meaningful only when there are none.
-        """
-        added = {}  # nu = below + box: the content of the box
-        for nu in self._check_counts(counts):
-            c = added_box_content(below, nu)
-            if c is not None:
-                added[nu] = c
-        roots = sorted(added.values())
-        vanishing = _vanishing_poly(roots)
-        projector = {nu: _vanishing_poly([r for r in roots if r != c]) for nu, c in added.items()}
-        action = _JucysMurphy(self)
-        off = []
-
-        def project(x, wanted):
-            krylov = [x]
-            for _ in roots:
-                krylov.append(action.last(krylov[-1]))
-            if self._nf(_combine(vanishing, krylov)):
-                off.append(x)
-            return {nu: _combine(projector[nu], krylov) for nu in wanted}
-
-        f = dim_irrep(below)
-        mult = dict.fromkeys(counts if nus is None else nus, 0)
-        full = {nu: counts[nu] * f for nu in mult if nu in added}
-        parts = self._projections(self._seeds(seeds), full, project)
-        faults = [("off_branching", len(off))] if off else []
+        constituents = self._check_counts(counts)
+        mult = dict.fromkeys(constituents if nus is None else nus, 0)
+        parts = {nu: Echelon() for nu in mult if counts.get(nu)}
+        action = self._jucys_murphy
+        off = 0
+        for mu, images in weights.items():
+            boxes = _row_reading(mu)
+            added = _addable(boxes)
+            grown = {nu: c for nu in constituents if (c := added_box_content(mu, nu)) in added}
+            roots = sorted(grown.values())
+            feeds = {
+                nu: (_vanishing_poly([r for r in roots if r != c]), _seminormal_path(mu, added[c]))
+                for nu, c in grown.items()
+                if nu in parts
+            }
+            for y in self._seeds(images):
+                if not self._is_weight(boxes, y):
+                    off += 1
+                krylov = None
+                for nu, (projector, path) in feeds.items():
+                    if parts[nu].dim == counts[nu]:
+                        continue
+                    krylov = krylov or action.krylov(self.n, y, len(roots) - 1)
+                    v = _combine(projector, krylov)
+                    for a, r in path:
+                        v = action.seminormal(a, r, v)
+                    parts[nu].insert(self._nf(v))
+        mult.update((nu, part.dim) for nu, part in parts.items())
+        if off:
+            return mult, [("off_branching", off)]
         for nu, part in parts.items():
-            if len(seeds) == 1:
-                mult[nu] = part.dim
-            elif part.dim % f:
-                faults.append(("rank", nu, part.dim))
-            else:
-                mult[nu] = part.dim // f
-        return mult, faults
+            if part.dim == counts[nu]:
+                self._weight_spaces[nu] = [row for _, row in part.rows]
+        return mult, []
 
-    def _project(self, action: _JucysMurphy, x, constituents: list, wanted: set, j: int = 1) -> dict:
-        """{nu: nonzero multiple of e_nu x} for the wanted constituents, given
-        x in the sum of the constituents' isotypic parts, all of which agree
-        on p_1 .. p_{j-1}; a zero projection may be left out."""
-        if len(constituents) == 1:
-            return {nu: x for nu in constituents if nu in wanted}
-        value = {nu: content_power_sums(nu, j)[-1] for nu in constituents}
-        roots = sorted(set(value.values()))
-        if len(roots) == 1:
-            return self._project(action, x, constituents, wanted, j + 1)
-        krylov = [x]
-        while len(krylov) < len(roots):
-            krylov.append(action.power_sum(krylov[-1], j))
-        out = {}
-        for c in roots:
-            group = [nu for nu in constituents if value[nu] == c]
-            if wanted.isdisjoint(group):
-                continue
-            y = _combine(_vanishing_poly([r for r in roots if r != c]), krylov)
-            if y:
-                out.update(self._project(action, y, group, wanted, j + 1))
-        return out
+    def _is_weight(self, boxes, y: dict) -> bool:
+        """J_i y = c_T(i) y modulo the modulus for i = 2 .. len(boxes), T the
+        tableau with entry k in boxes[k - 1].  Where i - 1 and i share a row,
+        c_T(i) = c_T(i-1) + 1 and J_i = s J_{i-1} s + s for s = (i-1 i), so
+        s y = y and the check of J_{i-1} give that of J_i, at the cost of one
+        transposition rather than i - 1."""
+        action = self._jucys_murphy
+        for i, (row, col) in enumerate(boxes[1:], 2):
+            if boxes[i - 2][0] == row:
+                defect = action.seminormal(i - 1, 1, y)  # s y - y
+            else:
+                defect = action.project(i, [col - row], y)
+            if self._nf(defect):
+                return False
+        return True
+
+    def isotypic(self, counts: dict, nus=None) -> dict:
+        """{nu: echelon basis of the V_nu-isotypic part} for the constituents
+        nu of this level, counts = {nu: m_nu} being its decomposition; nus
+        restricts the answer to some partitions (empty for one that is not a
+        constituent).  Each part is the S_n-span of m_nu weight vectors; no
+        checker calls this, the tests compare it with the n! group sum."""
+        constituents = self._check_counts(counts)
+        return {
+            nu: self.sn_span(self.weight_vectors(nu, counts.get(nu, 0))).basis()
+            for nu in (constituents if nus is None else nus)
+        }
 
     def sn_span(self, seeds) -> "Rep":
         """Smallest invariant subspace containing the seeds (same level,

@@ -20,12 +20,12 @@ number of row assignments rather than (n-k)! fillings or bijections; both
 deal through deal_table(m, sizes), the dealings of m positions cached once.
 verify_claims / monotonicity_witness re-derive the structural facts about
 them at desk scale.  A Specht span is a rep.Rep on tabloid_index(lam, n), so
-its traces, isotypic components, central projections and span closures are
-Rep's: it computes on integer positions, acts by permutation tables, and
-reads each trace off a pivot without acting on a row.
-monotonicity_witness closes no span: it reads the constituents an
-S_{n+1}-span holds off the branching projection of one vector
-(Rep.branch_multiplicities).  The n! group-sum projector project_tabloid is
+its traces, weight vectors and span closures are Rep's: it computes on
+integer positions, acts by permutation tables, and reads each trace off a
+pivot without acting on a row.  monotonicity_witness closes no span: it
+reads the constituents an S_{n+1}-span holds off the images of one
+Gelfand-Tsetlin weight vector (Rep.weight_vectors,
+Rep.span_multiplicities).  The n! group-sum projector project_tabloid is
 kept only as the oracle the tests compare against.
 """
 
@@ -432,11 +432,10 @@ def monotonicity_witness(lam: Partition, n: int) -> ClaimsReport:
     The decompositions of I_n(V_lam) and I_{n+1}(V_lam) are read off their
     traces.  By Pieri's rule the first holds each V_mu of leadsto(lam, n)
     once; component_dim is m_mu f^mu, and an isotypic_dim failure is
-    recorded unless it is f^mu and central projection of the basis
-    (Rep.central_projections) finds a w != 0 in W.  W is then irreducible
-    and iota is S_n-equivariant, so span(S_{n+1} . iota(W)) =
-    span(S_{n+1} . iota(w)), and iota(w) lies in the V_mu-isotypic part of
-    I_{n+1}(V_lam) restricted to S_n.  Rep.branch_multiplicities reads which
+    recorded unless it is f^mu and Rep.weight_vectors finds a weight vector
+    w of the row-reading tableau of mu.  W is then irreducible, the S_n-span
+    of w, and iota is S_n-equivariant, so span(S_{n+1} . iota(W)) =
+    span(S_{n+1} . iota(w)).  Rep.span_multiplicities reads which
     constituents that span holds off the projections of iota(w) by the last
     Jucys-Murphy element onto the constituents mu + box (every other one has
     multiplicity 0), and span_dim sums their dimensions; what its guard finds
@@ -448,16 +447,15 @@ def monotonicity_witness(lam: Partition, n: int) -> ClaimsReport:
     report = ClaimsReport(lam, n)
     sub = specht_module(lam, n)
     sub_counts = sub.decompose().counts
-    components = sub.central_projections(sub.basis(), sub_counts, leadsto(lam, n))
     level = specht_module(lam, n + 1)
     counts = level.decompose().counts
     for mu in leadsto(lam, n):
-        w = components.get(mu)
+        w = sub.weight_vectors(mu, min(sub_counts.get(mu, 0), 1))
         component_dim = sub_counts.get(mu, 0) * dim_irrep(mu)
         entry = {"mu": mu, "component_dim": component_dim}
         if component_dim != dim_irrep(mu) or not w:
             report.failures.append((mu, "isotypic_dim", component_dim))
-        mults, faults = level.branch_multiplicities([iota(w)] if w else [], mu, counts)
+        mults, faults = level.span_multiplicities({mu: [iota(v) for v in w]}, counts)
         report.failures.extend((mu, "branching", fault) for fault in faults)
         target = curly_pad(mu)
         entry["target"] = target

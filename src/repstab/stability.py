@@ -14,15 +14,14 @@ Two backends coexist: multiplicity bookkeeping through induced characters
 explicit linear algebra (needed for Conditions I/II, for monotonicity, which
 quantifies over subspaces, and for levels without a usable hint).
 On the explicit side, Rep.character reads traces off the pivots of the
-reduced echelon basis.  Central projection (products of Jucys-Murphy power
-sums) gives the isotypic components (Rep.isotypic projects every echelon
-row) and the constituents of the S_{n+1}-span that spanning asks about
-(Rep.span_multiplicities projects the seeds, and closes with Rep.sn_span
-only a part, of a constituent that occurs more than once, that the
-projected seeds leave short).  Monotonicity projects through the branching
-rule instead (Rep.branch_multiplicities): the images of one V_mu-isotypic
-component are told apart by the last Jucys-Murphy element alone, and no
-span is closed.  None sums over S_n.
+reduced echelon basis, and both checkers read constituents through one pair
+of Gelfand-Tsetlin methods: Rep.weight_vectors gives m_mu weight vectors of
+the row-reading tableau of each constituent mu of level n, whose S_n-span
+is its isotypic component, and Rep.span_multiplicities reads the
+multiplicities of span(S_{n+1} . phi_n(those)) off their projections by the
+last Jucys-Murphy element, each carried onto one tableau of its
+constituent, with a weight guard for a phi_n that is not S_n-equivariant.
+No span is closed and nothing sums over S_n.
 
 Every level acts through a KeyIndex: levels inside a tabloid module
 (induced modules and Specht spans, and the quotients, kernels and images
@@ -346,25 +345,29 @@ def check_uniform_stability(seq, n_start: int, n_max: int) -> StabilityReport:
     of uniform representation stability, on the window [n_start, n_max].
 
     Condition III compares the multiplicities _level records; Conditions I
-    and II run on the explicit backend.  Condition II compares the dimension
-    of span(S_{n+1} . phi_n(basis)), summed over the constituents that
-    Rep.span_multiplicities finds in it with the decomposition of level
-    n + 1, with the dimension of level n + 1.
+    and II run on the explicit backend.  Condition II pushes m_mu weight
+    vectors of every constituent mu of level n (Rep.weight_vectors) through
+    phi_n, sums the dimensions of the constituents that
+    Rep.span_multiplicities finds in their S_{n+1}-span, and compares the
+    sum with the dimension of level n + 1.  Images off their weights, which
+    only a phi_n that is not S_n-equivariant gives, are recorded as a
+    "branching" witness, and that level is not onto.
     """
     if n_max < n_start + 1:
         raise InsufficientWindow(f"window [{n_start}, {n_max}] has no map to check")
     report = StabilityReport(seq.label, (n_start, n_max))
-    for n, source, _, target, counts in _levels(seq, n_start, n_max, report):
+    for n, source, counts, target, target_counts in _levels(seq, n_start, n_max, report):
         images = [target.nf(seq.phi(n, v)) for v in source.basis()]
         inj = span_dim(images) == source.dim
         report.injectivity[n] = inj
         if not inj:
             report.witnesses.append((n, "injectivity"))
-        mults = target.span_multiplicities(images, counts)
+        weights = {mu: [seq.phi(n, v) for v in source.weight_vectors(mu, m)] for mu, m in counts.items()}
+        mults, faults = target.span_multiplicities(weights, target_counts)
+        report.witnesses.extend((n, "branching", fault) for fault in faults)
         spanned = sum(m * dim_irrep(nu) for nu, m in mults.items())
-        surj = spanned == target.dim
-        report.surjectivity[n] = surj
-        if not surj:
+        report.surjectivity[n] = not faults and spanned == target.dim
+        if not faults and spanned != target.dim:
             report.witnesses.append((n, "surjectivity", spanned, target.dim))
     ns = sorted(report.multiplicities)
     for a, b in zip(ns, ns[1:]):
@@ -379,34 +382,31 @@ def check_monotone(seq, n_start: int, n_max: int, only: Partition | None = None)
     """Monotonicity on the window: for each isotypic component W = V_mu^k of
     V_n, the S_{n+1}-span of phi_n(W) contains V_{mu{n+1}}^k.
 
-    phi_n(W) lies in the V_mu-isotypic part of V_{n+1} restricted to S_n, so
-    the multiplicity of V_{mu{n+1}} in that span is read off the branching
-    projection (Rep.branch_multiplicities) of phi_n of one vector of W when
-    k = 1, of a basis of W otherwise: one Jucys-Murphy element, and no span
-    is closed.  The one vector stands for W because phi_n is S_n-equivariant;
-    this checker does not check that in full, so the tests check it for every
-    default_seeds() sequence (test_phi_is_equivariant_on_default_seeds), but
-    an image outside the V_mu-isotypic part, or a rank that is not a
-    multiple of f^mu, is recorded as a "branching" witness.  `only`
-    restricts to components with the given stable label, e.g. () for the
-    trivial representation.  A level's isotypic components come from one
-    Rep.isotypic call.
+    W is the S_n-span of its k weight vectors of the row-reading tableau of
+    mu (Rep.weight_vectors), so for an S_n-equivariant phi_n the span of
+    phi_n(W) is that of their images, and the multiplicity of V_{mu{n+1}} in
+    it is read off those images (Rep.span_multiplicities): one projection
+    by the last Jucys-Murphy element, and no span is closed.  Fewer than k
+    weight vectors is an "isotypic_dim" witness (with the number found),
+    and images off their weights, which only a phi_n that is not
+    S_n-equivariant gives, a "branching" witness.  `only` restricts to
+    components with the given stable label, e.g. () for the trivial
+    representation.
     """
     report = StabilityReport(seq.label, (n_start, n_max))
     for n, source, counts, target, target_counts in _levels(seq, n_start, n_max, report):
         level_ok = True
         wanted = sorted((mu for mu in counts if only is None or unpad(mu) == only), reverse=True)
-        components = source.isotypic(counts, wanted)
         for mu in wanted:
-            k, component = counts[mu], components[mu]
-            if len(component) != k * dim_irrep(mu):
+            k = counts[mu]
+            weights = source.weight_vectors(mu, k)
+            if len(weights) != k:
                 level_ok = False
-                report.witnesses.append((n, mu, "isotypic_dim", len(component)))
+                report.witnesses.append((n, mu, "isotypic_dim", len(weights)))
                 continue
-            # one vector generates an irreducible W; phi is assumed S_n-equivariant
-            seeds = [seq.phi(n, v) for v in (component[:1] if k == 1 else component)]
             mu_next = curly_pad(mu)
-            mults, faults = target.branch_multiplicities(seeds, mu, target_counts, [mu_next])
+            images = [seq.phi(n, v) for v in weights]
+            mults, faults = target.span_multiplicities({mu: images}, target_counts, [mu_next])
             if faults:
                 level_ok = False
                 report.witnesses.extend((n, mu, "branching", fault) for fault in faults)

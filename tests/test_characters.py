@@ -9,7 +9,6 @@ from repstab.characters import (
     ClassFunction,
     NotACharacter,
     character_table,
-    content_power_sums,
     count_partition_chains,
     decompose,
     explicit_character,
@@ -403,12 +402,6 @@ def test_sign_values_match_perms():
 
             g = class_representative(rho, n)
             assert sign(g) == (-1) ** (n - len(rho))
-
-
-def test_content_power_sums():
-    # contents of (3, 2): 0 1 2 / -1 0
-    assert content_power_sums((3, 2), 3) == (2, 6, 8)
-    assert content_power_sums((), 2) == (0, 0)
 
 
 def test_explicit_traces_and_isotypic_parts_on_rows_with_pivot_entries_above_one():

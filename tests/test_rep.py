@@ -2,11 +2,9 @@
 that act on keyed vectors and build no Rep, for the tabloid modules
 (KeyIndex) and the cells of the explicit E2 page (LinearIndex)."""
 
-from math import lcm
-
 import pytest
 
-from repstab.characters import decompose, explicit_character
+from repstab.characters import explicit_character, irreducible_character
 from repstab.e2 import E2Page
 from repstab.linalg import Echelon, kernel_basis
 from repstab.manifolds import load_manifold
@@ -123,34 +121,20 @@ def test_isotypic_returns_only_the_requested_partitions():
     assert part == {(3, 1): whole[(3, 1)], (1, 1, 1, 1): []}
 
 
-def test_span_multiplicities_survive_seeds_that_cancel():
-    # the seeds 2v and -v combine (with weights 1, 2) to zero, so each must
-    # be projected on its own
-    rep = specht_module((2, 1), 5)
-    counts = rep.decompose().counts
-    b = rep.basis()[0]
-    scale = lcm(*[c.denominator for c in b.values()])
-    v = {t: int(c * scale) for t, c in b.items()}
-    seeds = [{t: 2 * c for t, c in v.items()}, {t: -c for t, c in v.items()}]
-    expected = rep.sn_span([v]).decompose().counts
-    got = rep.span_multiplicities(seeds, counts)
-    assert {nu: m for nu, m in got.items() if m} == expected
-    assert rep.central_projections(seeds, counts).keys() == expected.keys()
-
-
 @pytest.mark.parametrize("name", ["torus", "s2"])
-def test_span_multiplicities_on_page_cells(name):
-    # the linear index against the closed span, by Rep and by the keyed oracle
+def test_weight_vectors_on_page_cells(name):
+    # the linear index: the S_n-span of m_mu weight vectors of each
+    # constituent mu of a cell, by Rep and by the keyed oracle, has the
+    # character m_mu chi^mu
     page = E2Page(load_manifold(name), 4)
     for keys in page.cells.values():
-        basis = [{k: 1} for k in keys]
-        rep = Rep(4, LinearIndex(keys, page.act_key), basis)
-        counts = rep.decompose().counts
-        for seeds in (basis[:1], [basis[-1], {keys[0]: 2}]):
-            got = {nu: m for nu, m in rep.span_multiplicities(seeds, counts).items() if m}
-            assert got == rep.sn_span(seeds).decompose().counts
-            closure = keyed_closure(seeds, 4, page.act_vec)
-            assert got == decompose(explicit_character(closure, 4, page.act_vec)).counts
+        rep = Rep(4, LinearIndex(keys, page.act_key), [{k: 1} for k in keys])
+        for mu, m in rep.decompose().counts.items():
+            expected = irreducible_character(mu) * m
+            found = rep.weight_vectors(mu, m)
+            assert len(found) == m
+            assert rep.sn_span(found).character() == expected
+            assert explicit_character(keyed_closure(found, 4, page.act_vec), 4, page.act_vec) == expected
 
 
 def _pages(names, n_max):

@@ -10,14 +10,13 @@ import pytest
 import repstab.specht as specht
 import repstab.tabloids as tabloids
 from repstab.characters import (
-    content_power_sums,
     decompose,
     explicit_character,
     induced_character,
     irreducible_character,
 )
 from repstab.linalg import Echelon, add_into
-from repstab.partitions import curly_pad, dim_irrep, leadsto, lex_compare, partitions_of
+from repstab.partitions import contents, curly_pad, dim_irrep, leadsto, lex_compare, partitions_of
 from repstab.perms import all_perms, generators
 from repstab.rep import Rep
 from repstab.specht import (
@@ -623,23 +622,25 @@ def test_monotonicity_witness_matches_closure_oracle(lam):
 
 @pytest.mark.parametrize("lam", [lam for k in range(4) for lam in partitions_of(k)])
 def test_monotonicity_witness_branching_matches_span_multiplicities(lam):
-    # the one seed monotonicity_witness projects, iota(w) for the w that
-    # central projection finds in each V_mu piece; every constituent
+    # the one seed monotonicity_witness projects, iota(w) for a weight vector
+    # w of each V_mu piece, inside that piece by the n! group sum (n < 7);
+    # every constituent of its S_{n+1}-span, against the closure
     for n in range(max(sum(lam), 1), 8):
         sub, level = specht_module(lam, n), specht_module(lam, n + 1)
         counts = level.decompose().counts
-        found = sub.central_projections(sub.basis(), sub.decompose().counts, leadsto(lam, n))
-        for mu, w in found.items():
-            mults, faults = level.branch_multiplicities([iota(w)], mu, counts)
+        for mu in leadsto(lam, n):
+            (w,) = sub.weight_vectors(mu, 1)
+            assert n == 7 or Echelon(oracle_isotypic(sub.basis(), mu, n)).contains(w)
+            mults, faults = level.span_multiplicities({mu: [iota(w)]}, counts)
             assert faults == []
-            assert mults == level.span_multiplicities([iota(w)], counts)
+            assert {nu: m for nu, m in mults.items() if m} == sn_span([iota(w)], n + 1).decompose().counts
 
 
 def test_monotonicity_witness_splits_content_sum_ties_without_closure(monkeypatch):
     # I_6(V_(3,1)) holds (4,1,1) and (3,3), whose content sums agree, so p_1 of
     # the Jucys-Murphy elements alone cannot tell them apart
     assert {(4, 1, 1), (3, 3)} <= set(leadsto((3, 1), 6))
-    assert content_power_sums((4, 1, 1), 1) == content_power_sums((3, 3), 1)
+    assert sum(contents((4, 1, 1))) == sum(contents((3, 3)))
     expected = closure_witness((3, 1), 5)
 
     def closed(*args):

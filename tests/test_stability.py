@@ -3,12 +3,13 @@ from math import factorial
 
 import pytest
 
-from repstab.characters import content_power_sums, decompose, explicit_character, irreducible_character
+import repstab.rep as rep_module
+from repstab.characters import decompose, explicit_character, irreducible_character
 from repstab.linalg import Echelon, add_into, span_dim
 from repstab.partitions import contents, curly_pad, dim_irrep, pad, unpad
 from repstab.perms import from_cycles, generators
 from repstab.rep import KeyIndex
-from repstab.specht import act_vec, project_tabloid
+from repstab.specht import act_vec, monotonicity_witness, project_tabloid, specht_module
 from repstab.stability import (
     ImageSequence,
     InducedModuleSequence,
@@ -222,16 +223,15 @@ def test_rep_isotypic_matches_group_sum_oracle(seq):
 
 
 def test_rep_isotypic_separates_equal_content_sums():
-    # (4,1,1) and (3,3) both have content sum 3, so p_2 of the Jucys-Murphy
-    # elements is needed to tell their isotypic components apart
+    # (4,1,1) and (3,3) both have content sum 3, so the class sum of the
+    # transpositions alone cannot tell their isotypic components apart
     rep = InducedModuleSequence((1, 1, 1)).rep(6)
     counts = decompose(rep.character()).counts
     parts = rep.isotypic(counts, [(4, 1, 1), (3, 3)])
     for mu in ((4, 1, 1), (3, 3)):
         assert counts[mu] > 0
         assert parts[mu] == oracle_isotypic(rep, mu)
-    p1, p2 = content_power_sums((4, 1, 1), 2), content_power_sums((3, 3), 2)
-    assert p1[0] == p2[0] and p1[1] != p2[1]
+    assert sum(contents((4, 1, 1))) == sum(contents((3, 3)))
 
 
 def test_rep_character_rejects_non_invariant_span():
@@ -393,33 +393,48 @@ def test_checkers_match_closure_oracle(seq):
     assert structural(check_uniform_stability(seq, start, 6)) == closure_uniform(seq, start, 6)
 
 
+def closed_counts(target, images):
+    """The nonzero multiplicities of the closed span(S_{n+1} . images)."""
+    return target.sn_span(images).decompose().counts
+
+
+def nonzero(mults):
+    return {nu: m for nu, m in mults.items() if m}
+
+
 @pytest.mark.parametrize("seq", COMPOSITE, ids=lambda seq: seq.label)
 def test_span_multiplicities_match_closure_oracle(seq):
-    # the span of one vector, and of a whole isotypic component, of each
-    # constituent of level n: partial spans, with multiplicities above one
+    # the images of one weight vector, and of all m_mu, of each constituent
+    # of level n, and of every constituent at once: partial spans, with
+    # multiplicities above one, and the span surjectivity asks about
     for n in range(max(seq.n_min, 1), 5):
         source, target = seq.rep(n), seq.rep(n + 1)
-        counts = decompose(target.character()).counts
-        for part in source.isotypic(decompose(source.character()).counts).values():
-            component = [seq.phi(n, v) for v in part]
-            for seeds in (component[:1], component):
-                got = target.span_multiplicities(seeds, counts)
-                assert {nu: m for nu, m in got.items() if m} == target.sn_span(seeds).decompose().counts
+        counts, target_counts = source.decompose().counts, target.decompose().counts
+        weights = {mu: [seq.phi(n, v) for v in source.weight_vectors(mu, m)] for mu, m in counts.items()}
+        for mu, images in weights.items():
+            for part in (images[:1], images):
+                got, faults = target.span_multiplicities({mu: part}, target_counts)
+                assert faults == [] and nonzero(got) == closed_counts(target, part), (n, mu)
+        got, faults = target.span_multiplicities(weights, target_counts)
+        assert faults == []
+        assert nonzero(got) == closed_counts(target, [v for images in weights.values() for v in images])
 
 
 def test_span_multiplicities_tell_tied_constituents_apart():
-    # a vector of V_(3,3) alone: V_(4,1,1), tied with it on p_1(J), is not
-    # in its span
-    level = InducedSpechtSequence((3, 1)).rep(6)
-    counts = decompose(level.character()).counts
-    seeds = level.isotypic(counts, [(3, 3)])[(3, 3)][:1]
-    got = level.span_multiplicities(seeds, counts)
-    assert got[(3, 3)] == 1 and got[(4, 1, 1)] == 0
-    assert {nu: m for nu, m in got.items() if m} == level.sn_span(seeds).decompose().counts
+    # V_(3,3) and V_(4,1,1) tie on the content sum; the images of a weight
+    # vector of (3,2) reach the first and not the second
+    assert sum(contents((3, 3))) == sum(contents((4, 1, 1)))
+    seq = InducedSpechtSequence((3, 1))
+    source, target = seq.rep(5), seq.rep(6)
+    images = [seq.phi(5, v) for v in source.weight_vectors((3, 2), 1)]
+    got, faults = target.span_multiplicities({(3, 2): images}, target.decompose().counts)
+    assert faults == [] and got[(3, 3)] == 1 and got[(4, 1, 1)] == 0
+    assert nonzero(got) == closed_counts(target, images)
 
 
 def test_check_monotone_splits_content_sum_ties_without_closure(monkeypatch):
     # level 6 of I_n(V_(3,1)) holds (4,1,1) and (3,3), tied on p_1(J)
+    assert sum(contents((4, 1, 1))) == sum(contents((3, 3)))
     seq = InducedSpechtSequence((3, 1))
     expected = closure_monotone(seq, 4, 6)
 
@@ -432,46 +447,44 @@ def test_check_monotone_splits_content_sum_ties_without_closure(monkeypatch):
     assert report.ok
 
 
-def test_check_monotone_takes_isotypic_parts_once_per_level(monkeypatch):
-    seq = InducedSpechtSequence((2, 1))
-    expected = check_monotone(seq, 3, 6)
-    calls = []
-    isotypic = Rep.isotypic
+def test_checkers_never_call_isotypic_or_sn_span(monkeypatch):
+    # both checkers and monotonicity_witness read weight vectors; the
+    # isotypic parts and the span closure are oracles only
+    seqs = [
+        InducedSpechtSequence((2, 1)),
+        InducedModuleSequence((1, 1)),
+        QuotientSequence(InducedModuleSequence((1, 1)), InducedSpechtSequence((1, 1))),
+    ]
+    expected = [(check_monotone(seq, 3, 6), check_uniform_stability(seq, 3, 6)) for seq in seqs]
+    witness = monotonicity_witness((2, 1), 5)
 
-    def counted(self, *args):
-        calls.append(self.n)
-        return isotypic(self, *args)
+    def oracle_only(*args):
+        raise AssertionError("an oracle path ran")
 
-    monkeypatch.setattr(Rep, "isotypic", counted)
-    report = check_monotone(seq, 3, 6)
-    assert (report.monotone, report.witnesses) == (expected.monotone, expected.witnesses)
-    assert calls == [3, 4, 5]
+    monkeypatch.setattr(Rep, "isotypic", oracle_only)
+    monkeypatch.setattr(Rep, "sn_span", oracle_only)
+    specht_module.cache_clear()
+    for seq, (mono, stab) in zip(seqs, expected):
+        assert check_monotone(seq, 3, 6) == mono
+        assert check_uniform_stability(seq, 3, 6) == stab
+    assert monotonicity_witness((2, 1), 5) == witness
 
 
 @pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
 def test_branch_multiplicities_match_span_multiplicities(seq):
-    # the seeds check_monotone projects: one vector of a multiplicity-one
-    # component, a basis of any other; every constituent of level n + 1
+    # check_monotone's call, the images of m_mu weight vectors of one
+    # constituent mu with the answer restricted to mu{n+1}, against the
+    # same images with every constituent of level n + 1, and the closure
     for n in range(max(seq.n_min, 1), 6):
         source, target = seq.rep(n), seq.rep(n + 1)
         counts, target_counts = source.decompose().counts, target.decompose().counts
-        for mu, part in source.isotypic(counts).items():
-            seeds = [seq.phi(n, v) for v in (part[:1] if counts[mu] == 1 else part)]
-            mults, faults = target.branch_multiplicities(seeds, mu, target_counts)
-            assert faults == []
-            assert mults == target.span_multiplicities(seeds, target_counts)
-
-
-def test_branch_multiplicities_flag_a_rank_that_is_not_a_multiple():
-    # two vectors of the V_(3,1)^2 part of I_4(M^(2,1)) span no S_4-submodule,
-    # and their projections have rank 2 where f^(3,1) = 3
-    seq = InducedModuleSequence((2, 1))
-    source, target = seq.rep(4), seq.rep(5)
-    counts = source.decompose().counts
-    assert counts[(3, 1)] == 2
-    seeds = [seq.phi(4, v) for v in source.isotypic(counts, [(3, 1)])[(3, 1)][:2]]
-    _, faults = target.branch_multiplicities(seeds, (3, 1), target.decompose().counts)
-    assert faults == [("rank", nu, 2) for nu in ((4, 1), (3, 2), (3, 1, 1))]
+        for mu, m in counts.items():
+            images = [seq.phi(n, v) for v in source.weight_vectors(mu, m)]
+            mults, faults = target.span_multiplicities({mu: images}, target_counts)
+            branch, branch_faults = target.span_multiplicities({mu: images}, target_counts, [curly_pad(mu)])
+            assert faults == branch_faults == []
+            assert branch == {curly_pad(mu): mults.get(curly_pad(mu), 0)}
+            assert nonzero(mults) == closed_counts(target, images), (n, mu)
 
 
 class ShiftedLabelsSequence(InducedModuleSequence):
@@ -482,12 +495,12 @@ class ShiftedLabelsSequence(InducedModuleSequence):
         return {PseudoTabloid(t.n + 1, tuple(tuple(x + 1 for x in row) for row in t.rows)): c for t, c in v.items()}
 
 
-@pytest.mark.parametrize(
-    "seq",
-    [ShiftedLabelsSequence(lam) for lam in ((1,), (2,), (1, 1))]
-    + [QuotientSequence(ShiftedLabelsSequence((1, 1)), InducedSpechtSequence((1, 1)))],
-    ids=lambda seq: seq.label,
-)
+SHIFTED = [ShiftedLabelsSequence(lam) for lam in ((1,), (2,), (1, 1))] + [
+    QuotientSequence(ShiftedLabelsSequence((1, 1)), InducedSpechtSequence((1, 1)))
+]
+
+
+@pytest.mark.parametrize("seq", SHIFTED, ids=lambda seq: seq.label)
 def test_check_monotone_flags_a_phi_that_is_not_equivariant(seq):
     # the S_{n+1}-span of the image is all of level n + 1, so every closed
     # span passes; the images leave the V_mu-isotypic parts of the
@@ -500,6 +513,21 @@ def test_check_monotone_flags_a_phi_that_is_not_equivariant(seq):
     assert report.monotone == {n: n == 1 for n in range(start, 5)}
     assert {w[0] for w in report.witnesses} == set(range(max(start, 2), 5))
     assert {(w[2], w[3][0]) for w in report.witnesses} == {("branching", "off_branching")}
+
+
+@pytest.mark.parametrize("seq", SHIFTED, ids=lambda seq: seq.label)
+def test_check_uniform_stability_flags_a_phi_that_is_not_equivariant(seq):
+    # the images still generate every level, so the closure finds phi onto;
+    # the weight guard finds images off their weights at every level but
+    # n = 1, and no level it flags counts as onto
+    start = seq.n_min
+    assert closure_uniform(seq, start, 5)[1] == {n: True for n in range(start, 5)}
+    report = check_uniform_stability(seq, start, 5)
+    flagged = {w[0] for w in report.witnesses if w[1] == "branching"}
+    assert flagged == set(range(max(start, 2), 5))
+    assert {w[2][0] for w in report.witnesses if w[1] == "branching"} == {"off_branching"}
+    assert report.surjectivity == {n: n not in flagged for n in range(start, 5)}
+    assert not any(w[1] == "surjectivity" for w in report.witnesses)
 
 
 def equivariance_failures(seq, n_max):
@@ -534,15 +562,17 @@ def test_phi_is_equivariant_on_default_seeds(seq):
 
 @pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
 def test_central_projections_lie_in_their_isotypic_parts(seq):
-    # one nonzero vector per constituent, inside that constituent's part
+    # m_nu independent weight vectors per constituent, inside that
+    # constituent's part by the n! group sum, whose S_n-span is that part
     for n in range(max(seq.n_min, 1), 5):
         level = seq.rep(n)
         counts = level.decompose().counts
-        parts = level.isotypic(counts)
-        found = level.central_projections(level.basis(), counts)
-        assert found.keys() == {nu for nu, m in counts.items() if m}
-        for nu, w in found.items():
-            assert w and Echelon(parts[nu]).contains(w)
+        for nu, m in counts.items():
+            found = level.weight_vectors(nu, m)
+            part = oracle_isotypic(level, nu)
+            assert len(found) == m and Echelon(found).dim == m
+            assert all(Echelon(part).contains(level.nf(w)) for w in found)
+            assert level.sn_span(found).basis() == part
 
 
 @pytest.mark.parametrize("seq", default_seeds(), ids=lambda seq: seq.label)
@@ -603,9 +633,67 @@ def test_a_hint_that_drops_a_constituent_cannot_make_phi_onto():
     hinted = decompose(seq.character_hint(4)).counts
     assert pad((1,), 4) not in hinted
     with pytest.raises(ValueError):
-        level.span_multiplicities(level.basis(), hinted)
+        level.span_multiplicities({}, hinted)
     stab = check_uniform_stability(seq, 2, 5)
     assert not any(stab.surjectivity.values())
     assert structural(stab) == closure_uniform(seq, 2, 5)
     # Condition III falls back to the traces, as if there were no hint
     assert stab.multiplicities == check_uniform_stability(KillTargetSequence((1,)), 2, 5).multiplicities
+
+
+# ---------------------------------------------------------------------------
+# mutants of the weight-vector mechanism, through its seams in repstab.rep
+
+
+@pytest.fixture
+def fresh_modules():
+    """Specht modules built under a mutant keep its weight vectors, so none
+    is shared with the tests before or after."""
+    specht_module.cache_clear()
+    yield
+    specht_module.cache_clear()
+
+
+# the levels where two corners feed one constituent of level n + 1, so no
+# corner alone reaches its multiplicity: (sequence, n, constituents)
+TWO_CORNER_LEVELS = [
+    (InducedModuleSequence((1, 1)), 2, [(2, 1)]),
+    (InducedModuleSequence((2, 1)), 3, [(3, 1)]),
+    (InducedModuleSequence((1, 1, 1)), 3, [(3, 1), (2, 1, 1)]),
+]
+
+
+def test_two_corner_levels_need_both_corners():
+    for seq, n, nus in TWO_CORNER_LEVELS:
+        source, target = seq.rep(n), seq.rep(n + 1)
+        counts, target_counts = source.decompose().counts, target.decompose().counts
+        weights = {mu: [seq.phi(n, v) for v in source.weight_vectors(mu, m)] for mu, m in counts.items()}
+        together, faults = target.span_multiplicities(weights, target_counts, nus)
+        assert faults == []
+        alone = [target.span_multiplicities({mu: images}, target_counts, nus)[0] for mu, images in weights.items()]
+        for nu in nus:
+            assert together[nu] == target_counts[nu] > max(mults[nu] for mults in alone), (seq.label, n, nu)
+
+
+def test_identity_seminormal_step_disagrees_with_the_closure(monkeypatch, fresh_modules):
+    # the step r (a a+1) - 1 carries each corner's weight space onto the
+    # row-reading tableau of nu, and with r = 1 is the same-row half of the
+    # weight guard (s y - y); an identity step must not pass on the levels
+    # where two corners feed one nu
+    monkeypatch.setattr(rep_module._JucysMurphy, "seminormal", lambda self, a, r, w: w)
+    for seq, n, _ in TWO_CORNER_LEVELS:
+        assert closure_uniform(seq, n, n + 1)[1] == {n: True}
+        assert check_uniform_stability(seq, n, n + 1).surjectivity == {n: False}, (seq.label, n)
+
+
+def test_conjugate_row_reading_fails_check_monotone(monkeypatch, fresh_modules):
+    # the row-reading contents replaced by their negatives: the weights of
+    # the conjugate tableau, whose shape is the conjugate partition
+    real = rep_module._row_reading
+    monkeypatch.setattr(rep_module, "_row_reading", lambda mu: [(col, row) for row, col in real(mu)])
+    failed = [
+        seq.label
+        for seq in default_seeds()
+        if max(seq.monotone_start, 1) < 5 and not check_monotone(seq, max(seq.monotone_start, 1), 5).ok
+    ]
+    assert failed
